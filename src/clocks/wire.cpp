@@ -140,28 +140,109 @@ namespace {
 
 constexpr std::size_t kChecksumBytes = common::kChecksumTrailerBytes;
 
+/// Longest LEB128 encoding of a 64-bit value.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/// The one frame writer behind the v1, v2 and v3 encoders. It sizes `out`
+/// once, from a size hint that covers the common case, and writes every
+/// byte through a raw pointer, folding it into the FNV-1a state as it
+/// goes: the checksum's byte-serial multiply chain thus overlaps the
+/// varint work instead of re-reading the payload after it, and no sizing
+/// pass over the components precedes the writing. A varint that would
+/// overrun the hint grows `out` first; seal() trims it to the frame. The
+/// bytes are exactly varint encoding plus the checksum trailer.
+class FrameWriter {
+public:
+    FrameWriter(std::vector<std::uint8_t>& out, std::size_t payload_hint)
+        : out_(out) {
+        out.resize(payload_hint + kChecksumBytes);
+        at_ = out.data();
+        end_ = at_ + payload_hint;
+    }
+
+    void byte(std::uint8_t value) noexcept {
+        *at_++ = value;
+        hash_ = (hash_ ^ value) * common::kFnv1aPrime;
+    }
+
+    void varint(std::uint64_t value) {
+        if (static_cast<std::size_t>(end_ - at_) < kMaxVarintBytes) grow();
+        while (value >= 0x80) {
+            byte(static_cast<std::uint8_t>(value) | 0x80u);
+            value >>= 7;
+        }
+        byte(static_cast<std::uint8_t>(value));
+    }
+
+    /// Writes the little-endian trailer and trims `out` to the frame.
+    void seal() {
+        std::uint64_t checksum = hash_;
+        for (std::size_t i = 0; i < kChecksumBytes; ++i) {
+            *at_++ = static_cast<std::uint8_t>(checksum);
+            checksum >>= 8;
+        }
+        out_.resize(static_cast<std::size_t>(at_ - out_.data()));
+    }
+
+private:
+    void grow() {
+        const auto used = static_cast<std::size_t>(at_ - out_.data());
+        const std::size_t payload = 2 * (used + kMaxVarintBytes);
+        out_.resize(payload + kChecksumBytes);
+        at_ = out_.data() + used;
+        end_ = out_.data() + payload;
+    }
+
+    std::vector<std::uint8_t>& out_;
+    std::uint8_t* at_ = nullptr;
+    std::uint8_t* end_ = nullptr;  ///< end of the payload space
+    std::uint64_t hash_ = common::kFnv1aOffsetBasis;
+};
+
+/// Size hints: header bytes (marker, version, epoch, sequence, message,
+/// width or count at their common sizes), then two bytes per full-frame
+/// component and four per delta pair — counters below 2^14, indices and
+/// increments below 2^14 each.
+constexpr std::size_t kHeaderHint = 24;
+
+/// Full-vector frame: the v1 layout at epoch 0, the v2 layout otherwise.
+void write_full_frame(EpochId epoch, std::uint64_t sequence,
+                      std::uint64_t message,
+                      std::span<const std::uint64_t> stamp,
+                      std::vector<std::uint8_t>& out) {
+    FrameWriter writer(out, kHeaderHint + 2 * stamp.size());
+    if (epoch != 0) {
+        writer.byte(kEpochFrameMarker);
+        writer.varint(kEpochFrameVersion);
+        writer.varint(epoch);
+    }
+    writer.varint(sequence);
+    writer.varint(message);
+    writer.varint(stamp.size());
+    for (const std::uint64_t component : stamp) writer.varint(component);
+    writer.seal();
+}
+
+/// Decodes one varint at bytes[offset], advancing offset: a single byte
+/// below 0x80 inline, anything longer through decode_varint.
+inline std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
+                                 std::size_t& offset) {
+    if (offset < bytes.size() && bytes[offset] < 0x80u) {
+        return bytes[offset++];
+    }
+    return decode_varint(bytes, offset);
+}
+
 }  // namespace
 
 void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
                        std::span<const std::uint64_t> stamp,
                        std::vector<std::uint8_t>& out) {
-    out.clear();
-    encode_varint(sequence, out);
-    encode_varint(message, out);
-    encode_varint(stamp.size(), out);
-    for (const std::uint64_t component : stamp) {
-        encode_varint(component, out);
-    }
-    std::uint64_t checksum = fnv1a64(out);
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        out.push_back(static_cast<std::uint8_t>(checksum));
-        checksum >>= 8;
-    }
+    write_full_frame(0, sequence, message, stamp, out);
 }
 
 std::vector<std::uint8_t> encode_frame(const SyncFrame& frame) {
     std::vector<std::uint8_t> out;
-    out.reserve(2 + 1 + frame.stamp.width() + kChecksumBytes);
     encode_frame_into(frame.sequence, frame.message,
                       frame.stamp.components(), out);
     return out;
@@ -180,12 +261,8 @@ std::span<const std::uint8_t> checked_payload(
     }
     const std::span<const std::uint8_t> payload =
         bytes.first(bytes.size() - kChecksumBytes);
-    std::uint64_t declared = 0;
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        declared |= static_cast<std::uint64_t>(bytes[payload.size() + i])
-                    << (8 * i);
-    }
-    if (fnv1a64(payload) != declared) {
+    if (fnv1a64(payload) !=
+        common::read_checksum_trailer(bytes, payload.size())) {
         throw WireError(WireError::Kind::checksum_mismatch,
                         "frame checksum mismatch");
     }
@@ -198,9 +275,9 @@ FrameHeader decode_frame_body(std::span<const std::uint8_t> payload,
                               std::size_t offset,
                               std::span<std::uint64_t> stamp_out) {
     FrameHeader header;
-    header.sequence = decode_varint(payload, offset);
-    header.message = decode_varint(payload, offset);
-    const std::uint64_t width = decode_varint(payload, offset);
+    header.sequence = read_varint(payload, offset);
+    header.message = read_varint(payload, offset);
+    const std::uint64_t width = read_varint(payload, offset);
     if (width != stamp_out.size()) {
         throw WireError(WireError::Kind::width_mismatch,
                         "frame timestamp width " + std::to_string(width) +
@@ -211,8 +288,19 @@ FrameHeader decode_frame_body(std::span<const std::uint8_t> payload,
         throw WireError(WireError::Kind::length_mismatch,
                         "frame timestamp width exceeds available bytes");
     }
+    if (width == payload.size() - offset) {
+        // One byte per component: all one-byte varints, unless a
+        // continuation bit is set — then the general loop below rejects
+        // the frame with the precise error.
+        std::uint8_t continuation = 0;
+        for (std::size_t i = 0; i < stamp_out.size(); ++i) {
+            continuation |= payload[offset + i];
+            stamp_out[i] = payload[offset + i];
+        }
+        if ((continuation & 0x80u) == 0) return header;
+    }
     for (auto& component : stamp_out) {
-        component = decode_varint(payload, offset);
+        component = read_varint(payload, offset);
     }
     if (offset != payload.size()) {
         throw WireError(WireError::Kind::trailing_bytes,
@@ -234,27 +322,9 @@ void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
                              std::vector<std::uint8_t>& out) {
     SYNCTS_REQUIRE(sequence >= 1,
                    "epoch-aware frames need 1-based sequence numbers");
-    if (epoch == 0) {
-        // Back-compat rule: epoch-0 traffic is bit-identical to the
-        // version-1 format, so pre-epoch peers interoperate unchanged.
-        encode_frame_into(sequence, message, stamp, out);
-        return;
-    }
-    out.clear();
-    out.push_back(kEpochFrameMarker);
-    encode_varint(kEpochFrameVersion, out);
-    encode_varint(epoch, out);
-    encode_varint(sequence, out);
-    encode_varint(message, out);
-    encode_varint(stamp.size(), out);
-    for (const std::uint64_t component : stamp) {
-        encode_varint(component, out);
-    }
-    std::uint64_t checksum = fnv1a64(out);
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        out.push_back(static_cast<std::uint8_t>(checksum));
-        checksum >>= 8;
-    }
+    // Back-compat rule: epoch-0 traffic is bit-identical to the version-1
+    // format, so pre-epoch peers interoperate unchanged.
+    write_full_frame(epoch, sequence, message, stamp, out);
 }
 
 FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
@@ -338,22 +408,19 @@ bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
         if (stamp[i] < base[i]) return false;  // non-monotone: full resync
         if (stamp[i] != base[i]) ++changed;
     }
-    out.push_back(kEpochFrameMarker);
-    encode_varint(kDeltaFrameVersion, out);
-    encode_varint(epoch, out);
-    encode_varint(sequence, out);
-    encode_varint(message, out);
-    encode_varint(changed, out);
+    FrameWriter writer(out, kHeaderHint + 4 * changed);
+    writer.byte(kEpochFrameMarker);
+    writer.varint(kDeltaFrameVersion);
+    writer.varint(epoch);
+    writer.varint(sequence);
+    writer.varint(message);
+    writer.varint(changed);
     for (std::size_t i = 0; i < stamp.size(); ++i) {
         if (stamp[i] == base[i]) continue;
-        encode_varint(i, out);
-        encode_varint(stamp[i] - base[i], out);
+        writer.varint(i);
+        writer.varint(stamp[i] - base[i]);
     }
-    std::uint64_t checksum = fnv1a64(out);
-    for (std::size_t i = 0; i < kChecksumBytes; ++i) {
-        out.push_back(static_cast<std::uint8_t>(checksum));
-        checksum >>= 8;
-    }
+    writer.seal();
     return true;
 }
 
@@ -417,14 +484,14 @@ FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
     }
     std::uint64_t next_index = 0;
     for (std::uint64_t pair = 0; pair < count; ++pair) {
-        const std::uint64_t index = decode_varint(payload, offset);
+        const std::uint64_t index = read_varint(payload, offset);
         if (index < next_index || index >= stamp_out.size()) {
             throw WireError(WireError::Kind::length_mismatch,
                             "delta pair index " + std::to_string(index) +
                                 " out of order or out of range");
         }
         next_index = index + 1;
-        stamp_out[index] += decode_varint(payload, offset);
+        stamp_out[index] += read_varint(payload, offset);
     }
     if (offset != payload.size()) {
         throw WireError(WireError::Kind::trailing_bytes,

@@ -118,8 +118,12 @@ struct SyncFrame {
 std::vector<std::uint8_t> encode_frame(const SyncFrame& frame);
 
 /// Span form: frames `stamp` (an arena row or clock span) with the given
-/// header, replacing the contents of `out`. Capacity is reused — the
-/// synchronizer's per-packet steady state allocates nothing.
+/// header, replacing the contents of `out`. Single pass: `out` is sized
+/// once and the checksum is folded in as the bytes are written, so the
+/// output is byte-identical to varint encoding plus the trailer. Capacity
+/// is reused, so encoding into a kept or recycled buffer allocates
+/// nothing; the synchronizer encodes into recycled packet bodies and
+/// frame buffers (docs/INTERNALS.md §5).
 void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
                        std::span<const std::uint64_t> stamp,
                        std::vector<std::uint8_t>& out);

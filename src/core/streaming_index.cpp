@@ -41,7 +41,10 @@ MessageId IncrementalPrecedenceIndex::ingest_message(ProcessId sender,
         SYNCTS_ENSURE(closure_id == id, "closure ids must track message ids");
     }
     ++ingested_;
-    if (metric_ingested_ != nullptr) metric_ingested_->inc();
+    if (metric_ingested_ != nullptr) {
+        metric_ingested_->inc();
+        window_.publish_residency();
+    }
     return static_cast<MessageId>(id);
 }
 

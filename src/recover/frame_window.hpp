@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -25,6 +24,18 @@
 
 namespace syncts {
 
+/// Replaces the contents of a reused frame buffer with `frame`. A buffer
+/// too small for it grows with a quarter of headroom, so a stream of
+/// frames that lengthen a byte at a time (clock components crossing
+/// varint boundaries) does not reallocate on every byte of growth.
+inline void copy_frame(std::span<const std::uint8_t> frame,
+                       std::vector<std::uint8_t>& buffer) {
+    if (buffer.capacity() < frame.size()) {
+        buffer.reserve(frame.size() + frame.size() / 4);
+    }
+    buffer.assign(frame.begin(), frame.end());
+}
+
 class FrameWindow {
 public:
     struct Entry {
@@ -37,43 +48,62 @@ public:
     }
 
     std::size_t capacity() const noexcept { return capacity_; }
-    std::size_t size() const noexcept { return entries_.size(); }
-    bool empty() const noexcept { return entries_.empty(); }
+    std::size_t size() const noexcept { return ring_.size(); }
+    bool empty() const noexcept { return ring_.empty(); }
 
     /// Records `frame` under `sequence`. Sequences normally arrive in
     /// increasing order; re-recording an existing sequence (a recovered
     /// process re-executing a rendezvous) overwrites in place, and a
     /// sequence older than the ring is ignored — it was pruned already.
+    /// Once the ring is full, the evicted oldest entry's buffer takes the
+    /// new frame, so a steady stream of puts allocates nothing.
     void put(std::uint64_t sequence, std::span<const std::uint8_t> frame) {
-        if (!entries_.empty() && sequence <= entries_.back().sequence) {
-            for (Entry& entry : entries_) {
+        if (!ring_.empty() && sequence <= newest().sequence) {
+            for (Entry& entry : ring_) {
                 if (entry.sequence == sequence) {
-                    entry.frame.assign(frame.begin(), frame.end());
+                    copy_frame(frame, entry.frame);
                     return;
                 }
             }
             return;  // older than the retained ring: already pruned
         }
-        entries_.push_back(
-            Entry{sequence, std::vector<std::uint8_t>(frame.begin(),
-                                                      frame.end())});
-        while (entries_.size() > capacity_) entries_.pop_front();
+        Entry* slot = nullptr;
+        if (ring_.size() < capacity_) {
+            slot = &ring_.emplace_back();
+        } else {
+            slot = &ring_[head_];
+            head_ = (head_ + 1) % capacity_;
+        }
+        slot->sequence = sequence;
+        copy_frame(frame, slot->frame);
     }
 
     /// The frame recorded under `sequence`, or nullptr when pruned/unknown.
     const std::vector<std::uint8_t>* find(std::uint64_t sequence) const {
-        for (const Entry& entry : entries_) {
+        for (const Entry& entry : ring_) {
             if (entry.sequence == sequence) return &entry.frame;
         }
         return nullptr;
     }
 
-    /// Retained entries, oldest first (rejoin retransmission order).
-    const std::deque<Entry>& entries() const noexcept { return entries_; }
+    /// Calls fn(const Entry&) for each retained entry, oldest first
+    /// (rejoin retransmission and snapshot order).
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+        for (std::size_t i = 0; i < ring_.size(); ++i) {
+            fn(ring_[(head_ + i) % ring_.size()]);
+        }
+    }
 
 private:
+    const Entry& newest() const noexcept {
+        return ring_[(head_ + ring_.size() - 1) % ring_.size()];
+    }
+
     std::size_t capacity_;
-    std::deque<Entry> entries_;
+    /// Grows to capacity_, then rotates: ring_[head_] is the oldest entry.
+    std::vector<Entry> ring_;
+    std::size_t head_ = 0;
 };
 
 }  // namespace syncts

@@ -47,10 +47,10 @@ void write_blob(std::span<const std::uint8_t> blob,
 void write_window(const FrameWindow& window, std::vector<std::uint8_t>& out) {
     encode_varint(window.capacity(), out);
     encode_varint(window.size(), out);
-    for (const FrameWindow::Entry& entry : window.entries()) {
+    window.for_each([&](const FrameWindow::Entry& entry) {
         encode_varint(entry.sequence, out);
         write_blob(entry.frame, out);
-    }
+    });
 }
 
 FrameWindow read_window(std::span<const std::uint8_t> bytes,

@@ -1,5 +1,6 @@
 #include "runtime/async_sim.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
@@ -49,21 +50,57 @@ void AsyncSimulator::on_deliver(ProcessId p, Handler handler) {
 void AsyncSimulator::send(std::uint64_t now, Packet packet) {
     SYNCTS_REQUIRE(packet.destination < handlers_.size(),
                    "packet destination out of range");
-    const std::vector<FaultInjector::Copy> copies = injector_.disposition(
+    const FaultInjector::Disposition fate = injector_.disposition(
         packet.source, packet.destination, packet.kind);
-    for (const FaultInjector::Copy& copy : copies) {
+    if (fate.count == 0) {
+        recycle(std::move(packet.body));
+        return;
+    }
+    for (std::size_t c = 0; c < fate.count; ++c) {
+        const FaultInjector::Copy& copy = fate.copies[c];
         const std::uint64_t latency = latency_(packet, rng_);
         SYNCTS_REQUIRE(latency > 0, "latency model returned zero");
-        Packet delivered = packet;  // last copy could move, but keep it simple
+        Packet delivered;
+        if (c + 1 < fate.count) {
+            // An injected duplicate: the one copy a send makes.
+            delivered = Packet{packet.source, packet.destination, packet.kind,
+                               packet.tag, take_body()};
+            delivered.body.assign(packet.body.begin(), packet.body.end());
+        } else {
+            delivered = std::move(packet);
+        }
         if (copy.corrupt) injector_.corrupt_body(delivered.body);
-        queue_.push({now + latency + copy.extra_delay, next_seq_++,
-                     std::move(delivered), nullptr});
+        ++queued_packets_;
+        peak_queued_packets_ = std::max(peak_queued_packets_, queued_packets_);
+        push({now + latency + copy.extra_delay, next_seq_++,
+              std::move(delivered), nullptr});
     }
+}
+
+std::vector<std::uint8_t> AsyncSimulator::take_body() {
+    if (spare_bodies_.empty()) return {};
+    std::vector<std::uint8_t> body = std::move(spare_bodies_.back());
+    spare_bodies_.pop_back();
+    body.clear();
+    return body;
+}
+
+void AsyncSimulator::recycle(std::vector<std::uint8_t>&& body) {
+    if (body.capacity() == 0 ||
+        spare_bodies_.size() >= peak_queued_packets_) {
+        return;
+    }
+    spare_bodies_.push_back(std::move(body));
+}
+
+void AsyncSimulator::push(Scheduled event) {
+    queue_.push_back(std::move(event));
+    std::push_heap(queue_.begin(), queue_.end(), later);
 }
 
 void AsyncSimulator::schedule(std::uint64_t when, TimerCallback callback) {
     SYNCTS_REQUIRE(callback != nullptr, "timer callback must be callable");
-    queue_.push({when, next_seq_++, Packet{}, std::move(callback)});
+    push({when, next_seq_++, Packet{}, std::move(callback)});
 }
 
 std::uint64_t AsyncSimulator::run(std::uint64_t max_events) {
@@ -71,17 +108,20 @@ std::uint64_t AsyncSimulator::run(std::uint64_t max_events) {
     while (!queue_.empty()) {
         SYNCTS_REQUIRE(delivered_ + timers_fired_ < max_events,
                        "event budget exhausted: protocol livelock?");
-        const Scheduled next = queue_.top();
-        queue_.pop();
+        std::pop_heap(queue_.begin(), queue_.end(), later);
+        Scheduled next = std::move(queue_.back());
+        queue_.pop_back();
         now = next.time;
         if (next.timer != nullptr) {
             ++timers_fired_;
             next.timer(now);
             continue;
         }
+        --queued_packets_;
         if (down_[next.packet.destination]) {
             // The destination is crashed: the packet reaches a dead NIC.
             ++crash_stats_.down_drops;
+            recycle(std::move(next.packet.body));
             continue;
         }
         ++delivered_;
@@ -89,6 +129,7 @@ std::uint64_t AsyncSimulator::run(std::uint64_t max_events) {
         SYNCTS_ENSURE(handler != nullptr,
                       "packet delivered to a process with no handler");
         handler(now, next.packet);
+        recycle(std::move(next.packet.body));
     }
     return now;
 }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,12 @@
 /// time break by schedule sequence number, latencies come from a seeded
 /// Rng, and faults from the plan's own seeded Rng, so a run is a pure
 /// function of (programs, seed, fault plan).
+///
+/// Body ownership: send() moves the packet into the event queue (only an
+/// injected duplicate copies it), run() moves each event out of the queue,
+/// and once the handler returns the delivered body joins a free list that
+/// take_body() hands back to the next sender. A steady packet flow thus
+/// reuses a bounded set of body buffers instead of allocating per packet.
 
 namespace syncts {
 
@@ -83,6 +88,12 @@ public:
     /// or its body corrupted in flight.
     void send(std::uint64_t now, Packet packet);
 
+    /// An empty body buffer for the next send, recycled from a delivered
+    /// (or dropped) packet when one is spare, so its capacity is reused.
+    /// The spare list never holds more buffers than the most packets that
+    /// were ever queued at once.
+    std::vector<std::uint8_t> take_body();
+
     /// Schedules `callback` to fire at virtual time `when`. Timers cannot
     /// be cancelled; protocols check their own state when one fires.
     void schedule(std::uint64_t when, TimerCallback callback);
@@ -110,16 +121,24 @@ private:
         std::uint64_t seq;
         Packet packet;         // delivery event when timer == nullptr
         TimerCallback timer;   // timer event when set
-        friend bool operator>(const Scheduled& a, const Scheduled& b) {
-            return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-        }
     };
+
+    /// Heap order: the root is the earliest (time, seq). Keys are unique,
+    /// so the pop order is a pure function of the schedule.
+    static bool later(const Scheduled& a, const Scheduled& b) noexcept {
+        return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+
+    void push(Scheduled event);
+    void recycle(std::vector<std::uint8_t>&& body);
 
     std::vector<Handler> handlers_;
     std::vector<bool> down_;
     FaultStats crash_stats_;  ///< crash/down-drop counts only
-    std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
-        queue_;
+    std::vector<Scheduled> queue_;  ///< binary heap under later()
+    std::size_t queued_packets_ = 0;
+    std::size_t peak_queued_packets_ = 0;
+    std::vector<std::vector<std::uint8_t>> spare_bodies_;
     LatencyModel latency_;
     Rng rng_;
     FaultInjector injector_;

@@ -45,9 +45,13 @@ FaultInjector::FaultInjector(FaultPlan plan)
     }
 }
 
-std::vector<FaultInjector::Copy> FaultInjector::disposition(
+FaultInjector::Disposition FaultInjector::disposition(
     ProcessId source, ProcessId destination, std::uint32_t kind) {
-    if (!active()) return {Copy{}};
+    Disposition fate;
+    if (!active()) {
+        fate.count = 1;
+        return fate;
+    }
 
     // Targeted rules fire regardless of the probabilistic dice so test
     // scenarios stay exact.
@@ -57,25 +61,25 @@ std::vector<FaultInjector::Copy> FaultInjector::disposition(
         if (rule.kind != TargetedDrop::kAnyKind && rule.kind != kind) continue;
         if (++rule_hits_[r] == rule.occurrence) {
             ++stats_.targeted_drops;
-            return {};
+            return fate;
         }
     }
 
     if (plan_.drop_probability > 0.0 &&
         rng_.uniform01() < plan_.drop_probability) {
         ++stats_.dropped;
-        return {};
+        return fate;
     }
 
-    std::size_t copies = 1;
+    fate.count = 1;
     if (plan_.duplicate_probability > 0.0 &&
         rng_.uniform01() < plan_.duplicate_probability) {
         ++stats_.duplicated;
-        copies = 2;
+        fate.count = 2;
     }
 
-    std::vector<Copy> result(copies);
-    for (Copy& copy : result) {
+    for (std::size_t c = 0; c < fate.count; ++c) {
+        Copy& copy = fate.copies[c];
         if (plan_.corrupt_probability > 0.0 &&
             rng_.uniform01() < plan_.corrupt_probability) {
             ++stats_.corrupted;
@@ -87,7 +91,7 @@ std::vector<FaultInjector::Copy> FaultInjector::disposition(
             copy.extra_delay = rng_.between(1, plan_.max_extra_delay);
         }
     }
-    return result;
+    return fate;
 }
 
 void FaultInjector::corrupt_body(std::vector<std::uint8_t>& body) {

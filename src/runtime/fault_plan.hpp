@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -111,11 +113,20 @@ public:
         bool corrupt = false;
     };
 
-    /// Decides the fate of one sent packet. An empty vector means the
-    /// packet is dropped; two entries mean it was duplicated. Counts
-    /// occurrences for targeted rules as a side effect.
-    std::vector<Copy> disposition(ProcessId source, ProcessId destination,
-                                  std::uint32_t kind);
+    /// The fate of one sent packet: `count` copies to deliver — 0 when
+    /// it is dropped, 2 when it was duplicated. Fixed storage, so deciding
+    /// allocates nothing.
+    struct Disposition {
+        std::array<Copy, 2> copies{};
+        std::size_t count = 0;
+
+        std::size_t size() const noexcept { return count; }
+    };
+
+    /// Decides the fate of one sent packet. Counts occurrences for
+    /// targeted rules as a side effect.
+    Disposition disposition(ProcessId source, ProcessId destination,
+                            std::uint32_t kind);
 
     /// Deterministically mutates payload bytes: flips a random bit,
     /// truncates the tail, or appends garbage. Empty bodies gain garbage.

@@ -15,6 +15,7 @@
 #include "common/timestamp_arena.hpp"
 #include "common/ts_kernels.hpp"
 #include "obs/flight_recorder.hpp"
+#include "recover/frame_window.hpp"
 #include "recover/recovery_manager.hpp"
 #include "runtime/async_sim.hpp"
 #include "runtime/bandwidth.hpp"
@@ -96,6 +97,16 @@ struct Tally {
     std::uint64_t bsched_deferrals = 0;   ///< flushes deferred past deadline
 };
 
+/// A fresh REQ waiting for the program to reach the matching receive.
+/// The stamp buffer comes from the run-wide free list and goes back to it
+/// at commit, so buffered-REQ storage is bounded by the most REQs ever
+/// pending at once.
+struct PendingReq {
+    std::uint64_t sequence = 0;
+    std::uint64_t message = 0;
+    std::vector<std::uint64_t> stamp;
+};
+
 /// Receiver-side state of one directed channel (peer -> self). Survives
 /// epoch transitions: sequences are continuous across the barrier.
 struct InChannel {
@@ -103,7 +114,7 @@ struct InChannel {
     /// REQs must carry last_committed + 1 (sequences are 1-based).
     std::uint64_t last_committed = 0;
     /// Fresh REQ waiting for the program to reach the matching receive.
-    std::optional<SyncFrame> pending;
+    std::optional<PendingReq> pending;
     /// Raw REQ frames ahead of the commit point, keyed by sequence. Only
     /// a rewound channel sees these: HELLO-driven window replays go out
     /// as a burst that the network can reorder (and may span epoch
@@ -144,7 +155,8 @@ struct OutChannel {
     /// Last sequence assigned on this channel (the next send takes +1).
     std::uint64_t next_sequence = 0;
     /// Original encoded REQ frames of recent sends, replayed verbatim
-    /// when a restarted receiver's HELLO reveals it lost them.
+    /// when a restarted receiver's HELLO reveals it lost them. Filled only
+    /// with recovery armed: rejoin replay and snapshots are its readers.
     FrameWindow req_window;
     /// Delta shadows (extended wire path only): the last REQ stamp sent
     /// on this channel and the last ACK stamp decoded off its reverse
@@ -166,6 +178,8 @@ struct Engine {
     std::size_t cursor = 0;
     std::unique_ptr<OnlineProcessClock> clock;
     std::optional<Outstanding> outstanding;
+    /// The last completed send's frame buffer, reused by the next send.
+    std::vector<std::uint8_t> spare_frame;
     /// Outgoing-channel state by receiver.
     std::unordered_map<ProcessId, OutChannel> out;
     /// Incoming-channel state by sender.
@@ -177,10 +191,9 @@ struct Engine {
     std::vector<std::uint64_t> ack_scratch;
     std::vector<std::uint64_t> stamp_scratch;
     /// Encoded-frame scratch (ACK sent at commit, re-encoded REQ for the
-    /// WAL record, delta-encoded wire body when the shadow applies).
+    /// WAL record).
     std::vector<std::uint8_t> ack_bytes;
     std::vector<std::uint8_t> req_bytes;
-    std::vector<std::uint8_t> delta_bytes;
 
     // --- crash-recovery state (docs/RECOVERY.md) ---
     /// Lifetime protocol steps (commits + accepted ACKs); rewinds with
@@ -326,14 +339,14 @@ ReconfigurableRunResult run_reconfigurable_protocol(
     }
     // One line per protocol event; `logical` is the acting process's
     // clock-vector total at record time, tying wire activity to causal
-    // progress. Only evaluated when tracing or the flight recorder is
-    // on; the recorder mirrors every event into its own bounded ring so
-    // the black box works with full tracing off.
+    // progress. The recorder mirrors every event into its own bounded
+    // ring so the black box works with full tracing off.
+    const bool tracing = sink != nullptr || recorder != nullptr;
     const auto trace = [&](obs::TraceEventKind kind, std::uint64_t now,
                            ProcessId process, ProcessId peer,
                            std::uint64_t a, std::uint64_t b,
                            std::uint64_t logical) {
-        if (sink == nullptr && recorder == nullptr) return;
+        if (!tracing) return;
         obs::TraceEvent event;
         event.virtual_time = now;
         event.logical = logical;
@@ -345,12 +358,17 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         if (sink != nullptr) sink->record(event);
         if (recorder != nullptr) recorder->record(event);
     };
-    // Logical-time argument for trace records. Null-safe: with crash
+    // Logical-time arguments for trace records: a width-d sum, so it is
+    // computed only when something records it. Null-safe: with crash
     // rules armed, a frame can reach an engine that currently has no
     // clock (its process is absent from its epoch's graph, or it is
     // mid-restart).
-    const auto logical = [](const Engine& engine) -> std::uint64_t {
-        return engine.clock ? ts::total(engine.clock->current_span()) : 0;
+    const auto logical_total =
+        [tracing](std::span<const std::uint64_t> clock) -> std::uint64_t {
+        return tracing ? ts::total(clock) : 0;
+    };
+    const auto logical = [&](const Engine& engine) -> std::uint64_t {
+        return engine.clock ? logical_total(engine.clock->current_span()) : 0;
     };
 
     AsyncSimulator network(n_max, options.seed);
@@ -437,6 +455,21 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         network.send(now, std::move(packet));
     };
 
+    /// A packet whose body is a recycled network buffer (empty; the caller
+    /// encodes or copies the frame into it).
+    const auto make_packet = [&](ProcessId source, ProcessId destination,
+                                 std::uint32_t kind, std::uint64_t tag) {
+        return Packet{source, destination, kind, tag, network.take_body()};
+    };
+    /// As make_packet, carrying a copy of `frame`.
+    const auto frame_packet = [&](ProcessId source, ProcessId destination,
+                                  std::uint32_t kind, std::uint64_t tag,
+                                  std::span<const std::uint8_t> frame) {
+        Packet packet = make_packet(source, destination, kind, tag);
+        copy_frame(frame, packet.body);
+        return packet;
+    };
+
     /// Flushes every due queue of `src` in deficit-round-robin order: a
     /// single live entry goes out as a bare frame packet (no container
     /// overhead, v1/v2-compatible), several go out as one v4 batch. A
@@ -453,15 +486,13 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 const ProcessId dst = proc.ring[slot];
                 TxQueue& q = proc.queues.at(dst);
                 if (q.batch.empty() || q.deadline > when) continue;
-                Packet pkt;
-                pkt.source = src;
-                pkt.destination = dst;
+                Packet pkt = make_packet(src, dst, 0, 0);
                 const std::size_t frames = q.batch.size();
                 if (frames == 1) {
                     const BatchFrame::Entry entry = q.batch.front();
                     pkt.kind = static_cast<std::uint32_t>(entry.kind);
                     pkt.tag = entry.tag;
-                    pkt.body.assign(entry.body.begin(), entry.body.end());
+                    copy_frame(entry.body, pkt.body);
                 } else {
                     pkt.kind = kBatch;
                     pkt.tag = frames;
@@ -936,21 +967,34 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 trace(obs::TraceEventKind::retransmit, when, p, receiver,
                       sequence, out_now.mid,
                       logical(engine));
-                Packet req;
-                req.source = p;
-                req.destination = receiver;
-                req.kind = kReq;
-                req.tag = out_now.mid;
                 // Always the canonical full frame, even with delta on:
                 // a retransmission doubles as the shadow resync the
                 // receiver may be waiting for.
-                req.body = out_now.frame;
+                Packet req = frame_packet(p, receiver, kReq, out_now.mid,
+                                          out_now.frame);
                 ++tally.full_frames;
                 tx_send(when, std::move(req), 0);
                 out_now.rto = std::min(out_now.rto * 2, max_rto);
                 arm_timer(when, p);
             });
         };
+
+    // Stamp buffers of committed REQs, reused by the next buffered REQ.
+    std::vector<std::vector<std::uint64_t>> spare_stamps;
+    /// Buffers a fresh REQ until the program reaches the matching
+    /// receive: the stamp is copied out of the decode scratch into a
+    /// buffer from the free list — the only copy on the fresh-REQ path.
+    const auto buffer_req = [&](InChannel& channel, const FrameHeader& header,
+                                std::span<const std::uint64_t> stamp) {
+        std::vector<std::uint64_t> buffer;
+        if (!spare_stamps.empty()) {
+            buffer = std::move(spare_stamps.back());
+            spare_stamps.pop_back();
+        }
+        buffer.assign(stamp.begin(), stamp.end());
+        channel.pending =
+            PendingReq{header.sequence, header.message, std::move(buffer)};
+    };
 
     // Forward declaration dance: progress() sends packets and is called
     // from the delivery handler.
@@ -971,30 +1015,27 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     // duplicate suppression stays sound.
                     OutChannel& channel = out_channel(engine, m.receiver);
                     const std::uint64_t sequence = ++channel.next_sequence;
-                    Packet req;
-                    req.source = p;
-                    req.destination = m.receiver;
-                    req.kind = kReq;
-                    req.tag = mid;
+                    std::vector<std::uint8_t> frame =
+                        std::move(engine.spare_frame);
                     encode_epoch_frame_into(engine.epoch, sequence, mid,
                                             engine.clock->current_span(),
-                                            req.body);
-                    channel.req_window.put(sequence, req.body);
+                                            frame);
                     if (recovery_active) {
+                        channel.req_window.put(sequence, frame);
                         WalRecord record;
                         record.type = WalRecordType::send;
                         record.peer = m.receiver;
                         record.sequence = sequence;
                         record.message = mid;
                         record.epoch = engine.epoch;
-                        record.frame = req.body;
+                        record.frame = frame;
                         wal_append(p, std::move(record));
                     }
                     engine.outstanding = Outstanding{
                         .receiver = m.receiver,
                         .mid = mid,
                         .sequence = sequence,
-                        .frame = req.body,
+                        .frame = std::move(frame),
                         .retransmits = 0,
                         .rto = base_rto,
                         .first_send_time = now};
@@ -1007,6 +1048,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     // body may shrink to a delta against the channel's
                     // last-sent shadow. Every resend/replay path sends
                     // full frames, so any shadow break converges.
+                    Packet req = make_packet(p, m.receiver, kReq, mid);
                     if (wire_ext && proto.delta &&
                         delta_ready(channel.req_shadow, engine.epoch,
                                     sequence,
@@ -1014,10 +1056,10 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                         encode_delta_frame_into(engine.epoch, sequence, mid,
                                                 channel.req_shadow.stamp,
                                                 engine.clock->current_span(),
-                                                engine.delta_bytes)) {
-                        req.body = engine.delta_bytes;
+                                                req.body)) {
                         ++tally.delta_frames;
                     } else {
+                        copy_frame(engine.outstanding->frame, req.body);
                         ++tally.full_frames;
                     }
                     if (wire_ext) {
@@ -1046,10 +1088,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                             engine.epoch) {
                         const FrameHeader header = decode_epoch_frame_into(
                             next->second, engine.rx_stamp);
-                        channel.pending = SyncFrame{
-                            header.sequence, header.message,
-                            VectorTimestamp(std::span<const std::uint64_t>(
-                                engine.rx_stamp))};
+                        buffer_req(channel, header, engine.rx_stamp);
                         channel.future.erase(next);
                         trace(obs::TraceEventKind::receive, now, p,
                               m.sender, header.sequence, header.message,
@@ -1057,12 +1096,11 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     }
                 }
                 if (!channel.pending) return;  // wait for the REQ packet
-                const SyncFrame req = *std::move(channel.pending);
+                PendingReq req = std::move(*channel.pending);
                 channel.pending.reset();
                 SYNCTS_ENSURE(req.message == mid,
                               "REQ does not match the scripted receive");
-                engine.clock->on_receive_into(m.sender,
-                                              req.stamp.components(),
+                engine.clock->on_receive_into(m.sender, req.stamp,
                                               engine.ack_scratch,
                                               engine.stamp_scratch);
                 // Commit: the rendezvous instant, exactly once per
@@ -1080,7 +1118,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     ++tally.commits;
                     trace(obs::TraceEventKind::commit, now, p, m.sender,
                           req.sequence, mid,
-                          ts::total(engine.stamp_scratch));
+                          logical_total(engine.stamp_scratch));
                     segment.computation.add_message(m.sender, m.receiver);
                     segment.script_message.push_back(mid);
                     segment.handle_by_script[mid] =
@@ -1100,7 +1138,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     ++tally.recommits;
                     trace(obs::TraceEventKind::commit, now, p, m.sender,
                           req.sequence, mid,
-                          ts::total(engine.stamp_scratch));
+                          logical_total(engine.stamp_scratch));
                 }
                 channel.ack_window.put(req.sequence, engine.ack_bytes);
                 if (recovery_active) {
@@ -1113,17 +1151,13 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     // Canonical re-encoding of the REQ — byte-identical
                     // to the frame the sender put on the wire.
                     encode_epoch_frame_into(engine.epoch, req.sequence, mid,
-                                            req.stamp.components(),
-                                            engine.req_bytes);
+                                            req.stamp, engine.req_bytes);
                     record.frame = engine.req_bytes;
                     record.aux = engine.ack_bytes;
                     wal_append(p, std::move(record));
                 }
-                Packet ack;
-                ack.source = p;
-                ack.destination = m.sender;
-                ack.kind = kAck;
-                ack.tag = mid;
+                spare_stamps.push_back(std::move(req.stamp));
+                Packet ack = make_packet(p, m.sender, kAck, mid);
                 // ack_window and the WAL keep the canonical full ACK
                 // (recovery byte-verifies against it); only the wire
                 // body may be a delta.
@@ -1132,12 +1166,10 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                                 req.sequence, engine.ack_scratch.size()) &&
                     encode_delta_frame_into(engine.epoch, req.sequence, mid,
                                             channel.ack_sent_shadow.stamp,
-                                            engine.ack_scratch,
-                                            engine.delta_bytes)) {
-                    ack.body = engine.delta_bytes;
+                                            engine.ack_scratch, ack.body)) {
                     ++tally.delta_frames;
                 } else {
-                    ack.body = engine.ack_bytes;
+                    copy_frame(engine.ack_bytes, ack.body);
                     ++tally.full_frames;
                 }
                 if (wire_ext) {
@@ -1267,12 +1299,9 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             trace(obs::TraceEventKind::retransmit, now, p, out.receiver,
                   out.sequence, out.mid,
                   logical(engine));
-            Packet req;
-            req.source = p;
-            req.destination = out.receiver;
-            req.kind = kReq;
-            req.tag = out.mid;
-            req.body = out.frame;  // canonical full frame, restored
+            // The canonical full frame, restored.
+            Packet req =
+                frame_packet(p, out.receiver, kReq, out.mid, out.frame);
             ++tally.full_frames;
             tx_send(now, std::move(req), 0);
             if (retransmission) arm_timer(now, p);
@@ -1318,10 +1347,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     it != engine.in.end()) {
                     last = it->second.last_committed;
                 }
-                Packet hello;
-                hello.source = p;
-                hello.destination = q;
-                hello.kind = kHello;
+                Packet hello = make_packet(p, q, kHello, 0);
                 encode_epoch_frame_into(
                     engine.epoch, sequence, 0,
                     std::span<const std::uint64_t>(&last, 1), hello.body);
@@ -1345,13 +1371,20 @@ ReconfigurableRunResult run_reconfigurable_protocol(
     /// can only come from the peer's one-shot window replay — which the
     /// network may drop, and which the peer never re-times (it considers
     /// those rendezvous complete). So the *receiver* drives: re-HELLO
-    /// the peer until the gap closes, bounded like a retransmission.
-    std::function<void(std::uint64_t, ProcessId, ProcessId)>
+    /// the peer until the gap closes, bounded like a retransmission and
+    /// backing off like one — after `attempts` re-HELLOs it waits
+    /// min(base_rto << min(attempts, max_backoff_exponent), max_rto), so
+    /// a replay that is slow rather than lost (a shaped, lossy link) is
+    /// not mistaken for a dead channel.
+    std::function<void(std::uint64_t, ProcessId, ProcessId, std::uint32_t)>
         arm_replay_watchdog = [&](std::uint64_t now, ProcessId p,
-                                  ProcessId peer) {
+                                  ProcessId peer, std::uint32_t attempts) {
             const std::uint64_t incarnation = engines[p].incarnation;
+            const std::uint64_t wait = std::min(
+                base_rto << std::min(attempts, options.max_backoff_exponent),
+                max_rto);
             network.schedule(
-                now + base_rto,
+                now + wait,
                 [&, p, peer, incarnation](std::uint64_t when) {
                     Engine& e = engines[p];
                     if (e.incarnation != incarnation || e.down) return;
@@ -1370,10 +1403,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     }
                     ++channel.replay_attempts;
                     std::uint64_t last = channel.last_committed;
-                    Packet hello;
-                    hello.source = p;
-                    hello.destination = peer;
-                    hello.kind = kHello;
+                    Packet hello = make_packet(p, peer, kHello, 0);
                     encode_epoch_frame_into(
                         e.epoch, channel.replay_attempts, 0,
                         std::span<const std::uint64_t>(&last, 1), hello.body);
@@ -1382,7 +1412,8 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                           channel.replay_attempts, last,
                           logical(e));
                     post(when, std::move(hello));
-                    arm_replay_watchdog(when, p, peer);
+                    arm_replay_watchdog(when, p, peer,
+                                        channel.replay_attempts);
                 });
         };
 
@@ -1486,13 +1517,8 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                       logical(engine));
                 return;
             }
-            // The program may not have reached the matching receive yet,
-            // so the stamp is copied out of the scratch into an owning
-            // buffered frame — the only copy on the fresh-REQ path.
-            channel.pending = SyncFrame{
-                header.sequence, header.message,
-                VectorTimestamp(
-                    std::span<const std::uint64_t>(engine.rx_stamp))};
+            // The program may not have reached the matching receive yet.
+            buffer_req(channel, header, engine.rx_stamp);
             trace(obs::TraceEventKind::receive, now, p, packet.source,
                   header.sequence, header.message,
                   logical(engine));
@@ -1523,12 +1549,9 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 trace(obs::TraceEventKind::ack_replay, now, p, packet.source,
                       header.sequence, header.message,
                       logical(engine));
-                Packet ack;
-                ack.source = p;
-                ack.destination = packet.source;
-                ack.kind = kAck;
-                ack.tag = packet.tag;
-                ack.body = *cached;  // original full bytes — the resync
+                // Original full bytes — the resync.
+                Packet ack =
+                    frame_packet(p, packet.source, kAck, packet.tag, *cached);
                 ++tally.full_frames;
                 tx_send(now, std::move(ack), 0);
                 return;
@@ -1590,7 +1613,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                           segment.arena->span(segment.handle_by_script[mid])),
             "sender and receiver disagree on a timestamp");
         trace(obs::TraceEventKind::ack, now, p, packet.source,
-              header.sequence, mid, ts::total(engine.stamp_scratch));
+              header.sequence, mid, logical_total(engine.stamp_scratch));
         if (rendezvous_hist != nullptr) {
             rendezvous_hist->record(now -
                                     engine.outstanding->first_send_time);
@@ -1612,6 +1635,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
             record.aux = engine.ack_bytes;
             wal_append(p, std::move(record));
         }
+        engine.spare_frame = std::move(engine.outstanding->frame);
         engine.outstanding.reset();
         ++engine.cursor;
         if (after_step(now, p)) return;  // crashed on this step
@@ -1669,23 +1693,15 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     trace(obs::TraceEventKind::ack_replay, now, p,
                           packet.source, header.sequence, header.message,
                           logical(engine));
-                    Packet ack;
-                    ack.source = p;
-                    ack.destination = packet.source;
-                    ack.kind = kAck;
-                    ack.tag = packet.tag;
-                    ack.body = *cached;
+                    Packet ack = frame_packet(p, packet.source, kAck,
+                                              packet.tag, *cached);
                     ++tally.full_frames;
                     tx_send(now, std::move(ack), 0);
                     return;
                 }
             }
         }
-        Packet nack;
-        nack.source = p;
-        nack.destination = packet.source;
-        nack.kind = kNack;
-        nack.tag = packet.tag;
+        Packet nack = make_packet(p, packet.source, kNack, packet.tag);
         // A NACK is a header-only frame: this engine's epoch plus the
         // rejected (sequence, message), no timestamp payload.
         encode_epoch_frame_into(engine.epoch, header.sequence,
@@ -1726,12 +1742,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         trace(obs::TraceEventKind::retransmit, now, p, packet.source,
               out.sequence, out.mid,
               logical(engine));
-        Packet req;
-        req.source = p;
-        req.destination = out.receiver;
-        req.kind = kReq;
-        req.tag = out.mid;
-        req.body = out.frame;
+        Packet req = frame_packet(p, out.receiver, kReq, out.mid, out.frame);
         ++tally.full_frames;
         tx_send(now, std::move(req), 0);
     };
@@ -1759,16 +1770,12 @@ ReconfigurableRunResult run_reconfigurable_protocol(
               logical(engine));
         if (const auto it = engine.out.find(packet.source);
             it != engine.out.end()) {
-            for (const FrameWindow::Entry& entry :
-                 it->second.req_window.entries()) {
-                if (entry.sequence <= peer_committed) continue;
-                FrameHeader cached = peek_epoch_frame_header(entry.frame);
-                Packet req;
-                req.source = p;
-                req.destination = packet.source;
-                req.kind = kReq;
-                req.tag = cached.message;
-                req.body = entry.frame;
+            it->second.req_window.for_each([&](const FrameWindow::Entry&
+                                                   entry) {
+                if (entry.sequence <= peer_committed) return;
+                const FrameHeader cached = peek_epoch_frame_header(entry.frame);
+                Packet req = frame_packet(p, packet.source, kReq,
+                                          cached.message, entry.frame);
                 ++tally.window_retransmits;
                 trace(obs::TraceEventKind::retransmit, now, p, packet.source,
                       entry.sequence, cached.message,
@@ -1777,12 +1784,9 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                 // every frame here shares the rejoiner's address.
                 ++tally.full_frames;
                 tx_send(now, std::move(req), 0);
-            }
+            });
         }
-        Packet reply;
-        reply.source = p;
-        reply.destination = packet.source;
-        reply.kind = kHelloAck;
+        Packet reply = make_packet(p, packet.source, kHelloAck, 0);
         // Echo of the handshake attempt whose width-1 "stamp" carries
         // this engine's send frontier toward the rejoiner — the highest
         // sequence it has assigned on that channel. The rejoiner is owed
@@ -1826,7 +1830,8 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         if (channel.last_committed < channel.replay_target &&
             !channel.watchdog_armed) {
             channel.watchdog_armed = true;
-            arm_replay_watchdog(now, p, packet.source);
+            arm_replay_watchdog(now, p, packet.source,
+                                channel.replay_attempts);
         }
         if (!engine.rejoining) return;  // late copy of a settled handshake
         const auto it = std::find(engine.awaiting_hello.begin(),
@@ -2006,6 +2011,9 @@ ReconfigurableRunResult run_reconfigurable_protocol(
         handle_ack(now, p, packet, header);
     };
 
+    // Sub-packet scratch for batch entries, reused across containers
+    // (deliveries never nest, so one suffices).
+    Packet batch_entry;
     for (ProcessId p = 0; p < n_max; ++p) {
         network.on_deliver(p, [&, p](std::uint64_t now, const Packet& packet) {
             Engine& engine = engines[p];
@@ -2030,7 +2038,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                     try {
                         BatchReader reader(packet.body);
                         BatchFrame::Entry entry;
-                        Packet sub;
+                        Packet& sub = batch_entry;
                         sub.source = packet.source;
                         sub.destination = packet.destination;
                         while (reader.next(entry)) {
@@ -2046,8 +2054,7 @@ ReconfigurableRunResult run_reconfigurable_protocol(
                             }
                             sub.kind = static_cast<std::uint32_t>(entry.kind);
                             sub.tag = entry.tag;
-                            sub.body.assign(entry.body.begin(),
-                                            entry.body.end());
+                            copy_frame(entry.body, sub.body);
                             deliver_frame(now, p, sub);
                         }
                     } catch (const WireError&) {

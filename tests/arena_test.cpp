@@ -8,10 +8,13 @@
 #include "clocks/online_clock.hpp"
 #include "clocks/vector_timestamp.hpp"
 #include "common/region.hpp"
+#include "common/rng.hpp"
 #include "common/timestamp_arena.hpp"
 #include "common/ts_kernels.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
+#include "runtime/synchronizer.hpp"
+#include "trace/generator.hpp"
 
 // ---- Counting allocator -----------------------------------------------
 // Global operator new/delete replacements let the steady-state tests
@@ -637,6 +640,49 @@ TEST(TimestampArena, MetricsHotPathIsAllocationFreeInSteadyState) {
     EXPECT_EQ(probes.value(), 16u * 16u * 5u);
     EXPECT_EQ(latency.count(), 16u * 16u * 5u);
     EXPECT_EQ(registry.counter("arena_kernel_calls").value(), 16u);
+}
+
+// The rendezvous path through the whole simulated protocol — frame
+// encode/decode, the simulator queue, the REQ/ACK windows and buffered
+// REQs — recycles its buffers, so a longer run costs only its result:
+// each committed message's own VectorTimestamp (plus amortized growth of
+// the result vectors). Measured as the slope between two run lengths so
+// per-channel and per-run set-up cancels out.
+TEST(RendezvousProtocol, SteadyStateAllocatesOnlyTheResult) {
+    const Graph grid = topology::grid(8, 8);
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(grid));
+    Rng rng(0xA110C);
+    WorkloadOptions workload;
+    workload.num_messages = 2000;
+    const SyncComputation short_script =
+        random_computation(grid, workload, rng);
+    workload.num_messages = 4000;
+    const SyncComputation long_script =
+        random_computation(grid, workload, rng);
+    SynchronizerOptions options;
+    options.latency_lo = 1;
+    options.latency_hi = 4;
+
+    const auto allocations_of = [&](const SyncComputation& script) {
+        const std::size_t before = g_allocations.load();
+        const SynchronizerResult result =
+            run_rendezvous_protocol(decomposition, script, options);
+        const std::size_t used = g_allocations.load() - before;
+        EXPECT_EQ(result.message_stamps.size(), script.num_messages());
+        return used;
+    };
+    (void)allocations_of(short_script);  // warm-up
+    const std::size_t short_run = allocations_of(short_script);
+    const std::size_t long_run = allocations_of(long_script);
+    const double per_extra_message =
+        (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+        static_cast<double>(long_script.num_messages() -
+                            short_script.num_messages());
+    EXPECT_LE(per_extra_message, 1.5)
+        << short_run << " allocations for " << short_script.num_messages()
+        << " messages, " << long_run << " for "
+        << long_script.num_messages();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -16,6 +17,8 @@
 #include "runtime/synchronizer.hpp"
 #include "test_util.hpp"
 #include "topo/reconfig.hpp"
+#include "topo/topology_manager.hpp"
+#include "trace/generator.hpp"
 
 /// Protocol-extension harness (acceptance gate of the batching work,
 /// docs/PROTOCOL.md): the v3 delta codec and v4 batch container are
@@ -596,6 +599,77 @@ TEST(ProtocolChaos, OptionsAreValidated) {
     options.protocol.bandwidth.bytes_per_tick = 0;  // infinite ready_time
     EXPECT_THROW(run_rendezvous_protocol(decomposition, script, options),
                  std::invalid_argument);
+}
+
+// Regression for the rejoin replay watchdog. With a 4 B/tick shaper on
+// a lossy network, a window replay can take longer than one base RTO to
+// arrive; a watchdog re-HELLOing at a fixed RTO then spent its whole
+// max_retransmits budget (64) before the replay landed and threw
+// SynchronizerStalled on this schedule. With the REQ timer's backoff it
+// completes, bit-identical to the Fig. 5 oracle.
+TEST(ProtocolChaos, ReplayWatchdogBacksOffOnAShapedLossyLink) {
+    constexpr std::uint64_t seed = 1155;
+    const Graph grid = topology::grid(8, 8);
+    TopologyManager manager{Graph(grid)};
+    Rng rng(seed ^ 0x5C417);
+    for (const ReconfigOp& op : random_reconfig_schedule(grid, 3, rng())) {
+        apply(manager, op);
+    }
+    std::vector<SyncComputation> scripts;
+    std::vector<std::vector<VectorTimestamp>> expected;
+    std::size_t messages = 0;
+    std::size_t processes = 0;
+    for (EpochId e = 0; e < manager.num_epochs(); ++e) {
+        const Graph& graph = manager.epoch(e).graph();
+        WorkloadOptions workload;
+        workload.num_messages = 3000;
+        scripts.push_back(random_computation(graph, workload, rng));
+        OnlineTimestamper direct(manager.decomposition(e));
+        expected.push_back(direct.timestamp_computation(scripts.back()));
+        messages += scripts.back().num_messages();
+        processes = std::max(processes, graph.num_vertices());
+    }
+
+    SynchronizerOptions options;
+    options.seed = seed;
+    options.latency_lo = 1;
+    options.latency_hi = 4;
+    options.protocol.batching = true;
+    options.protocol.coalesce_acks = true;
+    options.protocol.delta = true;
+    options.protocol.bandwidth.enabled = true;
+    options.protocol.bandwidth.bytes_per_tick = 4;
+    options.protocol.bandwidth.burst = 128;
+    options.protocol.bandwidth.quantum = 64;
+    options.faults.seed = seed * 0x9E3779B9ull + 0xFA17;
+    options.faults.drop_probability = 0.04;
+    options.faults.duplicate_probability = 0.04;
+    options.faults.corrupt_probability = 0.01;
+    options.faults.delay_probability = 0.2;
+    options.faults.max_extra_delay = 15;
+    options.recovery.enabled = true;
+    Rng crash_rng(seed ^ 0xC2A5C2A5ull);
+    const std::uint64_t max_step = 1 + 2 * messages / processes;
+    for (int i = 0; i < 2; ++i) {
+        options.faults.crashes.push_back(CrashRule{
+            static_cast<ProcessId>(crash_rng.below(processes)),
+            1 + crash_rng.below(max_step), 10 + crash_rng.below(60)});
+    }
+    ASSERT_EQ(options.max_retransmits, 64u);
+
+    const ReconfigurableRunResult run =
+        run_reconfigurable_protocol(manager, scripts, options);
+    EXPECT_EQ(run.network_faults.crashes, 2u);
+    ASSERT_EQ(run.segments.size(), manager.num_epochs());
+    for (EpochId e = 0; e < manager.num_epochs(); ++e) {
+        const EpochSegmentResult& segment = run.segments[e];
+        ASSERT_EQ(segment.message_stamps.size(), expected[e].size());
+        for (std::size_t i = 0; i < segment.message_stamps.size(); ++i) {
+            ASSERT_EQ(segment.message_stamps[i],
+                      expected[e][segment.script_message[i]])
+                << "epoch " << e << " message " << i;
+        }
+    }
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "core/streaming_index.hpp"
 #include "core/sync_system.hpp"
 #include "core/timestamped_trace.hpp"
+#include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "poset/streaming_closure.hpp"
 #include "test_util.hpp"
 #include "trace/ground_truth.hpp"
@@ -317,6 +319,31 @@ TEST_F(StreamingEquivalence, RetiredQueryWithoutClosureThrows) {
     EXPECT_THROW((void)index.precedes(0, static_cast<MessageId>(
                                              c.num_messages() - 1)),
                  RetiredStampError);
+}
+
+// With a registry attached, ingestion keeps the window_resident_rows
+// gauge current: it tracks the fill, then holds at the window once the
+// ring wraps.
+TEST(StreamingIndex, IngestPublishesWindowResidency) {
+    const Graph g = topology::grid(4, 4);
+    const SyncSystem system{Graph(g)};
+    const SyncComputation c = testing::random_workload(g, 96, 0.0, 77);
+    obs::MetricsRegistry registry;
+    StreamingIndexOptions options;
+    options.window = 32;
+    options.metrics = &registry;
+    IncrementalPrecedenceIndex index(system, options);
+    const obs::Gauge& resident = registry.gauge("window_resident_rows");
+    std::size_t ingested = 0;
+    for (const SyncMessage& m : c.messages()) {
+        index.ingest_message(m.sender, m.receiver);
+        ++ingested;
+        if (ingested == 10) {
+            EXPECT_EQ(resident.value(), 10);
+        }
+    }
+    ASSERT_EQ(ingested, 3 * options.window);
+    EXPECT_EQ(resident.value(), static_cast<std::int64_t>(options.window));
 }
 
 // Streamed sharded verification must return the batch verdict exactly,

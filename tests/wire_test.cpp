@@ -6,8 +6,13 @@
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #endif
 
+#include <algorithm>
+#include <limits>
+#include <span>
+
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/sync_system.hpp"
 #include "graph/generators.hpp"
@@ -188,6 +193,26 @@ TEST(SyncFrameWire, WidthMismatchRejectedBeforeComponents) {
     }
 }
 
+// A payload with exactly one byte per component takes the decoder's
+// one-byte fast path; a continuation bit inside it (a checksum-valid
+// hostile frame) must still be rejected exactly as the general loop
+// rejects it.
+TEST(SyncFrameWire, ContinuationBitInOneBytePerComponentPayloadIsRejected) {
+    std::vector<std::uint8_t> bytes{1, 0, 3, 0x81, 0x01, 0x05};
+    common::append_checksum_trailer(bytes);
+    std::vector<std::uint64_t> stamp(3);
+    try {
+        decode_frame_into(bytes, stamp);
+        FAIL();
+    } catch (const WireError& e) {
+        EXPECT_EQ(e.kind(), WireError::Kind::truncated);
+    }
+    std::vector<std::uint8_t> valid{1, 0, 3, 0x7F, 0x01, 0x05};
+    common::append_checksum_trailer(valid);
+    EXPECT_EQ(decode_frame_into(valid, stamp).sequence, 1u);
+    EXPECT_EQ(stamp, (std::vector<std::uint64_t>{0x7F, 0x01, 0x05}));
+}
+
 TEST(SyncFrameWire, RealWorkloadFramesRoundTrip) {
     const Graph g = topology::client_server(2, 5);
     const SyncSystem system{Graph(g)};
@@ -204,6 +229,112 @@ TEST(SyncFrameWire, RealWorkloadFramesRoundTrip) {
             .stamp = timestamper.timestamp_message(m.sender, m.receiver)};
         const auto bytes = encode_frame(frame);
         EXPECT_EQ(decode_frame(bytes, frame.stamp.width()), frame);
+    }
+}
+
+// The single-pass encoders must emit exactly the bytes of the format
+// definition: varints written one after another, then the FNV-1a
+// trailer. The references here are built from encode_varint and
+// append_checksum_trailer alone, so a change the encoders and decoders
+// shared (which round-trip tests cannot see) still fails this test.
+namespace reference {
+
+std::vector<std::uint8_t> full_frame(EpochId epoch, std::uint64_t sequence,
+                                     std::uint64_t message,
+                                     std::span<const std::uint64_t> stamp) {
+    std::vector<std::uint8_t> out;
+    if (epoch != 0) {
+        out.push_back(kEpochFrameMarker);
+        encode_varint(kEpochFrameVersion, out);
+        encode_varint(epoch, out);
+    }
+    encode_varint(sequence, out);
+    encode_varint(message, out);
+    encode_varint(stamp.size(), out);
+    for (const std::uint64_t component : stamp) encode_varint(component, out);
+    common::append_checksum_trailer(out);
+    return out;
+}
+
+std::vector<std::uint8_t> delta_frame(EpochId epoch, std::uint64_t sequence,
+                                      std::uint64_t message,
+                                      std::span<const std::uint64_t> base,
+                                      std::span<const std::uint64_t> stamp) {
+    std::vector<std::uint8_t> pairs;
+    std::uint64_t count = 0;
+    for (std::size_t i = 0; i < stamp.size(); ++i) {
+        if (stamp[i] == base[i]) continue;
+        ++count;
+        encode_varint(i, pairs);
+        encode_varint(stamp[i] - base[i], pairs);
+    }
+    std::vector<std::uint8_t> out{kEpochFrameMarker};
+    encode_varint(kDeltaFrameVersion, out);
+    encode_varint(epoch, out);
+    encode_varint(sequence, out);
+    encode_varint(message, out);
+    encode_varint(count, out);
+    out.insert(out.end(), pairs.begin(), pairs.end());
+    common::append_checksum_trailer(out);
+    return out;
+}
+
+}  // namespace reference
+
+/// A value whose varint takes 1, 2, 3 or 10 bytes (UINT64_MAX included).
+std::uint64_t value_of_varint_size(Rng& rng) {
+    switch (rng.below(5)) {
+        case 0: return rng.below(0x80);
+        case 1: return 0x80 + rng.below(0x4000 - 0x80);
+        case 2: return 0x4000 + rng.below((1u << 21) - 0x4000);
+        case 3: return std::numeric_limits<std::uint64_t>::max();
+        default: return (1ull << 63) + rng.below(1ull << 63);
+    }
+}
+
+/// `out` pre-filled with garbage longer than any frame it will receive.
+std::vector<std::uint8_t> garbage_buffer(Rng& rng) {
+    std::vector<std::uint8_t> out(1024 + rng.below(512));
+    for (std::uint8_t& byte : out) {
+        byte = static_cast<std::uint8_t>(rng.below(256));
+    }
+    return out;
+}
+
+TEST(SyncFrameWire, EncodersEmitTheVarintReferenceBytes) {
+    const EpochId epochs[] = {0, 1, std::numeric_limits<EpochId>::max()};
+    Rng rng(0xB17E5);
+    for (int frame = 0; frame < 500; ++frame) {
+        const std::size_t width = static_cast<std::size_t>(frame % 65);
+        const EpochId epoch = epochs[rng.below(3)];
+        const std::uint64_t sequence = std::max<std::uint64_t>(
+            value_of_varint_size(rng), 1);
+        const std::uint64_t message = value_of_varint_size(rng);
+        std::vector<std::uint64_t> stamp(width);
+        std::vector<std::uint64_t> base(width);
+        for (std::size_t i = 0; i < width; ++i) {
+            stamp[i] = value_of_varint_size(rng);
+            // The delta base: equal, or below by an increment of any size.
+            const std::uint64_t increment =
+                rng.below(3) == 0 ? 0 : value_of_varint_size(rng);
+            base[i] = stamp[i] - std::min(increment, stamp[i]);
+        }
+        SCOPED_TRACE(::testing::Message() << "frame " << frame << " width "
+                                        << width << " epoch " << epoch);
+
+        std::vector<std::uint8_t> out = garbage_buffer(rng);
+        encode_frame_into(sequence, message, stamp, out);
+        EXPECT_EQ(out, reference::full_frame(0, sequence, message, stamp));
+
+        out = garbage_buffer(rng);
+        encode_epoch_frame_into(epoch, sequence, message, stamp, out);
+        EXPECT_EQ(out, reference::full_frame(epoch, sequence, message, stamp));
+
+        out = garbage_buffer(rng);
+        ASSERT_TRUE(encode_delta_frame_into(epoch, sequence, message, base,
+                                            stamp, out));
+        EXPECT_EQ(out, reference::delta_frame(epoch, sequence, message, base,
+                                              stamp));
     }
 }
 
