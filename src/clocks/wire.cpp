@@ -54,28 +54,48 @@ std::vector<std::uint8_t> encode_timestamp(const VectorTimestamp& stamp) {
 
 namespace {
 
-/// Shared tail of the timestamp decoders: checks the declared width
-/// against the destination, decodes into it, and requires the input to
-/// end at the end of the components.
-void decode_components_into(std::span<const std::uint8_t> bytes,
-                            std::size_t& offset, std::uint64_t width,
-                            std::span<std::uint64_t> out) {
-    if (width != out.size()) {
+/// Decodes one varint at bytes[offset], advancing offset: a single byte
+/// below 0x80 inline, anything longer through decode_varint.
+inline std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
+                                 std::size_t& offset) {
+    if (offset < bytes.size() && bytes[offset] < 0x80u) {
+        return bytes[offset++];
+    }
+    return decode_varint(bytes, offset);
+}
+
+/// Timestamp body shared by decode_timestamp* and full frames: varint
+/// width (which must equal stamp_out.size()), then that many components,
+/// ending exactly at the end of `payload`.
+void decode_full_stamp(std::span<const std::uint8_t> payload,
+                       std::size_t offset,
+                       std::span<std::uint64_t> stamp_out) {
+    const std::uint64_t width = read_varint(payload, offset);
+    if (width != stamp_out.size()) {
         throw WireError(WireError::Kind::width_mismatch,
                         "timestamp width " + std::to_string(width) +
                             " does not match decomposition size " +
-                            std::to_string(out.size()));
+                            std::to_string(stamp_out.size()));
     }
-    // Each component needs at least one byte; reject absurd widths before
-    // touching the components.
-    if (width > bytes.size() - offset) {
+    if (width > payload.size() - offset) {
         throw WireError(WireError::Kind::length_mismatch,
                         "timestamp width exceeds available bytes");
     }
-    for (auto& component : out) {
-        component = decode_varint(bytes, offset);
+    if (width == payload.size() - offset) {
+        // One byte per component: all one-byte varints, unless a
+        // continuation bit is set — then the general loop below rejects
+        // the frame with the precise error.
+        std::uint8_t continuation = 0;
+        for (std::size_t i = 0; i < stamp_out.size(); ++i) {
+            continuation |= payload[offset + i];
+            stamp_out[i] = payload[offset + i];
+        }
+        if ((continuation & 0x80u) == 0) return;
     }
-    if (offset != bytes.size()) {
+    for (auto& component : stamp_out) {
+        component = read_varint(payload, offset);
+    }
+    if (offset != payload.size()) {
         throw WireError(WireError::Kind::trailing_bytes,
                         "trailing bytes after encoded timestamp");
     }
@@ -86,14 +106,14 @@ void decode_components_into(std::span<const std::uint8_t> bytes,
 VectorTimestamp decode_timestamp(std::span<const std::uint8_t> bytes) {
     std::size_t offset = 0;
     const std::uint64_t width = decode_varint(bytes, offset);
-    // Pre-check as decode_components_into would, but against the declared
-    // width itself (no expected width to compare to).
+    // Pre-check as decode_full_stamp would, but against the declared
+    // width itself (no expected width to compare to) and before sizing.
     if (width > bytes.size() - offset) {
         throw WireError(WireError::Kind::length_mismatch,
                         "timestamp width exceeds available bytes");
     }
     VectorTimestamp stamp(static_cast<std::size_t>(width));
-    decode_components_into(bytes, offset, width, stamp.mutable_components());
+    decode_full_stamp(bytes, 0, stamp.mutable_components());
     return stamp;
 }
 
@@ -106,9 +126,7 @@ VectorTimestamp decode_timestamp(std::span<const std::uint8_t> bytes,
 
 void decode_timestamp_into(std::span<const std::uint8_t> bytes,
                            std::span<std::uint64_t> out) {
-    std::size_t offset = 0;
-    const std::uint64_t width = decode_varint(bytes, offset);
-    decode_components_into(bytes, offset, width, out);
+    decode_full_stamp(bytes, 0, out);
 }
 
 namespace {
@@ -205,52 +223,7 @@ private:
 /// increments below 2^14 each.
 constexpr std::size_t kHeaderHint = 24;
 
-/// Full-vector frame: the v1 layout at epoch 0, the v2 layout otherwise.
-void write_full_frame(EpochId epoch, std::uint64_t sequence,
-                      std::uint64_t message,
-                      std::span<const std::uint64_t> stamp,
-                      std::vector<std::uint8_t>& out) {
-    FrameWriter writer(out, kHeaderHint + 2 * stamp.size());
-    if (epoch != 0) {
-        writer.byte(kEpochFrameMarker);
-        writer.varint(kEpochFrameVersion);
-        writer.varint(epoch);
-    }
-    writer.varint(sequence);
-    writer.varint(message);
-    writer.varint(stamp.size());
-    for (const std::uint64_t component : stamp) writer.varint(component);
-    writer.seal();
-}
-
-/// Decodes one varint at bytes[offset], advancing offset: a single byte
-/// below 0x80 inline, anything longer through decode_varint.
-inline std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
-                                 std::size_t& offset) {
-    if (offset < bytes.size() && bytes[offset] < 0x80u) {
-        return bytes[offset++];
-    }
-    return decode_varint(bytes, offset);
-}
-
-}  // namespace
-
-void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
-                       std::span<const std::uint64_t> stamp,
-                       std::vector<std::uint8_t>& out) {
-    write_full_frame(0, sequence, message, stamp, out);
-}
-
-std::vector<std::uint8_t> encode_frame(const SyncFrame& frame) {
-    std::vector<std::uint8_t> out;
-    encode_frame_into(frame.sequence, frame.message,
-                      frame.stamp.components(), out);
-    return out;
-}
-
-namespace {
-
-/// Checksum gate shared by both frame versions: strips and validates the
+/// Checksum gate shared by every frame version: strips and validates the
 /// 8-byte FNV-1a trailer, returning the covered payload.
 std::span<const std::uint8_t> checked_payload(
     std::span<const std::uint8_t> bytes) {
@@ -269,201 +242,14 @@ std::span<const std::uint8_t> checked_payload(
     return payload;
 }
 
-/// Decodes the common frame body (sequence, message, timestamp) starting
-/// at payload[offset]; used by both the v1 and the epoch-tagged decoder.
-FrameHeader decode_frame_body(std::span<const std::uint8_t> payload,
-                              std::size_t offset,
-                              std::span<std::uint64_t> stamp_out) {
-    FrameHeader header;
-    header.sequence = read_varint(payload, offset);
-    header.message = read_varint(payload, offset);
-    const std::uint64_t width = read_varint(payload, offset);
-    if (width != stamp_out.size()) {
-        throw WireError(WireError::Kind::width_mismatch,
-                        "frame timestamp width " + std::to_string(width) +
-                            " does not match decomposition size " +
-                            std::to_string(stamp_out.size()));
-    }
-    if (width > payload.size() - offset) {
-        throw WireError(WireError::Kind::length_mismatch,
-                        "frame timestamp width exceeds available bytes");
-    }
-    if (width == payload.size() - offset) {
-        // One byte per component: all one-byte varints, unless a
-        // continuation bit is set — then the general loop below rejects
-        // the frame with the precise error.
-        std::uint8_t continuation = 0;
-        for (std::size_t i = 0; i < stamp_out.size(); ++i) {
-            continuation |= payload[offset + i];
-            stamp_out[i] = payload[offset + i];
-        }
-        if ((continuation & 0x80u) == 0) return header;
-    }
-    for (auto& component : stamp_out) {
-        component = read_varint(payload, offset);
-    }
-    if (offset != payload.size()) {
-        throw WireError(WireError::Kind::trailing_bytes,
-                        "trailing bytes inside frame payload");
-    }
-    return header;
-}
-
-}  // namespace
-
-FrameHeader decode_frame_into(std::span<const std::uint8_t> bytes,
-                              std::span<std::uint64_t> stamp_out) {
-    return decode_frame_body(checked_payload(bytes), 0, stamp_out);
-}
-
-void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
-                             std::uint64_t message,
-                             std::span<const std::uint64_t> stamp,
-                             std::vector<std::uint8_t>& out) {
-    SYNCTS_REQUIRE(sequence >= 1,
-                   "epoch-aware frames need 1-based sequence numbers");
-    // Back-compat rule: epoch-0 traffic is bit-identical to the version-1
-    // format, so pre-epoch peers interoperate unchanged.
-    write_full_frame(epoch, sequence, message, stamp, out);
-}
-
-FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
-                                    std::span<std::uint64_t> stamp_out) {
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    if (payload[0] != kEpochFrameMarker) {
-        return decode_frame_body(payload, 0, stamp_out);
-    }
-    std::size_t offset = 1;
-    const std::uint64_t version = decode_varint(payload, offset);
-    if (version != kEpochFrameVersion) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "unsupported frame version " +
-                            std::to_string(version));
-    }
-    const std::uint64_t epoch = decode_varint(payload, offset);
-    // Epoch 0 must use the v1 layout (the encoder enforces this), and
-    // EpochId is 32-bit; anything else is from a future format.
-    if (epoch == 0 || epoch > std::numeric_limits<EpochId>::max()) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "v2 frame carrying out-of-range epoch " +
-                            std::to_string(epoch));
-    }
-    FrameHeader header = decode_frame_body(payload, offset, stamp_out);
-    header.epoch = static_cast<EpochId>(epoch);
-    return header;
-}
-
-FrameHeader peek_epoch_frame_header(std::span<const std::uint8_t> bytes) {
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    FrameHeader header;
-    std::size_t offset = 0;
-    if (payload[0] == kEpochFrameMarker) {
-        offset = 1;
-        const std::uint64_t version = decode_varint(payload, offset);
-        if (version != kEpochFrameVersion) {
-            throw WireError(WireError::Kind::unsupported_version,
-                            "unsupported frame version " +
-                                std::to_string(version));
-        }
-        const std::uint64_t epoch = decode_varint(payload, offset);
-        if (epoch == 0 || epoch > std::numeric_limits<EpochId>::max()) {
-            throw WireError(WireError::Kind::unsupported_version,
-                            "v2 frame carrying out-of-range epoch " +
-                                std::to_string(epoch));
-        }
-        header.epoch = static_cast<EpochId>(epoch);
-    }
-    header.sequence = decode_varint(payload, offset);
-    header.message = decode_varint(payload, offset);
-    // The remaining payload is the timestamp; its bytes are covered by the
-    // validated checksum, so skipping them cannot hide corruption.
-    return header;
-}
-
-SyncFrame decode_frame(std::span<const std::uint8_t> bytes,
-                       std::size_t expected_width) {
-    SyncFrame frame;
-    frame.stamp = VectorTimestamp(expected_width);
-    const FrameHeader header =
-        decode_frame_into(bytes, frame.stamp.mutable_components());
-    frame.sequence = header.sequence;
-    frame.message = header.message;
-    return frame;
-}
-
-// ---------------------------------------------------------------------------
-// Delta frames (v3)
-
-bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
-                             std::uint64_t message,
-                             std::span<const std::uint64_t> base,
-                             std::span<const std::uint64_t> stamp,
-                             std::vector<std::uint8_t>& out) {
-    SYNCTS_REQUIRE(sequence >= 1,
-                   "epoch-aware frames need 1-based sequence numbers");
-    out.clear();
-    if (base.size() != stamp.size()) return false;
-    std::uint64_t changed = 0;
-    for (std::size_t i = 0; i < stamp.size(); ++i) {
-        if (stamp[i] < base[i]) return false;  // non-monotone: full resync
-        if (stamp[i] != base[i]) ++changed;
-    }
-    FrameWriter writer(out, kHeaderHint + 4 * changed);
-    writer.byte(kEpochFrameMarker);
-    writer.varint(kDeltaFrameVersion);
-    writer.varint(epoch);
-    writer.varint(sequence);
-    writer.varint(message);
-    writer.varint(changed);
-    for (std::size_t i = 0; i < stamp.size(); ++i) {
-        if (stamp[i] == base[i]) continue;
-        writer.varint(i);
-        writer.varint(stamp[i] - base[i]);
-    }
-    writer.seal();
-    return true;
-}
-
-namespace {
-
-/// Shared v3 header parse for the delta decoder and peek_frame_info:
-/// payload[0] is already known to be the marker and the version already
-/// consumed as kDeltaFrameVersion; reads epoch/sequence/message.
-FrameHeader decode_delta_header(std::span<const std::uint8_t> payload,
-                                std::size_t& offset) {
-    FrameHeader header;
-    const std::uint64_t epoch = decode_varint(payload, offset);
-    if (epoch > std::numeric_limits<EpochId>::max()) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "delta frame carrying out-of-range epoch " +
-                            std::to_string(epoch));
-    }
-    header.epoch = static_cast<EpochId>(epoch);
-    header.sequence = decode_varint(payload, offset);
-    header.message = decode_varint(payload, offset);
-    return header;
-}
-
-}  // namespace
-
-FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
-                                    std::span<const std::uint64_t> base,
-                                    std::span<std::uint64_t> stamp_out) {
+/// Delta-frame stamp: varint count, then count (index, increment) pairs
+/// applied over `base`.
+void decode_delta_stamp(std::span<const std::uint8_t> payload,
+                        std::size_t offset,
+                        std::span<const std::uint64_t> base,
+                        std::span<std::uint64_t> stamp_out) {
     SYNCTS_REQUIRE(base.size() == stamp_out.size(),
                    "delta decode needs base and output of equal width");
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
-    if (payload[0] != kEpochFrameMarker) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "v1 frame fed to the delta decoder");
-    }
-    std::size_t offset = 1;
-    const std::uint64_t version = decode_varint(payload, offset);
-    if (version != kDeltaFrameVersion) {
-        throw WireError(WireError::Kind::unsupported_version,
-                        "non-delta frame version " + std::to_string(version) +
-                            " fed to the delta decoder");
-    }
-    const FrameHeader header = decode_delta_header(payload, offset);
     const std::uint64_t count = decode_varint(payload, offset);
     if (count > stamp_out.size()) {
         throw WireError(WireError::Kind::width_mismatch,
@@ -497,38 +283,123 @@ FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
         throw WireError(WireError::Kind::trailing_bytes,
                         "trailing bytes inside delta frame payload");
     }
-    return header;
+}
+
+}  // namespace
+
+void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
+                             std::uint64_t message,
+                             std::span<const std::uint64_t> stamp,
+                             std::vector<std::uint8_t>& out) {
+    SYNCTS_REQUIRE(sequence >= 1,
+                   "epoch-aware frames need 1-based sequence numbers");
+    // Back-compat rule: epoch-0 traffic is bit-identical to the version-1
+    // format, so pre-epoch peers interoperate unchanged.
+    FrameWriter writer(out, kHeaderHint + 2 * stamp.size());
+    if (epoch != 0) {
+        writer.byte(kEpochFrameMarker);
+        writer.varint(kEpochFrameVersion);
+        writer.varint(epoch);
+    }
+    writer.varint(sequence);
+    writer.varint(message);
+    writer.varint(stamp.size());
+    for (const std::uint64_t component : stamp) writer.varint(component);
+    writer.seal();
+}
+
+bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
+                             std::uint64_t message,
+                             std::span<const std::uint64_t> base,
+                             std::span<const std::uint64_t> stamp,
+                             std::vector<std::uint8_t>& out) {
+    SYNCTS_REQUIRE(sequence >= 1,
+                   "epoch-aware frames need 1-based sequence numbers");
+    out.clear();
+    if (base.size() != stamp.size()) return false;
+    std::uint64_t changed = 0;
+    for (std::size_t i = 0; i < stamp.size(); ++i) {
+        if (stamp[i] < base[i]) return false;  // non-monotone: full resync
+        if (stamp[i] != base[i]) ++changed;
+    }
+    FrameWriter writer(out, kHeaderHint + 4 * changed);
+    writer.byte(kEpochFrameMarker);
+    writer.varint(kDeltaFrameVersion);
+    writer.varint(epoch);
+    writer.varint(sequence);
+    writer.varint(message);
+    writer.varint(changed);
+    for (std::size_t i = 0; i < stamp.size(); ++i) {
+        if (stamp[i] == base[i]) continue;
+        writer.varint(i);
+        writer.varint(stamp[i] - base[i]);
+    }
+    writer.seal();
+    return true;
 }
 
 FrameInfo peek_frame_info(std::span<const std::uint8_t> bytes) {
-    const std::span<const std::uint8_t> payload = checked_payload(bytes);
     FrameInfo info;
+    info.payload = checked_payload(bytes);
     std::size_t offset = 0;
-    if (payload[0] == kEpochFrameMarker) {
+    if (info.payload[0] == kEpochFrameMarker) {
         offset = 1;
-        info.version = decode_varint(payload, offset);
-        if (info.version == kEpochFrameVersion) {
-            const std::uint64_t epoch = decode_varint(payload, offset);
-            if (epoch == 0 || epoch > std::numeric_limits<EpochId>::max()) {
-                throw WireError(WireError::Kind::unsupported_version,
-                                "v2 frame carrying out-of-range epoch " +
-                                    std::to_string(epoch));
-            }
-            info.header.epoch = static_cast<EpochId>(epoch);
-        } else if (info.version == kDeltaFrameVersion) {
-            info.delta = true;
-            const FrameHeader header = decode_delta_header(payload, offset);
-            info.header = header;
-            return info;
-        } else {
+        info.version = decode_varint(info.payload, offset);
+        if (info.version != kEpochFrameVersion &&
+            info.version != kDeltaFrameVersion) {
             throw WireError(WireError::Kind::unsupported_version,
                             "unsupported frame version " +
                                 std::to_string(info.version));
         }
+        info.delta = info.version == kDeltaFrameVersion;
+        const std::uint64_t epoch = decode_varint(info.payload, offset);
+        // EpochId is 32-bit, and v2 never carries epoch 0 (the encoder
+        // spells it as v1); anything else is from a future format.
+        if ((epoch == 0 && !info.delta) ||
+            epoch > std::numeric_limits<EpochId>::max()) {
+            throw WireError(WireError::Kind::unsupported_version,
+                            "frame carrying out-of-range epoch " +
+                                std::to_string(epoch));
+        }
+        info.header.epoch = static_cast<EpochId>(epoch);
     }
-    info.header.sequence = decode_varint(payload, offset);
-    info.header.message = decode_varint(payload, offset);
+    info.header.sequence = read_varint(info.payload, offset);
+    info.header.message = read_varint(info.payload, offset);
+    info.stamp_offset = offset;
     return info;
+}
+
+void decode_frame_stamp(const FrameInfo& info,
+                        std::span<const std::uint64_t> base,
+                        std::span<std::uint64_t> stamp_out) {
+    if (info.delta) {
+        decode_delta_stamp(info.payload, info.stamp_offset, base, stamp_out);
+    } else {
+        decode_full_stamp(info.payload, info.stamp_offset, stamp_out);
+    }
+}
+
+FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
+                                    std::span<std::uint64_t> stamp_out) {
+    const FrameInfo info = peek_frame_info(bytes);
+    if (info.delta) {
+        throw WireError(WireError::Kind::unsupported_version,
+                        "delta frame fed to the full-frame decoder");
+    }
+    decode_frame_stamp(info, {}, stamp_out);
+    return info.header;
+}
+
+FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
+                                    std::span<const std::uint64_t> base,
+                                    std::span<std::uint64_t> stamp_out) {
+    const FrameInfo info = peek_frame_info(bytes);
+    if (!info.delta) {
+        throw WireError(WireError::Kind::unsupported_version,
+                        "full frame fed to the delta decoder");
+    }
+    decode_frame_stamp(info, base, stamp_out);
+    return info.header;
 }
 
 // ---------------------------------------------------------------------------

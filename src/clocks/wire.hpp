@@ -100,39 +100,6 @@ inline std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
     return common::fnv1a64(bytes);
 }
 
-/// One rendezvous-protocol frame: the body of a REQ or ACK packet.
-struct SyncFrame {
-    std::uint64_t sequence = 0;  ///< per-directed-channel sequence number
-    std::uint64_t message = 0;   ///< script MessageId (cross-check only)
-    VectorTimestamp stamp;       ///< piggybacked clock vector
-
-    friend bool operator==(const SyncFrame&, const SyncFrame&) = default;
-};
-
-/// Layout: varint sequence, varint message, encoded timestamp, then an
-/// 8-byte little-endian FNV-1a 64 checksum of everything before it.
-///
-/// Deprecated: allocates a fresh vector per frame. Hot paths (and new
-/// code) use encode_frame_into with a reusable scratch buffer instead.
-[[deprecated("use encode_frame_into with a reusable scratch buffer")]]
-std::vector<std::uint8_t> encode_frame(const SyncFrame& frame);
-
-/// Span form: frames `stamp` (an arena row or clock span) with the given
-/// header, replacing the contents of `out`. Single pass: `out` is sized
-/// once and the checksum is folded in as the bytes are written, so the
-/// output is byte-identical to varint encoding plus the trailer. Capacity
-/// is reused, so encoding into a kept or recycled buffer allocates
-/// nothing; the synchronizer encodes into recycled packet bodies and
-/// frame buffers (docs/INTERNALS.md §5).
-void encode_frame_into(std::uint64_t sequence, std::uint64_t message,
-                       std::span<const std::uint64_t> stamp,
-                       std::vector<std::uint8_t>& out);
-
-/// Inverse of encode_frame; validates length, checksum, and that the
-/// timestamp width equals `expected_width`. Throws WireError.
-SyncFrame decode_frame(std::span<const std::uint8_t> bytes,
-                       std::size_t expected_width);
-
 /// Frame header fields, decoupled from timestamp storage. `epoch` is 0
 /// for version-1 frames (the format predates topology epochs; see
 /// docs/FORMATS.md and docs/TOPOLOGY.md for the version matrix).
@@ -141,12 +108,6 @@ struct FrameHeader {
     std::uint64_t message = 0;
     EpochId epoch = 0;
 };
-
-/// Span form of decode_frame: validates as decode_frame with
-/// expected_width = stamp_out.size(), writes the components into
-/// `stamp_out`, and returns the header. Nothing is allocated.
-FrameHeader decode_frame_into(std::span<const std::uint8_t> bytes,
-                              std::span<std::uint64_t> stamp_out);
 
 /// Version escape for epoch-tagged frames (format version 2). A v1 frame
 /// begins with the varint sequence number and the rendezvous protocol
@@ -159,32 +120,28 @@ inline constexpr std::uint8_t kEpochFrameMarker = 0x00;
 /// Current versioned frame format.
 inline constexpr std::uint64_t kEpochFrameVersion = 2;
 
-/// Epoch-aware frame writer. Epoch 0 emits the version-1 layout
-/// bit-identically (the back-compat rule: pre-epoch peers read epoch-0
-/// traffic unchanged); any later epoch emits a v2 frame. `sequence` must
-/// be >= 1 — that is what keeps the two layouts distinguishable.
+/// Full-vector frame writer: frames `stamp` (an arena row or clock span)
+/// with the given header, replacing the contents of `out`. Epoch 0 emits
+/// the version-1 layout — varint sequence, varint message, encoded
+/// timestamp, then an 8-byte little-endian FNV-1a 64 checksum of
+/// everything before it — so pre-epoch peers read epoch-0 traffic
+/// unchanged; any later epoch emits a v2 frame. `sequence` must be >= 1 —
+/// that is what keeps the two layouts distinguishable. Single pass: `out`
+/// is sized once and the checksum is folded in as the bytes are written.
+/// Capacity is reused, so encoding into a kept or recycled buffer
+/// allocates nothing (docs/INTERNALS.md §5).
 void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
                              std::uint64_t message,
                              std::span<const std::uint64_t> stamp,
                              std::vector<std::uint8_t>& out);
 
-/// Epoch-aware frame reader: accepts v2 frames and plain v1 frames, the
-/// latter reported as epoch 0. Validates checksum, version, and width as
-/// decode_frame_into. Nothing is allocated.
+/// Full-frame reader: accepts v2 frames and plain v1 frames, the latter
+/// reported as epoch 0; peek_frame_info plus decode_frame_stamp, so it
+/// validates the checksum, version, and that the timestamp width equals
+/// stamp_out.size(). Rejects delta frames with unsupported_version.
+/// Nothing is allocated. Throws WireError.
 FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
                                     std::span<std::uint64_t> stamp_out);
-
-/// Header-only reader: validates the checksum and the version escape and
-/// returns the header without decoding the timestamp components, so a
-/// receiver can classify a frame from *another* epoch (whose width it no
-/// longer knows) before deciding to reject it. The timestamp bytes are
-/// checksum-covered but otherwise unexamined. Throws WireError on
-/// corruption or unsupported versions (v1 and v2 only — delta v3 needs
-/// peek_frame_info, and batch containers are not frames: use
-/// BatchReader). The runtime's replay/parking paths rely on this
-/// strictness: everything they store is a canonical full frame
-/// (docs/PROTOCOL.md), so a v3 reaching this reader is a logic error.
-FrameHeader peek_epoch_frame_header(std::span<const std::uint8_t> bytes);
 
 // ---------------------------------------------------------------------------
 // Delta-encoded frames (format version 3)
@@ -220,10 +177,10 @@ bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
 /// Decodes a v3 delta frame against `base` (the receiver's shadow of the
 /// channel): `stamp_out` = `base` with the carried increments applied.
 /// `base` and `stamp_out` must both be the decomposition width and may
-/// alias. Validates checksum, version, strictly-increasing in-range
-/// indices, and count <= width. Throws WireError; rejects v1/v2 frames
-/// with WireError::Kind::unsupported_version (callers route on
-/// peek_frame_info first).
+/// alias. peek_frame_info plus decode_frame_stamp: validates checksum,
+/// version, strictly-increasing in-range indices, and count <= width.
+/// Throws WireError; rejects v1/v2 frames with
+/// WireError::Kind::unsupported_version.
 FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
                                     std::span<const std::uint64_t> base,
                                     std::span<std::uint64_t> stamp_out);
@@ -233,15 +190,28 @@ struct FrameInfo {
     FrameHeader header;
     std::uint64_t version = 1;  ///< 1, 2, or kDeltaFrameVersion
     bool delta = false;         ///< version == kDeltaFrameVersion
+    /// The checksum-verified payload (the frame without its trailer), a
+    /// view into the peeked bytes, and where its stamp starts: the
+    /// width varint of a full frame, the pair count of a delta frame.
+    std::span<const std::uint8_t> payload;
+    std::size_t stamp_offset = 0;
 };
 
-/// Classifying peek over v1/v2/v3 frames: validates the checksum and
-/// header fields only (component/increment bytes are checksum-covered
-/// but undecoded). The extended receive path calls this first to decide
-/// between decode_epoch_frame_into and decode_delta_frame_into. Batch
+/// The one v1/v2/v3 frame header parser: verifies the checksum once and
+/// parses the header fields, leaving the stamp bytes (checksum-covered)
+/// to decode_frame_stamp. Every frame reader starts here. Batch
 /// containers (v4) are rejected with unsupported_version — they travel
-/// under their own packet kind and BatchReader.
+/// under their own packet kind and BatchReader. Throws WireError.
 FrameInfo peek_frame_info(std::span<const std::uint8_t> bytes);
+
+/// Decodes the stamp of a peeked frame without a second checksum pass:
+/// a full frame's components as they are (width must equal
+/// stamp_out.size(); `base` is unused), or a delta frame's increments
+/// applied over `base` (same width as stamp_out; they may alias). The
+/// peeked bytes must still be alive. Throws WireError.
+void decode_frame_stamp(const FrameInfo& info,
+                        std::span<const std::uint64_t> base,
+                        std::span<std::uint64_t> stamp_out);
 
 // ---------------------------------------------------------------------------
 // Batch containers (format version 4)

@@ -73,7 +73,7 @@ void AsyncSimulator::send(std::uint64_t now, Packet packet) {
         ++queued_packets_;
         peak_queued_packets_ = std::max(peak_queued_packets_, queued_packets_);
         push({now + latency + copy.extra_delay, next_seq_++,
-              std::move(delivered), nullptr});
+              std::move(delivered), nullptr, copy.corrupt});
     }
 }
 
@@ -121,6 +121,7 @@ std::uint64_t AsyncSimulator::run(std::uint64_t max_events) {
         if (down_[next.packet.destination]) {
             // The destination is crashed: the packet reaches a dead NIC.
             ++crash_stats_.down_drops;
+            if (next.corrupted) ++crash_stats_.corrupt_down_drops;
             recycle(std::move(next.packet.body));
             continue;
         }

@@ -74,8 +74,9 @@ public:
 
     /// Marks process p down (crashed) or back up. Packets delivered to a
     /// down process are silently lost — exactly what a dead NIC does —
-    /// and counted as fault_stats().down_drops. Timers still fire (the
-    /// runtime uses one to restart the process).
+    /// and counted as fault_stats().down_drops (corrupted ones also as
+    /// corrupt_down_drops). Timers still fire (the runtime uses one to
+    /// restart the process).
     void set_down(ProcessId p, bool down);
 
     bool is_down(ProcessId p) const noexcept;
@@ -112,6 +113,7 @@ public:
         FaultStats stats = injector_.stats();
         stats.crashes = crash_stats_.crashes;
         stats.down_drops = crash_stats_.down_drops;
+        stats.corrupt_down_drops = crash_stats_.corrupt_down_drops;
         return stats;
     }
 
@@ -121,6 +123,7 @@ private:
         std::uint64_t seq;
         Packet packet;         // delivery event when timer == nullptr
         TimerCallback timer;   // timer event when set
+        bool corrupted = false;  // the fault plan mutated the body
     };
 
     /// Heap order: the root is the earliest (time, seq). Keys are unique,

@@ -10,17 +10,6 @@ namespace syncts {
 
 namespace {
 
-/// Auto burst rule shared by both bucket families: 8x the refill rate,
-/// floored at 4096 so one full-vector frame always fits (see
-/// BandwidthOptions::burst).
-std::uint64_t resolve_burst(std::uint64_t configured, std::uint64_t rate) {
-    if (configured != 0) return configured;
-    const std::uint64_t kFloor = 4096;
-    const std::uint64_t scaled =
-        rate > std::numeric_limits<std::uint64_t>::max() / 8 ? rate : rate * 8;
-    return std::max(kFloor, scaled);
-}
-
 std::uint64_t channel_key(ProcessId src, ProcessId dst) {
     return (static_cast<std::uint64_t>(src) << 32) |
            static_cast<std::uint64_t>(dst);
@@ -33,43 +22,45 @@ BandwidthScheduler::BandwidthScheduler(const BandwidthOptions& options,
     SYNCTS_REQUIRE(options.enabled,
                    "bandwidth scheduler constructed while disabled");
     SYNCTS_REQUIRE(options.bytes_per_tick >= 1,
-                   "bandwidth global rate must be >= 1 byte per tick");
-    global_rate_ = options.bytes_per_tick;
-    channel_rate_ = options.channel_bytes_per_tick != 0
-                        ? options.channel_bytes_per_tick
-                        : options.bytes_per_tick;
-    global_burst_ = resolve_burst(options.burst, global_rate_);
-    channel_burst_ = resolve_burst(options.burst, channel_rate_);
+                   "bandwidth rate must be >= 1 byte per tick");
+    rate_ = options.bytes_per_tick;
+    // Auto burst (see BandwidthOptions::burst): 8x the refill rate,
+    // floored at 4096 so one full-vector frame always fits.
+    burst_ = options.burst != 0
+                 ? options.burst
+                 : std::max<std::uint64_t>(
+                       4096,
+                       rate_ > std::numeric_limits<std::uint64_t>::max() / 8
+                           ? rate_
+                           : rate_ * 8);
     // Buckets start full: the first flushes of a run are never the ones
     // to shape, and an empty start would delay every process's opening
     // REQ by a full refill for no fairness gain.
-    global_.resize(n, Bucket{global_burst_, 0});
+    global_.resize(n, Bucket{burst_, 0});
 }
 
-void BandwidthScheduler::refill(Bucket& bucket, std::uint64_t rate,
-                                std::uint64_t burst, std::uint64_t now) {
-    if (now <= bucket.last_refill) return;
+std::uint64_t BandwidthScheduler::tokens_at(const Bucket& bucket,
+                                            std::uint64_t now) const {
+    if (now <= bucket.last_refill) return bucket.tokens;
     const std::uint64_t elapsed = now - bucket.last_refill;
     // Saturating: elapsed * rate can overflow on a long-idle bucket,
     // but the cap is burst anyway.
     const std::uint64_t earned =
-        elapsed > burst / rate ? burst : elapsed * rate;
-    bucket.tokens = std::min(burst, bucket.tokens + earned);
-    bucket.last_refill = now;
+        elapsed > burst_ / rate_ ? burst_ : elapsed * rate_;
+    return std::min(burst_, bucket.tokens + earned);
 }
 
 std::uint64_t BandwidthScheduler::ticks_until(std::uint64_t tokens,
-                                              std::uint64_t need,
-                                              std::uint64_t rate) {
+                                              std::uint64_t need) const {
     if (tokens >= need) return 0;
     const std::uint64_t missing = need - tokens;
-    return (missing + rate - 1) / rate;
+    return (missing + rate_ - 1) / rate_;
 }
 
 BandwidthScheduler::Bucket& BandwidthScheduler::channel_bucket(
     ProcessId src, ProcessId dst) {
     auto [it, inserted] =
-        channels_.try_emplace(channel_key(src, dst), Bucket{channel_burst_, 0});
+        channels_.try_emplace(channel_key(src, dst), Bucket{burst_, 0});
     return it->second;
 }
 
@@ -80,28 +71,29 @@ bool BandwidthScheduler::admit(ProcessId src, ProcessId dst,
                    "bandwidth admit: source out of range");
     Bucket& global = global_[static_cast<std::size_t>(src)];
     Bucket& channel = channel_bucket(src, dst);
-    refill(global, global_rate_, global_burst_, now);
-    refill(channel, channel_rate_, channel_burst_, now);
+    for (Bucket* bucket : {&global, &channel}) {
+        bucket->tokens = tokens_at(*bucket, now);
+        bucket->last_refill = std::max(bucket->last_refill, now);
+    }
 
-    const std::uint64_t global_charge = std::min(bytes, global_burst_);
-    const std::uint64_t channel_charge = std::min(bytes, channel_burst_);
+    const std::uint64_t charge = std::min(bytes, burst_);
     // DRR credit lets a starved channel overdraw its own bucket; the
     // global budget is authoritative and never overdrawn.
     const bool channel_ok =
-        channel.tokens + std::min(deficit, channel_charge) >= channel_charge;
-    if (global.tokens < global_charge || !channel_ok) {
+        channel.tokens + std::min(deficit, charge) >= charge;
+    if (global.tokens < charge || !channel_ok) {
         ++counters_.refused;
         return false;
     }
-    global.tokens -= global_charge;
-    if (channel.tokens >= channel_charge) {
-        channel.tokens -= channel_charge;
+    global.tokens -= charge;
+    if (channel.tokens >= charge) {
+        channel.tokens -= charge;
     } else {
-        deficit -= channel_charge - channel.tokens;
+        deficit -= charge - channel.tokens;
         channel.tokens = 0;
     }
     ++counters_.admitted;
-    counters_.bytes_admitted += global_charge;
+    counters_.bytes_admitted += charge;
     return true;
 }
 
@@ -110,35 +102,14 @@ std::uint64_t BandwidthScheduler::ready_time(ProcessId src, ProcessId dst,
                                              std::uint64_t now) const {
     SYNCTS_REQUIRE(static_cast<std::size_t>(src) < global_.size(),
                    "bandwidth ready_time: source out of range");
-    const Bucket& global = global_[static_cast<std::size_t>(src)];
-    std::uint64_t global_tokens = global.tokens;
-    std::uint64_t global_base = global.last_refill;
-    if (now > global_base) {
-        // Mirror refill() without mutating.
-        const std::uint64_t elapsed = now - global_base;
-        const std::uint64_t earned = elapsed > global_burst_ / global_rate_
-                                         ? global_burst_
-                                         : elapsed * global_rate_;
-        global_tokens = std::min(global_burst_, global_tokens + earned);
-    }
-    std::uint64_t channel_tokens = channel_burst_;
+    const std::uint64_t charge = std::min(bytes, burst_);
     const auto it = channels_.find(channel_key(src, dst));
-    if (it != channels_.end()) {
-        channel_tokens = it->second.tokens;
-        if (now > it->second.last_refill) {
-            const std::uint64_t elapsed = now - it->second.last_refill;
-            const std::uint64_t earned =
-                elapsed > channel_burst_ / channel_rate_
-                    ? channel_burst_
-                    : elapsed * channel_rate_;
-            channel_tokens = std::min(channel_burst_, channel_tokens + earned);
-        }
-    }
+    const std::uint64_t channel_tokens =
+        it != channels_.end() ? tokens_at(it->second, now) : burst_;
     const std::uint64_t wait = std::max(
-        ticks_until(global_tokens, std::min(bytes, global_burst_),
-                    global_rate_),
-        ticks_until(channel_tokens, std::min(bytes, channel_burst_),
-                    channel_rate_));
+        ticks_until(tokens_at(global_[static_cast<std::size_t>(src)], now),
+                    charge),
+        ticks_until(channel_tokens, charge));
     return now + std::max<std::uint64_t>(wait, 1);
 }
 

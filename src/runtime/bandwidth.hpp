@@ -11,8 +11,9 @@
 /// Fair per-channel bandwidth limiting for the batched TX path
 /// (docs/PROTOCOL.md), in the spirit of gtk-gnutella's bsched: every
 /// directed channel owns a token bucket, all of a process's channels
-/// share one global bucket, and the synchronizer's flush loop walks the
-/// due queues in deficit-round-robin order.
+/// share one global bucket of the same rate and burst, and the
+/// synchronizer's flush loop walks the due queues in deficit-round-robin
+/// order.
 ///
 /// Buckets refill linearly with virtual time (tokens = rate *
 /// elapsed_ticks, capped at `burst`), so `ready_time()` is exact: the
@@ -76,21 +77,17 @@ private:
         std::uint64_t last_refill = 0;  ///< virtual time of last refill
     };
 
-    /// Refills `bucket` up to `now` at `rate` tokens/tick, capped at
-    /// `burst`.
-    static void refill(Bucket& bucket, std::uint64_t rate,
-                       std::uint64_t burst, std::uint64_t now);
+    /// Tokens `bucket` holds at `now`: refilled at rate_ tokens/tick,
+    /// capped at burst_.
+    std::uint64_t tokens_at(const Bucket& bucket, std::uint64_t now) const;
 
-    /// Ticks until a bucket holding `tokens` reaches `need` at `rate`.
-    static std::uint64_t ticks_until(std::uint64_t tokens,
-                                     std::uint64_t need, std::uint64_t rate);
+    /// Ticks until a bucket holding `tokens` reaches `need`.
+    std::uint64_t ticks_until(std::uint64_t tokens, std::uint64_t need) const;
 
     Bucket& channel_bucket(ProcessId src, ProcessId dst);
 
-    std::uint64_t global_rate_;
-    std::uint64_t channel_rate_;
-    std::uint64_t global_burst_;
-    std::uint64_t channel_burst_;
+    std::uint64_t rate_;
+    std::uint64_t burst_;
     std::vector<Bucket> global_;  ///< one per process (by ProcessId)
     std::unordered_map<std::uint64_t, Bucket> channels_;  ///< src<<32|dst
     BandwidthCounters counters_;

@@ -90,6 +90,9 @@ struct FaultStats {
     std::uint64_t delayed = 0;         ///< extra-delay applications
     std::uint64_t crashes = 0;         ///< crash rules executed
     std::uint64_t down_drops = 0;      ///< deliveries lost to a down process
+    /// Corrupted packets among down_drops: lost before any decoder could
+    /// reject them, so they are absent from the runtime's reject count.
+    std::uint64_t corrupt_down_drops = 0;
 
     std::uint64_t total_faults() const noexcept {
         return dropped + targeted_drops + duplicated + corrupted + delayed +

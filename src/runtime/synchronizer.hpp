@@ -102,13 +102,10 @@ struct RecoveryOptions {
 struct BandwidthOptions {
     bool enabled = false;
 
-    /// Global budget: bytes admitted per virtual tick across all of a
-    /// process's channels (>= 1 when enabled).
+    /// Refill rate, in bytes per virtual tick (>= 1 when enabled), of
+    /// both the global budget across all of a process's channels and
+    /// each directed channel's own bucket.
     std::uint64_t bytes_per_tick = 256;
-
-    /// Per-channel rate: bytes per virtual tick each directed channel
-    /// may consume (>= 1 when enabled; defaults to the global budget).
-    std::uint64_t channel_bytes_per_tick = 0;
 
     /// Bucket capacity — the largest burst a channel (and the global
     /// budget) can admit at once. 0 = auto: 8x the refill rate, floored
@@ -129,9 +126,11 @@ struct ProtocolOptions {
     /// coalesced ACKs) into one v4 batch container per packet.
     bool batching = false;
 
-    /// Hold ACKs up to `max_coalesce_delay` ticks so they ride the next
-    /// outbound packet to the same peer; a newer ACK for the same
-    /// rendezvous supersedes a queued one (cumulative-ack rule).
+    /// Hold ACKs up to max(latency_hi, 1) ticks (well under any
+    /// retransmission timeout, so coalescing never races a peer's RTO)
+    /// so they ride the next outbound packet to the same peer; a newer
+    /// ACK for the same rendezvous supersedes a queued one
+    /// (cumulative-ack rule).
     bool coalesce_acks = false;
 
     /// Delta-encode timestamp vectors against per-channel shadows of the
@@ -139,15 +138,12 @@ struct ProtocolOptions {
     /// break (retransmit gap, NACK, epoch transition, crash rejoin).
     bool delta = false;
 
-    /// Longest time a coalesced ACK may wait for a ride, in virtual
-    /// ticks. 0 = auto: latency_hi (well under any retransmission
-    /// timeout, so coalescing never races a peer's RTO).
-    std::uint64_t max_coalesce_delay = 0;
-
     /// Optional fair bandwidth scheduler over the batched TX queues.
     BandwidthOptions bandwidth;
 
-    /// Whether any extension is on (the synchronizer's dispatch gate).
+    /// Whether any extension is on. Any knob routes frames through the
+    /// per-destination TX queues, which batch whenever two frames share
+    /// a destination and a tick.
     bool active() const noexcept {
         return batching || coalesce_acks || delta || bandwidth.enabled;
     }
@@ -170,11 +166,8 @@ struct SynchronizerOptions {
     /// 4 * (latency_hi + faults.max_extra_delay) + 1 when the fault plan
     /// is active, and retransmission disabled on a reliable network (so
     /// lossless runs keep the exact 2-packets-per-message wire profile).
+    /// Backoff doubles per attempt, capped at initial_timeout << 6.
     std::uint64_t retransmit_timeout = 0;
-
-    /// Backoff doubles per attempt, capped at
-    /// initial_timeout << max_backoff_exponent.
-    std::uint32_t max_backoff_exponent = 6;
 
     /// Batched wire path: batching / ACK coalescing / delta vectors /
     /// bandwidth scheduling. All off by default — the classic profile.

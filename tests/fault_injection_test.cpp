@@ -237,6 +237,58 @@ TEST(FaultInjection, CorruptedFramesAreRejectedAndRecovered) {
     }
     EXPECT_GT(corrupted, 0u);
     EXPECT_EQ(rejects, corrupted);
+
+    // The same exact count on the batched profile (batching, ACK
+    // coalescing, delta) and under a crash schedule. A batch container
+    // damaged outside every entry — an appended byte, a hit in its outer
+    // trailer — is one reject, and a corrupted packet lost at a crashed
+    // process's NIC is counted by the network instead of a decoder. Each
+    // seed below left one corrupted packet uncounted before both were
+    // accounted for.
+    const Graph graph = topology::client_server(2, 4);
+    const SyncComputation script =
+        testing::random_workload(graph, 200, 0.0, 31);
+    const auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(graph));
+    const std::vector<VectorTimestamp> oracle = online_timestamps(script);
+    std::uint64_t batch_packets = 0;
+    std::uint64_t corrupt_down_drops = 0;
+    for (const bool crashes : {false, true}) {
+        const std::vector<std::uint64_t> seeds =
+            crashes ? std::vector<std::uint64_t>{20, 24, 32, 37}
+                    : std::vector<std::uint64_t>{1, 2, 5, 8};
+        for (const std::uint64_t seed : seeds) {
+            SynchronizerOptions options;
+            options.seed = seed;
+            options.latency_hi = 6;
+            options.faults.seed = seed * 77;
+            options.faults.drop_probability = 0.05;
+            if (crashes) {
+                options.faults.corrupt_probability = 0.05;
+                options.faults.crashes = {CrashRule{1, 20, 60},
+                                          CrashRule{2, 40, 60}};
+            } else {
+                options.faults.duplicate_probability = 0.05;
+                options.faults.corrupt_probability = 0.03;
+                options.faults.delay_probability = 0.2;
+                options.faults.max_extra_delay = 10;
+                options.protocol.batching = true;
+                options.protocol.coalesce_acks = true;
+                options.protocol.delta = true;
+            }
+            const CountedRun run =
+                run_with_counters(decomposition, script, options);
+            expect_script_stamps(run.result, oracle);
+            const FaultStats& faults = run.result.network_faults;
+            EXPECT_EQ(run.corrupt_rejects,
+                      faults.corrupted - faults.corrupt_down_drops)
+                << (crashes ? "crash" : "batched") << " seed " << seed;
+            batch_packets += run.result.protocol.batch_packets;
+            corrupt_down_drops += faults.corrupt_down_drops;
+        }
+    }
+    EXPECT_GT(batch_packets, 0u);
+    EXPECT_GT(corrupt_down_drops, 0u);
 }
 
 TEST(FaultInjection, FullyDeadChannelThrowsSynchronizerStalled) {

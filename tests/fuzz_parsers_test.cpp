@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
-// The allocating encode_frame is deprecated (encode_frame_into is the
-// supported form) but stays under fuzz coverage until it is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -123,20 +118,64 @@ TEST(FuzzParsers, TimestampWireRandomBytes) {
     }
 }
 
+/// The frame decoders' agreement check: `bytes` goes through
+/// peek_frame_info + decode_frame_stamp (the runtime's receive path) and
+/// through the decoder of its version — decode_delta_frame_into for a
+/// delta, decode_epoch_frame_into otherwise — and both must raise the
+/// same WireError kind or yield the same header and stamp. `base` is the
+/// delta base and fixes the width. Returns whether the frame was
+/// rejected.
+bool stamp_decoders_agree(std::span<const std::uint8_t> bytes,
+                          std::span<const std::uint64_t> base) {
+    std::vector<std::uint64_t> via_peek(base.size());
+    std::vector<std::uint64_t> via_decoder(base.size());
+    std::optional<WireError::Kind> peek_error;
+    std::optional<WireError::Kind> decoder_error;
+    FrameHeader peek_header;
+    FrameHeader decoder_header;
+    bool delta = false;
+    try {
+        const FrameInfo info = peek_frame_info(bytes);
+        delta = info.delta;
+        decode_frame_stamp(info, base, via_peek);
+        peek_header = info.header;
+    } catch (const WireError& e) {
+        peek_error = e.kind();
+    }
+    try {
+        decoder_header = delta
+                             ? decode_delta_frame_into(bytes, base, via_decoder)
+                             : decode_epoch_frame_into(bytes, via_decoder);
+    } catch (const WireError& e) {
+        decoder_error = e.kind();
+    }
+    EXPECT_EQ(peek_error, decoder_error);
+    if (!peek_error && !decoder_error) {
+        EXPECT_EQ(via_peek, via_decoder);
+        EXPECT_EQ(peek_header.epoch, decoder_header.epoch);
+        EXPECT_EQ(peek_header.sequence, decoder_header.sequence);
+        EXPECT_EQ(peek_header.message, decoder_header.message);
+    }
+    return peek_error.has_value();
+}
+
 TEST(FuzzParsers, SyncFrameRandomBytes) {
-    // decode_frame is the parser the synchronizer feeds with anything the
-    // faulty network delivers: random soup must either fail with a typed
-    // WireError or (checksum-collision odds aside) decode — never crash.
+    // The full-frame reader is the parser the synchronizer feeds with
+    // anything the faulty network delivers: random soup must either
+    // fail with a typed WireError or (checksum-collision odds aside)
+    // decode — never crash.
     Rng rng(5008);
     std::uint64_t rejects = 0;
     for (int trial = 0; trial < 2000; ++trial) {
         std::vector<std::uint8_t> bytes(rng.below(64));
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+        std::vector<std::uint64_t> stamp(1 + rng.below(8));
         try {
-            (void)decode_frame(bytes, 1 + rng.below(8));
+            (void)decode_epoch_frame_into(bytes, stamp);
         } catch (const WireError&) {
             ++rejects;
         }
+        EXPECT_TRUE(stamp_decoders_agree(bytes, stamp));
     }
     // An 8-byte checksum makes accidental acceptance of soup implausible.
     EXPECT_EQ(rejects, 2000u);
@@ -144,11 +183,10 @@ TEST(FuzzParsers, SyncFrameRandomBytes) {
 
 TEST(FuzzParsers, SyncFrameMutatedValidFrames) {
     Rng rng(5009);
-    const SyncFrame valid{
-        .sequence = 77,
-        .message = 12,
-        .stamp = VectorTimestamp(std::vector<std::uint64_t>{9, 200, 0, 3})};
-    const auto bytes = encode_frame(valid);
+    const std::vector<std::uint64_t> stamp{9, 200, 0, 3};
+    std::vector<std::uint8_t> bytes;
+    encode_epoch_frame_into(0, 77, 12, stamp, bytes);
+    std::vector<std::uint64_t> out(stamp.size());
     for (int trial = 0; trial < 1000; ++trial) {
         auto mutated = bytes;
         const std::size_t edits = 1 + rng.below(4);
@@ -168,12 +206,15 @@ TEST(FuzzParsers, SyncFrameMutatedValidFrames) {
             }
         }
         try {
-            const SyncFrame decoded = decode_frame(mutated, 4);
+            const FrameHeader header = decode_epoch_frame_into(mutated, out);
             // Only possible when the edits cancelled out exactly.
-            EXPECT_EQ(decoded, valid);
+            EXPECT_EQ(header.sequence, 77u);
+            EXPECT_EQ(header.message, 12u);
+            EXPECT_EQ(out, stamp);
         } catch (const WireError&) {
             // expected for nearly every mutation
         }
+        (void)stamp_decoders_agree(mutated, stamp);
     }
 }
 
@@ -223,7 +264,7 @@ TEST(FuzzParsers, EpochFrameRandomBytes) {
         std::vector<std::uint8_t> bytes(rng.below(64));
         for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
         try {
-            (void)peek_epoch_frame_header(bytes);
+            (void)peek_frame_info(bytes);
         } catch (const WireError&) {
             ++rejects;
         }
@@ -232,8 +273,9 @@ TEST(FuzzParsers, EpochFrameRandomBytes) {
         } catch (const WireError&) {
             ++rejects;
         }
+        if (stamp_decoders_agree(bytes, stamp)) ++rejects;
     }
-    EXPECT_EQ(rejects, 4000u);
+    EXPECT_EQ(rejects, 6000u);
 }
 
 TEST(FuzzParsers, EpochFrameTruncationsAndTrailingBytes) {
@@ -245,19 +287,21 @@ TEST(FuzzParsers, EpochFrameTruncationsAndTrailingBytes) {
     // extension must be rejected by both readers.
     for (const EpochId epoch : {EpochId{0}, EpochId{3}}) {
         encode_epoch_frame_into(epoch, 77, 12, stamp, bytes);
-        const FrameHeader header = peek_epoch_frame_header(bytes);
+        const FrameHeader header = peek_frame_info(bytes).header;
         EXPECT_EQ(header.epoch, epoch);
         EXPECT_EQ(header.sequence, 77u);
         for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
             const std::span<const std::uint8_t> prefix(bytes.data(), cut);
-            EXPECT_THROW((void)peek_epoch_frame_header(prefix), WireError);
+            EXPECT_THROW((void)peek_frame_info(prefix), WireError);
             EXPECT_THROW((void)decode_epoch_frame_into(prefix, out),
                          WireError);
+            EXPECT_TRUE(stamp_decoders_agree(prefix, stamp));
         }
         auto oversized = bytes;
         oversized.push_back(0x5A);
-        EXPECT_THROW((void)peek_epoch_frame_header(oversized), WireError);
+        EXPECT_THROW((void)peek_frame_info(oversized), WireError);
         EXPECT_THROW((void)decode_epoch_frame_into(oversized, out), WireError);
+        EXPECT_TRUE(stamp_decoders_agree(oversized, stamp));
     }
 }
 
@@ -268,8 +312,9 @@ TEST(FuzzParsers, EpochFrameOversizedVarints) {
     std::vector<std::uint8_t> bytes{kEpochFrameMarker};
     bytes.insert(bytes.end(), 32, 0xFF);
     std::vector<std::uint64_t> out(2);
-    EXPECT_THROW((void)peek_epoch_frame_header(bytes), WireError);
+    EXPECT_THROW((void)peek_frame_info(bytes), WireError);
     EXPECT_THROW((void)decode_epoch_frame_into(bytes, out), WireError);
+    EXPECT_TRUE(stamp_decoders_agree(bytes, out));
 }
 
 TEST(FuzzParsers, EpochFrameMutatedValidFrames) {
@@ -306,6 +351,7 @@ TEST(FuzzParsers, EpochFrameMutatedValidFrames) {
         } catch (const WireError&) {
             // expected for nearly every mutation
         }
+        (void)stamp_decoders_agree(mutated, stamp);
     }
 }
 
@@ -580,8 +626,9 @@ TEST(FuzzParsers, DeltaFrameRandomBytes) {
         } catch (const WireError&) {
             ++rejects;
         }
+        if (stamp_decoders_agree(bytes, base)) ++rejects;
     }
-    EXPECT_EQ(rejects, 4000u);
+    EXPECT_EQ(rejects, 6000u);
 }
 
 TEST(FuzzParsers, DeltaFrameTruncationsAndMutations) {
@@ -596,6 +643,7 @@ TEST(FuzzParsers, DeltaFrameTruncationsAndMutations) {
         EXPECT_THROW((void)decode_delta_frame_into(prefix, base, out),
                      WireError);
         EXPECT_THROW((void)peek_frame_info(prefix), WireError);
+        EXPECT_TRUE(stamp_decoders_agree(prefix, base));
     }
     for (int trial = 0; trial < 1000; ++trial) {
         auto mutated = bytes;
@@ -625,6 +673,7 @@ TEST(FuzzParsers, DeltaFrameTruncationsAndMutations) {
         } catch (const WireError&) {
             // expected for nearly every mutation
         }
+        (void)stamp_decoders_agree(mutated, base);
     }
 }
 
@@ -648,6 +697,7 @@ TEST(FuzzParsers, DeltaFrameHostileIndicesAndCounts) {
         EXPECT_THROW((void)decode_delta_frame_into(bytes, base, out),
                      WireError)
             << "hostile frame with " << fields.size() << " fields decoded";
+        EXPECT_TRUE(stamp_decoders_agree(bytes, base));
     }
     // Endless continuation bits after the version escape must terminate.
     std::vector<std::uint8_t> overlong{kEpochFrameMarker, 3};
@@ -655,6 +705,7 @@ TEST(FuzzParsers, DeltaFrameHostileIndicesAndCounts) {
     EXPECT_THROW((void)decode_delta_frame_into(overlong, base, out),
                  WireError);
     EXPECT_THROW((void)peek_frame_info(overlong), WireError);
+    EXPECT_TRUE(stamp_decoders_agree(overlong, base));
 }
 
 TEST(FuzzParsers, BatchContainerRandomBytes) {

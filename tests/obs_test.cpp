@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,9 +16,11 @@
 #include "common/timestamp_arena.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
 #include "runtime/synchronizer.hpp"
+#include "test_util.hpp"
 #include "trace/generator.hpp"
 
 /// The instrumentation layer: registry semantics, histogram percentiles,
@@ -605,6 +609,113 @@ TEST(Instrumentation, SameSeedRunsProduceIdenticalReports) {
     run_once(first);
     run_once(second);
     EXPECT_EQ(first.to_json(), second.to_json());
+}
+
+// ---- The metric catalog matches the registry -------------------------
+
+/// Histogram names of a registry, read off its JSON (the registry
+/// enumerates only counters and gauges).
+std::vector<std::string> histogram_names(const std::string& json) {
+    std::vector<std::string> names;
+    const std::string key = "\"histograms\":{";
+    std::size_t at = json.find(key);
+    if (at == std::string::npos) return names;
+    at += key.size();
+    int depth = 0;
+    for (; at < json.size(); ++at) {
+        const char c = json[at];
+        if (c == '"' && depth == 0) {
+            const std::size_t end = json.find('"', at + 1);
+            names.push_back(json.substr(at + 1, end - at - 1));
+            at = end;
+        } else if (c == '{') {
+            ++depth;
+        } else if (c == '}') {
+            if (depth == 0) break;
+            --depth;
+        }
+    }
+    return names;
+}
+
+/// Name patterns of every table row in docs/OBSERVABILITY.md §1: the
+/// backticked names of each row's first cell, `<family>`-style
+/// placeholders matching any name segment.
+std::vector<std::regex> catalog_patterns() {
+    std::ifstream in(std::string(SYNCTS_DOCS_DIR) + "/OBSERVABILITY.md");
+    EXPECT_TRUE(in.good()) << "cannot read docs/OBSERVABILITY.md";
+    std::vector<std::regex> patterns;
+    bool in_catalog = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("## ", 0) == 0) {
+            in_catalog = line.rfind("## 1.", 0) == 0;
+            continue;
+        }
+        if (!in_catalog || line.rfind("| `", 0) != 0) continue;
+        const std::string cell = line.substr(1, line.find('|', 1) - 1);
+        std::size_t open = cell.find('`');
+        while (open != std::string::npos) {
+            const std::size_t close = cell.find('`', open + 1);
+            const std::string name = cell.substr(open + 1, close - open - 1);
+            patterns.emplace_back(std::regex_replace(
+                name, std::regex("<[a-z_]+>"), "[a-z0-9_]+"));
+            open = cell.find('`', close + 1);
+        }
+    }
+    return patterns;
+}
+
+TEST(Instrumentation, MetricCatalogCoversEveryRegisteredName) {
+    // One fully instrumented run: every wire knob, every fault kind, a
+    // crash, a trace sink and a flight recorder.
+    const Graph graph = topology::client_server(2, 4);
+    obs::MetricsRegistry registry;
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(graph, &registry));
+    const SyncComputation script =
+        testing::random_workload(graph, 200, 0.0, 12);
+    obs::TraceSink sink(1 << 12);
+    obs::FlightRecorder recorder(1 << 10, 16);
+    SynchronizerOptions options;
+    options.seed = 12;
+    options.latency_hi = 6;
+    options.protocol.batching = true;
+    options.protocol.coalesce_acks = true;
+    options.protocol.delta = true;
+    options.protocol.bandwidth.enabled = true;
+    options.protocol.bandwidth.bytes_per_tick = 64;
+    options.faults.seed = 12;
+    options.faults.drop_probability = 0.05;
+    options.faults.duplicate_probability = 0.05;
+    options.faults.corrupt_probability = 0.05;
+    options.faults.delay_probability = 0.2;
+    options.faults.max_extra_delay = 10;
+    options.faults.crashes.push_back(CrashRule{1, 20, 60});
+    options.metrics = &registry;
+    options.trace = &sink;
+    options.recorder = &recorder;
+    (void)run_rendezvous_protocol(decomposition, script, options);
+
+    std::vector<std::string> names;
+    std::vector<std::string> gauges;
+    registry.value_layout(names, gauges);
+    names.insert(names.end(), gauges.begin(), gauges.end());
+    for (const std::string& histogram : histogram_names(registry.to_json())) {
+        names.push_back(histogram);
+    }
+    ASSERT_GT(names.size(), 50u);
+    const std::vector<std::regex> patterns = catalog_patterns();
+    ASSERT_FALSE(patterns.empty());
+    for (const std::string& name : names) {
+        const bool documented =
+            std::any_of(patterns.begin(), patterns.end(),
+                        [&](const std::regex& pattern) {
+                            return std::regex_match(name, pattern);
+                        });
+        EXPECT_TRUE(documented)
+            << name << " is missing from docs/OBSERVABILITY.md §1";
+    }
 }
 
 }  // namespace

@@ -370,6 +370,39 @@ TEST(FlightRecorder, StalledRunDumpsAnErrorPostmortem) {
     EXPECT_EQ(post.process, 0u);
 }
 
+// Every stall site leaves a post-mortem, not only retransmission
+// exhaustion: here the rejoin handshake of a restarted process can never
+// complete, so the last dump must be the stall's, after the crash's.
+TEST(FlightRecorder, StalledRejoinDumpsAnErrorPostmortem) {
+    const Graph graph = topology::path(2);
+    SyncComputation script(graph);
+    for (int i = 0; i < 6; ++i) script.add_message(0, 1);
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(graph));
+    obs::FlightRecorder recorder(256, 8);
+    SynchronizerOptions options;
+    options.recorder = &recorder;
+    options.retransmit_timeout = 4;
+    options.max_retransmits = 4;
+    options.faults.crashes.push_back(CrashRule{1, 2, 20});
+    // Swallow every HELLO_ACK sent back to the restarted process: each
+    // rule drops the first matching packet the rules before it let pass.
+    constexpr std::uint32_t kHelloAckKind = 4;
+    for (int rule = 0; rule < 16; ++rule) {
+        options.faults.targeted_drops.push_back(
+            {.source = 0, .destination = 1, .kind = kHelloAckKind,
+             .occurrence = 1});
+    }
+    EXPECT_THROW((void)run_rendezvous_protocol(decomposition, script,
+                                               options),
+                 SynchronizerStalled);
+    ASSERT_EQ(recorder.dumps(), 2u);  // the crash, then the stall
+    const obs::Postmortem post =
+        obs::decode_postmortem(recorder.last_dump());
+    EXPECT_EQ(post.reason, obs::PostmortemReason::error);
+    EXPECT_EQ(post.process, 1u);
+}
+
 // ---- Trace-pressure metrics ------------------------------------------
 
 TEST(TraceMetrics, RunPublishesDroppedAndPeakEventCounts) {

@@ -9,6 +9,7 @@
 #include "clocks/engine_stock.hpp"
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
+#include "common/checksum.hpp"
 #include "common/pool.hpp"
 #include "common/region.hpp"
 #include "core/multi_epoch_trace.hpp"
@@ -472,13 +473,14 @@ TEST(Topology, CrossEpochPrecedenceMatchesGroundTruthAtEveryThreadCount) {
 TEST(Topology, VersionOneFramesInteroperateAsEpochZero) {
     const std::vector<std::uint64_t> stamp = {3, 0, 7, 1};
 
-    std::vector<std::uint8_t> v1;
-    encode_frame_into(5, 2, stamp, v1);
-    std::vector<std::uint8_t> epoch0;
-    encode_epoch_frame_into(0, 5, 2, stamp, epoch0);
     // Back-compat rule (docs/FORMATS.md): epoch 0 is spelled in the v1
-    // layout, byte for byte.
-    EXPECT_EQ(v1, epoch0);
+    // layout, byte for byte — varint sequence, message, width and
+    // components, then the checksum trailer, with no version escape.
+    std::vector<std::uint8_t> v1;
+    encode_epoch_frame_into(0, 5, 2, stamp, v1);
+    std::vector<std::uint8_t> spelled{5, 2, 4, 3, 0, 7, 1};
+    common::append_checksum_trailer(spelled);
+    EXPECT_EQ(v1, spelled);
 
     // A pre-epoch frame decodes through the epoch-aware reader as epoch 0.
     std::vector<std::uint64_t> decoded(stamp.size(), 0);
@@ -488,10 +490,11 @@ TEST(Topology, VersionOneFramesInteroperateAsEpochZero) {
     EXPECT_EQ(h1.epoch, 0u);
     EXPECT_EQ(decoded, stamp);
 
-    // And the header-only peek classifies it without knowing the width.
-    const FrameHeader p1 = peek_epoch_frame_header(v1);
-    EXPECT_EQ(p1.epoch, 0u);
-    EXPECT_EQ(p1.sequence, 5u);
+    // And the header peek classifies it without knowing the width.
+    const FrameInfo p1 = peek_frame_info(v1);
+    EXPECT_EQ(p1.header.epoch, 0u);
+    EXPECT_EQ(p1.header.sequence, 5u);
+    EXPECT_EQ(p1.version, 1u);
 
     // Epoch ≥ 1 takes the v2 escape; the epoch-aware readers round-trip
     // it and the peek still works against a foreign width.
@@ -503,7 +506,7 @@ TEST(Topology, VersionOneFramesInteroperateAsEpochZero) {
     const FrameHeader h2 = decode_epoch_frame_into(v2, decoded);
     EXPECT_EQ(h2.epoch, 9u);
     EXPECT_EQ(decoded, stamp);
-    EXPECT_EQ(peek_epoch_frame_header(v2).epoch, 9u);
+    EXPECT_EQ(peek_frame_info(v2).header.epoch, 9u);
 
     // Runtime interop: a single-epoch manager run (all traffic epoch 0,
     // v1 bytes on the wire) produces the same stamps as the pre-epoch

@@ -1,11 +1,5 @@
 #include <gtest/gtest.h>
 
-// The allocating encode_frame is deprecated (encode_frame_into is the
-// supported form) but stays covered here until it is removed.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 #include <algorithm>
 #include <limits>
 #include <span>
@@ -138,55 +132,71 @@ TEST(Checksum, Fnv1a64KnownVectors) {
     EXPECT_EQ(fnv1a64(a), 0xAF63DC4C8601EC8Cull);
 }
 
+/// An epoch-0 frame — the v1 layout — as the tests below build and
+/// compare it.
+struct V1Frame {
+    std::uint64_t sequence = 0;
+    std::uint64_t message = 0;
+    std::vector<std::uint64_t> stamp;
+
+    friend bool operator==(const V1Frame&, const V1Frame&) = default;
+};
+
+std::vector<std::uint8_t> encode_v1(const V1Frame& frame) {
+    std::vector<std::uint8_t> out;
+    encode_epoch_frame_into(0, frame.sequence, frame.message, frame.stamp,
+                            out);
+    return out;
+}
+
+V1Frame decode_v1(std::span<const std::uint8_t> bytes,
+                  std::size_t expected_width) {
+    V1Frame frame;
+    frame.stamp.resize(expected_width);
+    const FrameHeader header = decode_epoch_frame_into(bytes, frame.stamp);
+    EXPECT_EQ(header.epoch, 0u);
+    frame.sequence = header.sequence;
+    frame.message = header.message;
+    return frame;
+}
+
 TEST(SyncFrameWire, RoundTrip) {
-    const SyncFrame frame{
-        .sequence = 1234,
-        .message = 9,
-        .stamp = VectorTimestamp(std::vector<std::uint64_t>{7, 0, 300})};
-    const auto bytes = encode_frame(frame);
-    EXPECT_EQ(decode_frame(bytes, 3), frame);
+    const V1Frame frame{.sequence = 1234, .message = 9, .stamp = {7, 0, 300}};
+    const auto bytes = encode_v1(frame);
+    EXPECT_EQ(decode_v1(bytes, 3), frame);
 }
 
 TEST(SyncFrameWire, EveryByteFlipIsDetected) {
-    const SyncFrame frame{
-        .sequence = 2,
-        .message = 5,
-        .stamp = VectorTimestamp(std::vector<std::uint64_t>{1, 130})};
-    const auto bytes = encode_frame(frame);
+    const V1Frame frame{.sequence = 2, .message = 5, .stamp = {1, 130}};
+    const auto bytes = encode_v1(frame);
     for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
         for (int bit = 0; bit < 8; ++bit) {
             auto corrupted = bytes;
             corrupted[byte] ^= static_cast<std::uint8_t>(1u << bit);
-            EXPECT_THROW(decode_frame(corrupted, 2), WireError)
+            EXPECT_THROW(decode_v1(corrupted, 2), WireError)
                 << "byte " << byte << " bit " << bit;
         }
     }
 }
 
 TEST(SyncFrameWire, TruncationAndExtensionAreDetected) {
-    const SyncFrame frame{
-        .sequence = 3,
-        .message = 1,
-        .stamp = VectorTimestamp(std::vector<std::uint64_t>{42})};
-    const auto bytes = encode_frame(frame);
+    const V1Frame frame{.sequence = 3, .message = 1, .stamp = {42}};
+    const auto bytes = encode_v1(frame);
     for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
         const std::vector<std::uint8_t> cut(bytes.begin(),
                                             bytes.begin() + static_cast<std::ptrdiff_t>(keep));
-        EXPECT_THROW(decode_frame(cut, 1), WireError) << "kept " << keep;
+        EXPECT_THROW(decode_v1(cut, 1), WireError) << "kept " << keep;
     }
     auto extended = bytes;
     extended.push_back(0x00);
-    EXPECT_THROW(decode_frame(extended, 1), WireError);
+    EXPECT_THROW(decode_v1(extended, 1), WireError);
 }
 
 TEST(SyncFrameWire, WidthMismatchRejectedBeforeComponents) {
-    const SyncFrame frame{
-        .sequence = 1,
-        .message = 0,
-        .stamp = VectorTimestamp(std::vector<std::uint64_t>{5, 6})};
-    const auto bytes = encode_frame(frame);
+    const V1Frame frame{.sequence = 1, .message = 0, .stamp = {5, 6}};
+    const auto bytes = encode_v1(frame);
     try {
-        decode_frame(bytes, 3);
+        decode_v1(bytes, 3);
         FAIL();
     } catch (const WireError& e) {
         EXPECT_EQ(e.kind(), WireError::Kind::width_mismatch);
@@ -202,14 +212,14 @@ TEST(SyncFrameWire, ContinuationBitInOneBytePerComponentPayloadIsRejected) {
     common::append_checksum_trailer(bytes);
     std::vector<std::uint64_t> stamp(3);
     try {
-        decode_frame_into(bytes, stamp);
+        decode_epoch_frame_into(bytes, stamp);
         FAIL();
     } catch (const WireError& e) {
         EXPECT_EQ(e.kind(), WireError::Kind::truncated);
     }
     std::vector<std::uint8_t> valid{1, 0, 3, 0x7F, 0x01, 0x05};
     common::append_checksum_trailer(valid);
-    EXPECT_EQ(decode_frame_into(valid, stamp).sequence, 1u);
+    EXPECT_EQ(decode_epoch_frame_into(valid, stamp).sequence, 1u);
     EXPECT_EQ(stamp, (std::vector<std::uint64_t>{0x7F, 0x01, 0x05}));
 }
 
@@ -223,12 +233,14 @@ TEST(SyncFrameWire, RealWorkloadFramesRoundTrip) {
     auto timestamper = system.make_timestamper();
     std::uint64_t sequence = 0;
     for (const SyncMessage& m : c.messages()) {
-        const SyncFrame frame{
+        const VectorTimestamp stamp =
+            timestamper.timestamp_message(m.sender, m.receiver);
+        const V1Frame frame{
             .sequence = ++sequence,
             .message = m.id,
-            .stamp = timestamper.timestamp_message(m.sender, m.receiver)};
-        const auto bytes = encode_frame(frame);
-        EXPECT_EQ(decode_frame(bytes, frame.stamp.width()), frame);
+            .stamp = {stamp.components().begin(), stamp.components().end()}};
+        const auto bytes = encode_v1(frame);
+        EXPECT_EQ(decode_v1(bytes, frame.stamp.size()), frame);
     }
 }
 
@@ -323,7 +335,7 @@ TEST(SyncFrameWire, EncodersEmitTheVarintReferenceBytes) {
                                         << width << " epoch " << epoch);
 
         std::vector<std::uint8_t> out = garbage_buffer(rng);
-        encode_frame_into(sequence, message, stamp, out);
+        encode_epoch_frame_into(0, sequence, message, stamp, out);
         EXPECT_EQ(out, reference::full_frame(0, sequence, message, stamp));
 
         out = garbage_buffer(rng);

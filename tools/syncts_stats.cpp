@@ -970,15 +970,19 @@ int main(int argc, char** argv) {
                     ++mismatches;
                 }
             }
-            // FNV-1a catches every single-bit corruption the fault plan
-            // injects, so every corrupted frame must be rejected at
-            // decode (docs/FAULTS.md). A gap here is a checksum hole.
+            // FNV-1a catches every corruption the fault plan injects, so
+            // every corrupted packet that reaches a live process must be
+            // rejected at decode (docs/FAULTS.md). A gap here is a
+            // checksum hole. Corrupted packets lost at a crashed
+            // process's NIC never reach a decoder.
             const std::uint64_t rejects =
                 registry.counter("sync_frames_corrupt_rejected").value() -
                 rejects_before;
-            if (result.network_faults.corrupted > rejects) {
-                undetected_corrupt +=
-                    result.network_faults.corrupted - rejects;
+            const std::uint64_t delivered_corrupt =
+                result.network_faults.corrupted -
+                result.network_faults.corrupt_down_drops;
+            if (delivered_corrupt > rejects) {
+                undetected_corrupt += delivered_corrupt - rejects;
             }
         } catch (const SynchronizerStalled& stall) {
             std::fprintf(stderr, "run %llu stalled: %s\n",
