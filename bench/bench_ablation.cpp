@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "decomp/exact_decomposer.hpp"
@@ -93,17 +92,5 @@ int main() {
         "\nshape check: the heaviest-edge heuristic never hurts and often "
         "saves a group; beta/alpha peaks at 2.0 exactly on the disjoint-"
         "triangle family (the paper's tight example).\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    Rng json_rng(9339);
-    std::vector<Graph> instances;
-    for (int t = 0; t < 60; ++t) {
-        instances.push_back(topology::random_gnp(16, 0.3, json_rng));
-    }
-    bench::measure_and_emit("ablation", instances.size(), [&] {
-        for (const Graph& g : instances) {
-            (void)greedy_edge_decomposition(g);
-        }
-    });
     return 0;
 }

@@ -1,172 +1,32 @@
-// Experiment TAB-PAR — the parallel analysis engine.
+// Experiment TAB-STREAM — streamed ingestion at a flat RSS plateau
+// (docs/STREAMING.md).
 //
-// The offline analyses (ground-truth transitive closure, the O(M²)
-// encoding verification, repeated precedence queries) are the only parts
-// of the reproduction whose cost grows faster than the trace; this bench
-// measures what the work-stealing pool buys them. Each study runs the
-// same workload twice:
-//   serial   — AnalysisOptions{} (the pre-pool code path)
-//   parallel — the analyses sharded across a Pool at the machine's width
-// and reports wall ms for both plus the speedup. Determinism contract:
-// both legs must produce identical posets and identical mismatch counts
-// (checked here), so the speedup column is the only difference.
+// Drives a procedurally generated complete(16) trace through
+// IncrementalPrecedenceIndex — no materialized SyncComputation, so the
+// only resident state is the streaming stack itself — and exits 1 if
+// memory grows past the warmed-up plateau or over the budget.
 //
-// A third section hammers PrecedenceIndex with K queries drawn from a
-// small pair pool, so repeats dominate: the memo turns the O(width)
-// compare into a hash probe, and the hit-rate column shows the memo
-// doing the work.
-//
-// A fourth section (TAB-STREAM, docs/STREAMING.md) covers the
-// out-of-core refactor: it first proves the frontier-retiring
-// StreamingClosure bit-identical to the batch closure at bench scale,
-// then drives a procedurally generated trace (no materialized
-// SyncComputation, so the only resident state is the streaming stack
-// itself) through IncrementalPrecedenceIndex and gates on a flat RSS
-// plateau — if memory grows past the warmed-up plateau the bench exits
-// nonzero, which is the regression tripwire CI's streaming-soak job
-// leans on. Its JSON row carries two extra columns, "resident_mb" and
-// "stream_msgs_per_sec".
-//
-// Usage: bench_analysis [messages] [threads] [stream_msgs] [budget_mb]
-//   messages     workload size per study (default 20000)
-//   threads      pool width for the parallel leg (default: hardware)
-//   stream_msgs  streamed-ingestion row size (default 2000000; the
-//                10M-trace acceptance run passes 10000000)
-//   budget_mb    absolute peak-RSS budget for the streamed row, on top
-//                of the always-on plateau-flatness gate (0 = plateau
-//                gate only, the default — sanitized builds inflate RSS)
-//
-// On a 1-core host the parallel leg still runs through the pool's
-// chunked path with a single participant, so the speedup column reads
-// ~1.0x — the point there is the determinism check, not the scaling.
+// Usage: bench_analysis [stream_msgs] [budget_mb]
+//   stream_msgs  streamed messages (default 2000000; the 10M-trace
+//                acceptance run passes 10000000)
+//   budget_mb    absolute peak-RSS budget on top of the always-on
+//                plateau gate (0 = plateau gate only, the default —
+//                sanitized builds inflate RSS)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
-#include "bench_json.hpp"
-#include "common/pool.hpp"
 #include "common/rng.hpp"
-#include "core/causality.hpp"
-#include "core/precedence_index.hpp"
 #include "core/streaming_index.hpp"
 #include "core/sync_system.hpp"
 #include "graph/generators.hpp"
-#include "poset/streaming_closure.hpp"
-#include "trace/generator.hpp"
-#include "trace/ground_truth.hpp"
 
 using namespace syncts;
 
 namespace {
-
-void study(const char* family, const Graph& g, std::size_t messages,
-           std::uint64_t seed, Pool& pool) {
-    Rng rng(seed);
-    WorkloadOptions workload;
-    workload.num_messages = messages;
-    const SyncComputation c = random_computation(g, workload, rng);
-    const SyncSystem system{Graph(g)};
-    const TimestampedTrace trace = system.analyze(c);
-
-    AnalysisOptions parallel;
-    parallel.pool = &pool;
-    parallel.threads = pool.threads();
-
-    // Untimed warm-up closure: faulting in ~2·M²/8 bytes of bitset pages
-    // dominates a cold first run, and the allocator hands the warmed
-    // pages to both timed legs once this Poset dies.
-    { const Poset warmup = message_poset(c); (void)warmup.size(); }
-
-    // Closure: serial leg, then the level-synchronous blocked leg.
-    std::size_t serial_relations = 0;
-    const double closure_serial_ns = bench::measure_and_emit(
-        "analysis_closure", messages,
-        [&] { serial_relations = message_poset(c).relation_count(); }, 1);
-    std::size_t parallel_relations = 0;
-    Poset truth(0);
-    const double closure_parallel_ns = bench::measure_and_emit(
-        "analysis_closure", messages,
-        [&] {
-            truth = message_poset(c, parallel);
-            parallel_relations = truth.relation_count();
-        },
-        pool.threads());
-
-    // Verification: the O(M²) Theorem 4 sweep over the same closed poset.
-    std::size_t serial_mismatches = 0;
-    const double verify_serial_ns = bench::measure_and_emit(
-        "analysis_verify", messages,
-        [&] {
-            serial_mismatches = encoding_mismatches(truth, trace.stamps());
-        },
-        1);
-    std::size_t parallel_mismatches = 0;
-    const double verify_parallel_ns = bench::measure_and_emit(
-        "analysis_verify", messages,
-        [&] {
-            parallel_mismatches =
-                encoding_mismatches(truth, trace.stamps(), parallel);
-        },
-        pool.threads());
-
-    const bool identical = serial_relations == parallel_relations &&
-                           serial_mismatches == parallel_mismatches;
-    const double ms = static_cast<double>(messages) / 1e6;
-    std::printf("%-18s %6zu %2zu %9.1f %9.1f %7.2fx %9.1f %9.1f %7.2fx %s\n",
-                family, messages, pool.threads(), closure_serial_ns * ms,
-                closure_parallel_ns * ms,
-                closure_serial_ns / closure_parallel_ns, verify_serial_ns * ms,
-                verify_parallel_ns * ms, verify_serial_ns / verify_parallel_ns,
-                identical ? (serial_mismatches == 0 ? "exact" : "FAIL")
-                          : "DIVERGED");
-}
-
-void query_study(const Graph& g, std::size_t messages, std::size_t queries,
-                 std::uint64_t seed) {
-    Rng rng(seed);
-    WorkloadOptions workload;
-    workload.num_messages = messages;
-    const SyncComputation c = random_computation(g, workload, rng);
-    const SyncSystem system{Graph(g)};
-    const TimestampedTrace trace = system.analyze(c);
-    const PrecedenceIndex index = system.make_precedence_index(trace);
-
-    // A pool of queries/4 distinct pairs hit `queries` times: monitoring
-    // workloads revisit hot pairs, so ~75% of lookups should memo-hit.
-    const std::size_t distinct = queries / 4 == 0 ? 1 : queries / 4;
-    std::vector<std::pair<MessageId, MessageId>> pairs;
-    pairs.reserve(distinct);
-    for (std::size_t i = 0; i < distinct; ++i) {
-        pairs.emplace_back(static_cast<MessageId>(rng.below(messages)),
-                           static_cast<MessageId>(rng.below(messages)));
-    }
-    std::size_t yes = 0;
-    const double ns = bench::measure_and_emit("analysis_queries", queries,
-                                              [&] {
-                                                  for (std::size_t q = 0;
-                                                       q < queries; ++q) {
-                                                      const auto& [m1, m2] =
-                                                          pairs[q % distinct];
-                                                      yes += index.precedes(
-                                                                 m1, m2)
-                                                                 ? 1u
-                                                                 : 0u;
-                                                  }
-                                              });
-    const std::uint64_t lookups = index.memo_hits() + index.memo_misses();
-    std::printf(
-        "\nqueries: %zu lookups (%zu distinct pairs)  %0.1f ns/query  "
-        "memo hit-rate %.1f%%  (%zu precede)\n",
-        queries, distinct, ns,
-        lookups == 0 ? 0.0
-                     : 100.0 * static_cast<double>(index.memo_hits()) /
-                           static_cast<double>(lookups),
-        yes);
-}
 
 // Current resident set in MB, read from /proc/self/status (Linux).
 // Returns 0.0 where the file is absent so the gate degrades to a no-op
@@ -186,46 +46,9 @@ double read_rss_mb() {
     return mb;
 }
 
-// Leg 1 of TAB-STREAM: the frontier-retiring closure must agree with
-// the batch closure bit-for-bit — same relation count, same answer on a
-// sample of precedence queries. chunk_rows is deliberately tiny so the
-// equivalence run crosses many retired chunks.
-bool streaming_equivalence(const Graph& g, std::size_t messages,
-                           std::uint64_t seed) {
-    Rng rng(seed);
-    WorkloadOptions workload;
-    workload.num_messages = messages;
-    const SyncComputation c = random_computation(g, workload, rng);
-    const Poset truth = message_poset(c);
-
-    StreamingClosureOptions options;
-    options.chunk_rows = 512;
-    StreamingClosure closure(g.num_vertices(), messages, options);
-    const double ns = bench::measure_and_emit(
-        "analysis_stream_closure", messages, [&] {
-            for (const SyncMessage& m : c.messages()) {
-                closure.ingest(m.sender, m.receiver);
-            }
-            closure.finish();
-        });
-
-    bool identical = closure.relation_count() == truth.relation_count();
-    Rng probes(seed ^ 0x57AE);
-    for (std::size_t q = 0; q < 4096 && identical; ++q) {
-        const auto a = static_cast<MessageId>(probes.below(messages));
-        const auto b = static_cast<MessageId>(probes.below(messages));
-        identical = closure.less(a, b) == truth.less(a, b);
-    }
-    std::printf("\nstreamed closure: %zu msgs  %0.1f ms  %llu relations  %s\n",
-                messages, ns * static_cast<double>(messages) / 1e6,
-                static_cast<unsigned long long>(closure.relation_count()),
-                identical ? "exact" : "DIVERGED");
-    return identical;
-}
-
-// Leg 2 of TAB-STREAM: the flat-RSS streamed-ingestion row. Events are
-// generated procedurally — nothing O(stream_msgs) is ever materialized,
-// so any RSS growth is the streaming stack leaking residency. The gate:
+// The flat-RSS streamed-ingestion row. Events are generated
+// procedurally — nothing O(stream_msgs) is ever materialized, so any
+// RSS growth is the streaming stack leaking residency. The gate:
 // after a warm-up tenth of the run the window is full and RSS must
 // plateau; peak RSS past that point may exceed the plateau only by an
 // allocator-jitter allowance (10% + 48MB — a leak at 10M messages is
@@ -252,7 +75,6 @@ bool streaming_row(const Graph& g, std::size_t stream_msgs,
     double peak_mb = 0.0;
     std::uint64_t probe_hits = 0;
 
-    const std::size_t allocs_before = bench::allocations();
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < stream_msgs; ++i) {
         const auto sender = static_cast<ProcessId>(rng.below(num_procs));
@@ -273,7 +95,6 @@ bool streaming_row(const Graph& g, std::size_t stream_msgs,
         }
     }
     const auto stop = std::chrono::steady_clock::now();
-    const std::size_t allocs = bench::allocations() - allocs_before;
     peak_mb = std::max(peak_mb, read_rss_mb());
 
     const double seconds =
@@ -300,65 +121,22 @@ bool streaming_row(const Graph& g, std::size_t stream_msgs,
                 budget_mb == 0 ? ""
                                : (under_budget ? " (under budget)"
                                                : " (OVER BUDGET)"));
-    // The canonical JSON shape plus the two streaming columns
-    // tools/bench_to_json.sh back-fills for the other benches.
-    std::printf("{\"bench\":\"analysis_stream\",\"n\":%zu,"
-                "\"ns_per_msg\":%.1f,\"allocs\":%zu,\"threads\":1,"
-                "\"epochs\":1,\"resident_mb\":%.1f,"
-                "\"stream_msgs_per_sec\":%.0f}\n",
-                stream_msgs, ns_per_msg, allocs, peak_mb, msgs_per_sec);
     return flat && under_budget;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    std::size_t messages = 20000;
-    std::size_t threads = Pool::resolve_threads(0);
     std::size_t stream_msgs = 2000000;
     std::size_t budget_mb = 0;
-    if (argc > 1) messages = std::strtoull(argv[1], nullptr, 10);
-    if (argc > 2) threads = std::strtoull(argv[2], nullptr, 10);
-    if (argc > 3) stream_msgs = std::strtoull(argv[3], nullptr, 10);
-    if (argc > 4) budget_mb = std::strtoull(argv[4], nullptr, 10);
-    if (messages == 0 || threads == 0 || stream_msgs == 0) {
-        std::fprintf(stderr, "usage: bench_analysis [messages] [threads] "
-                             "[stream_msgs] [budget_mb]\n");
+    if (argc > 1) stream_msgs = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 2) budget_mb = std::strtoull(argv[2], nullptr, 10);
+    if (stream_msgs == 0) {
+        std::fprintf(stderr, "usage: bench_analysis [stream_msgs] "
+                             "[budget_mb]\n");
         return 2;
     }
-    Pool pool(threads);
-
-    std::printf("== TAB-PAR: parallel closure + verification (%zu threads) "
-                "==\n\n",
-                pool.threads());
-    std::printf("%-18s %6s %2s %9s %9s %7s %9s %9s %7s %s\n", "family", "msgs",
-                "T", "close ms", "close ms", "speedup", "verify ms",
-                "verify ms", "speedup", "check");
-    std::printf("%-18s %6s %2s %9s %9s %7s %9s %9s %7s\n", "", "", "",
-                "(1T)", "(pool)", "", "(1T)", "(pool)", "");
-
-    Rng seeds(20002);
-    study("complete", topology::complete(16), messages, seeds(), pool);
-    study("tri8", topology::disjoint_triangles(8), messages, seeds(), pool);
-
-    query_study(topology::complete(16), messages, messages * 10, seeds());
-
-    const bool stream_exact =
-        streaming_equivalence(topology::complete(16), messages, seeds());
-    const bool stream_flat =
-        streaming_row(topology::complete(16), stream_msgs, budget_mb);
-
-    std::printf(
-        "\nshape check: the check column must read 'exact' on every row —\n"
-        "serial and pooled legs must agree bit-for-bit on the closed poset\n"
-        "and on the mismatch count (the determinism contract in\n"
-        "docs/PARALLELISM.md), and the Theorem 4 sweep must find 0\n"
-        "mismatches. Speedups approach the thread count on multi-core\n"
-        "hosts once M clears ~20k messages; on 1 core both legs measure\n"
-        "the same code path modulo pool overhead. The TAB-STREAM rows\n"
-        "must read 'exact' and 'flat': the frontier-retiring closure is\n"
-        "bit-identical to the batch one, and streamed ingestion holds a\n"
-        "flat RSS plateau (docs/STREAMING.md) — any growth or budget\n"
-        "overrun makes this binary exit nonzero.\n");
-    return (stream_exact && stream_flat) ? 0 : 1;
+    return streaming_row(topology::complete(16), stream_msgs, budget_mb)
+               ? 0
+               : 1;
 }

@@ -1,251 +1,24 @@
-// Experiment TAB-ARENA — the zero-allocation timestamp core.
+// Experiment TAB-SIMD — leq_many scalar vs AVX2 (docs/MEMORY.md).
 //
-// Same Fig. 5 online rendezvous, two storage disciplines:
-//   legacy — every hook returns owning VectorTimestamp values (one heap
-//            vector per piggyback, acknowledgement and stamp)
-//   arena  — the ClockEngine span hooks write into TimestampArena rows and
-//            engine-owned scratch; zero heap traffic per message once the
-//            arena has capacity
-// Reports ns/message and heap allocations for both over identical message
-// sequences, plus the speedup. The arena path must be allocation-free in
-// steady state and at least 1.5x the legacy throughput on the d << N
-// families the online algorithm targets.
+// Streams a random slab through both comparison backends, one timed pass
+// per backend and width, and reports ns per compared stamp plus the
+// speedup. The gate: >= 1.5x at width >= 16 on AVX2 hosts, or this binary
+// exits 1. Hosts without AVX2 run the scalar body under both names and
+// skip the gate.
 
+#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "bench_json.hpp"
-#include "clocks/online_clock.hpp"
-#include "clocks/vector_timestamp.hpp"
-#include "common/region.hpp"
 #include "common/rng.hpp"
-#include "common/timestamp_arena.hpp"
 #include "common/ts_simd.hpp"
-#include "decomp/cover_decomposer.hpp"
-#include "graph/generators.hpp"
 
 using namespace syncts;
 
 namespace {
 
-struct Workload {
-    std::shared_ptr<const EdgeDecomposition> decomposition;
-    std::vector<std::pair<ProcessId, ProcessId>> sends;
-};
-
-Workload make_workload(const Graph& g, std::size_t messages,
-                       std::uint64_t seed) {
-    Rng rng(seed);
-    Workload w{std::make_shared<const EdgeDecomposition>(
-                   default_decomposition(g)),
-               {}};
-    const auto& edges = g.edges();
-    w.sends.reserve(messages);
-    for (std::size_t i = 0; i < messages; ++i) {
-        const Edge e = edges[rng.below(edges.size())];
-        if (rng.chance(1, 2)) {
-            w.sends.emplace_back(e.u, e.v);
-        } else {
-            w.sends.emplace_back(e.v, e.u);
-        }
-    }
-    return w;
-}
-
-struct Result {
-    double ns_per_msg;
-    std::size_t allocs;
-};
-
-Result run_legacy(const Workload& w, std::size_t rounds) {
-    OnlineTimestamper engine(w.decomposition);
-    // Sink so the optimizer cannot drop the stamps.
-    std::uint64_t checksum = 0;
-    const double ns = syncts::bench::measure_and_emit(
-        "arena_legacy_path", rounds * w.sends.size(), [&] {
-            for (std::size_t r = 0; r < rounds; ++r) {
-                for (const auto& [from, to] : w.sends) {
-                    const VectorTimestamp ts =
-                        engine.timestamp_message(from, to);
-                    checksum += ts.components().back();
-                }
-            }
-        });
-    const std::size_t allocs = syncts::bench::allocations();
-    if (checksum == 0) std::printf("(unreachable checksum)\n");
-    return {ns, allocs};
-}
-
-Result run_arena(const Workload& w, std::size_t rounds) {
-    OnlineTimestamper engine(w.decomposition);
-    TimestampArena arena(engine.width(), w.sends.size());
-    // Warm-up sizes the engine scratch and the arena slab so the measured
-    // region is pure steady state.
-    for (const auto& [from, to] : w.sends) {
-        engine.timestamp_message(from, to, arena);
-    }
-    engine.reset();
-    arena.clear();
-
-    std::uint64_t checksum = 0;
-    const std::size_t allocs_before = syncts::bench::allocations();
-    const double ns = syncts::bench::measure_and_emit(
-        "arena_span_path", rounds * w.sends.size(), [&] {
-            for (std::size_t r = 0; r < rounds; ++r) {
-                arena.clear();
-                for (const auto& [from, to] : w.sends) {
-                    const TsHandle h =
-                        engine.timestamp_message(from, to, arena);
-                    checksum += arena.span(h).back();
-                }
-            }
-        });
-    const std::size_t allocs = syncts::bench::allocations() - allocs_before;
-    if (checksum == 0) std::printf("(unreachable checksum)\n");
-    return {ns, allocs};
-}
-
-/// The arena path with live metrics attached (counter per slot, slab
-/// gauge, per-family stamp counter): measures what the instrumentation
-/// costs when enabled. Must stay allocation-free in steady state —
-/// registration allocates up front, increments never do.
-Result run_arena_instrumented(const Workload& w, std::size_t rounds) {
-    OnlineTimestamper engine(w.decomposition);
-    TimestampArena arena(engine.width(), w.sends.size());
-    obs::MetricsRegistry registry;
-    arena.attach_metrics(registry, "arena");
-    engine.attach_metrics(registry);
-    for (const auto& [from, to] : w.sends) {
-        engine.timestamp_message(from, to, arena);
-    }
-    engine.reset();
-    arena.clear();
-
-    std::uint64_t checksum = 0;
-    const std::size_t allocs_before = syncts::bench::allocations();
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < rounds; ++r) {
-        arena.clear();
-        for (const auto& [from, to] : w.sends) {
-            const TsHandle h = engine.timestamp_message(from, to, arena);
-            checksum += arena.span(h).back();
-        }
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const std::size_t allocs = syncts::bench::allocations() - allocs_before;
-    const std::size_t n = rounds * w.sends.size();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-                .count()) /
-        static_cast<double>(n == 0 ? 1 : n);
-    syncts::bench::emit_json_with_metrics("arena_span_path_metrics", n, ns,
-                                          allocs, registry);
-    if (checksum == 0) std::printf("(unreachable checksum)\n");
-    return {ns, allocs};
-}
-
-/// Throughput regression guard for the widened comparison kernels: stamps
-/// the workload once, then streams the whole slab through leq_many (the
-/// 4-way unrolled word loop in ts_kernels) for `rounds` rotating probes.
-/// Reports ns per compared stamp — a kernel-unroll regression shows up
-/// here before it shows up in closure or verification wall time.
-Result run_leq_scan(const Workload& w, std::size_t rounds) {
-    OnlineTimestamper engine(w.decomposition);
-    TimestampArena arena(engine.width(), w.sends.size());
-    for (const auto& [from, to] : w.sends) {
-        engine.timestamp_message(from, to, arena);
-    }
-    std::vector<std::uint8_t> out(arena.size());
-    std::uint64_t checksum = 0;
-    const std::size_t allocs_before = syncts::bench::allocations();
-    const double ns = syncts::bench::measure_and_emit(
-        "arena_leq_many", rounds * arena.size(), [&] {
-            for (std::size_t r = 0; r < rounds; ++r) {
-                const TsHandle probe =
-                    static_cast<TsHandle>(r % arena.size());
-                leq_many(arena, arena.span(probe), out);
-                checksum += out[probe];
-            }
-        });
-    const std::size_t allocs = syncts::bench::allocations() - allocs_before;
-    if (checksum == 0) std::printf("(impossible: probe <= probe)\n");
-    return {ns, allocs};
-}
-
-void study(const char* family, const Graph& g, std::size_t messages,
-           std::size_t rounds, std::uint64_t seed) {
-    const Workload w = make_workload(g, messages, seed);
-    const Result legacy = run_legacy(w, rounds);
-    const Result arena = run_arena(w, rounds);
-    const Result instrumented = run_arena_instrumented(w, rounds);
-    const Result leq = run_leq_scan(w, rounds);
-    std::printf(
-        "%-20s %5zu %5zu %10.1f %10.1f %8.2fx %12zu %9.1f%% %6zu %8.2f\n",
-        family, g.num_vertices(), w.decomposition->size(), legacy.ns_per_msg,
-        arena.ns_per_msg, legacy.ns_per_msg / arena.ns_per_msg, arena.allocs,
-        (instrumented.ns_per_msg / arena.ns_per_msg - 1.0) * 100.0,
-        instrumented.allocs, leq.ns_per_msg);
-}
-
-// ---- Epoch-churn study (TAB-MEMORY, docs/MEMORY.md) --------------------
-//
-// Region lifecycle at server scale: one pool-backed region per epoch,
-// opened, filled, and retired at a fixed stability lag. The
-// peak_region_bytes column is SlabPool::peak_bytes() — the footprint
-// high-water mark — and the memory-soak CI gate fails if it grows with
-// the epoch count: 10x the epochs must not move the peak, because the
-// live working set is O(lag * width), not O(epochs).
-void churn_study(std::size_t epochs) {
-    constexpr std::size_t kWidth = 8;
-    constexpr std::size_t kSlots = 512;
-    constexpr EpochId kLag = 2;
-    SlabPool pool;
-    RegionStore store(pool);
-    std::uint64_t checksum = 0;
-    const std::size_t allocs_before = bench::allocations();
-    const auto start = std::chrono::steady_clock::now();
-    for (EpochId e = 0; e < epochs; ++e) {
-        TimestampArena& arena =
-            store.open(e, kWidth, kSlots);
-        for (std::size_t i = 0; i < kSlots; ++i) {
-            const TsHandle h = arena.allocate();
-            arena.span(h)[0] = e + i;
-        }
-        checksum += arena.span(0)[0];
-        if (e >= kLag) store.close(e - kLag);
-    }
-    for (EpochId e = static_cast<EpochId>(epochs) - kLag;
-         e < epochs; ++e) {
-        store.close(e);
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    const std::size_t allocs = bench::allocations() - allocs_before;
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-                .count()) /
-        static_cast<double>(epochs);
-    if (checksum == 0) std::printf("(unreachable checksum)\n");
-    std::printf("%8zu %12.1f %10zu %18zu %10llu %10llu\n", epochs, ns,
-                allocs, pool.peak_bytes(),
-                static_cast<unsigned long long>(pool.acquires()),
-                static_cast<unsigned long long>(pool.reuses()));
-    // Canonical line plus the peak_region_bytes column the soak gate
-    // reads (tools/bench_to_json.sh back-fills it to 0 for other rows).
-    std::printf("{\"bench\":\"arena_epoch_churn\",\"n\":%zu,"
-                "\"ns_per_msg\":%.1f,\"allocs\":%zu,\"threads\":1,"
-                "\"epochs\":%zu,\"peak_region_bytes\":%zu}\n",
-                epochs, ns, allocs, epochs, pool.peak_bytes());
-}
-
-// ---- SIMD study (TAB-SIMD, docs/MEMORY.md) -----------------------------
-//
-// leq_many scalar vs AVX2 over a random slab, per width. The acceptance
-// gate: >= 1.5x at width >= 16 on AVX2 hosts (the simd_speedup column;
-// hosts without AVX2 report speedup 1.0 and the gate is skipped).
-void simd_study(std::size_t width) {
+/// Speedup of the AVX2 kernel over the scalar one at `width`.
+double simd_study(std::size_t width) {
     constexpr std::size_t kRows = 4096;
     constexpr std::size_t kRounds = 256;
     Rng rng(0x51D0ULL + width);
@@ -285,65 +58,26 @@ void simd_study(std::size_t width) {
     const double speedup = scalar_ns / avx2_ns;
     std::printf("%8zu %12.2f %12.2f %9.2fx %6s\n", width, scalar_ns,
                 avx2_ns, speedup, simd::avx2_available() ? "yes" : "no");
-    std::printf("{\"bench\":\"arena_simd_leq_w%zu\",\"n\":%zu,"
-                "\"ns_per_msg\":%.2f,\"allocs\":0,\"threads\":1,"
-                "\"epochs\":1,\"simd_scalar_ns\":%.2f,"
-                "\"simd_speedup\":%.2f,\"avx2\":%d}\n",
-                width, kRounds * kRows, avx2_ns, scalar_ns, speedup,
-                simd::avx2_available() ? 1 : 0);
+    return speedup;
 }
 
 }  // namespace
 
 int main() {
-    std::printf("== TAB-ARENA: arena span hooks vs owning vectors ==\n\n");
-    std::printf("%-20s %5s %5s %10s %10s %8s %12s %10s %6s %8s\n", "family",
-                "N", "d", "legacy ns", "arena ns", "speedup", "arena allocs",
-                "metric ovh", "allocs", "leq ns");
-    Rng seeds(11011);
-    study("star", topology::star(32), 4096, 64, seeds());
-    study("star", topology::star(128), 4096, 64, seeds());
-    study("client-server k=3", topology::client_server(3, 61), 4096, 64,
-          seeds());
-    study("kary-tree k=4", topology::kary_tree(64, 4), 4096, 64, seeds());
-    study("ring", topology::ring(32), 4096, 64, seeds());
-    study("complete (worst)", topology::complete(16), 4096, 64, seeds());
-    std::printf(
-        "\nshape check: identical stamps on both paths (same engine, same\n"
-        "sends); the arena column must show 0 steady-state allocations, and\n"
-        "the speedup must clear 1.5x on the d << N families the online\n"
-        "algorithm targets (star, client-server, trees). The complete-graph\n"
-        "worst case (d = N-2) is merge-bound — both paths spend their time\n"
-        "joining wide vectors — so the allocation savings amortize less.\n"
-        "The metric-ovh column is the arena path re-run with the metrics\n"
-        "registry attached (slot counter + slab gauge + per-family stamp\n"
-        "counter live): it must stay within a few percent and at 0\n"
-        "steady-state allocations — instrumentation must not cost the\n"
-        "zero-allocation guarantee it is there to watch.\n"
-        "The leq-ns column streams the slab through the 4-way unrolled\n"
-        "leq_many kernel (ns per compared stamp) — a regression guard for\n"
-        "the widened word loops in ts_kernels.\n");
-
-    std::printf("\n== TAB-MEMORY: epoch-region churn (docs/MEMORY.md) ==\n\n");
-    std::printf("%8s %12s %10s %18s %10s %10s\n", "epochs", "ns/epoch",
-                "allocs", "peak_region_bytes", "acquires", "reuses");
-    churn_study(100);
-    churn_study(1000);
-    std::printf(
-        "\n(peak_region_bytes is the SlabPool high-water mark across the\n"
-        " whole churn; the CI memory-soak gate requires the 1000-epoch row\n"
-        " to match the 100-epoch row — the live set is O(lag*width), so a\n"
-        " peak that scales with epochs is a retirement bug.)\n");
-
-    std::printf("\n== TAB-SIMD: leq_many scalar vs AVX2 ==\n\n");
+    std::printf("== TAB-SIMD: leq_many scalar vs AVX2 ==\n\n");
     std::printf("%8s %12s %12s %10s %6s\n", "width", "scalar ns",
                 "avx2 ns", "speedup", "avx2?");
+    bool ok = true;
     for (const std::size_t width : {4u, 8u, 16u, 32u, 64u}) {
-        simd_study(width);
+        const double speedup = simd_study(width);
+        if (simd::avx2_available() && width >= 16 && speedup < 1.5) {
+            std::printf("FAIL: speedup %.2fx below 1.5x at width %zu\n",
+                        speedup, width);
+            ok = false;
+        }
     }
     std::printf(
-        "\n(acceptance gate: speedup >= 1.5x at width >= 16 on AVX2 hosts;\n"
-        " hosts without AVX2 run the scalar body under both names and the\n"
-        " gate is skipped.)\n");
-    return 0;
+        "\n(gate: speedup >= 1.5x at width >= 16 on AVX2 hosts; hosts\n"
+        " without AVX2 run the scalar body under both names and skip it.)\n");
+    return ok ? 0 : 1;
 }

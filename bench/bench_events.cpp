@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "clocks/event_timestamp.hpp"
 #include "clocks/fm_event_clock.hpp"
 #include "clocks/online_clock.hpp"
@@ -89,19 +88,5 @@ int main() {
         "\nshape check: both schemes are exact; the tuple's 2d+2 words "
         "beat FM's N whenever d < (N-2)/2 — all families above except the "
         "complete-graph worst case.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    Rng json_rng(6116);
-    WorkloadOptions options;
-    options.num_messages = 120;
-    options.internal_rate = 1.0;
-    const Graph g = topology::star(32);
-    const SyncComputation c = random_computation(g, options, json_rng);
-    const SyncSystem system{Graph(g)};
-    auto timestamper = system.make_timestamper();
-    const auto message_stamps = timestamper.timestamp_computation(c);
-    bench::measure_and_emit("events", c.num_internal_events(), [&] {
-        (void)timestamp_internal_events(c, message_stamps, system.width());
-    });
     return 0;
 }

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "core/sync_system.hpp"
 #include "core/timestamped_trace.hpp"
 #include "trace/generator.hpp"
@@ -81,13 +80,5 @@ int main() {
     std::printf("  matrices agree: %s\n", all_match ? "ok" : "FAIL");
 
     std::printf("\ntimestamps:\n%s", trace.to_string().c_str());
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    constexpr std::size_t kReps = 1000;
-    bench::measure_and_emit("fig1_model", kReps * c.num_messages(), [&] {
-        for (std::size_t i = 0; i < kReps; ++i) {
-            (void)system.analyze(c);
-        }
-    });
     return 0;
 }

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "decomp/greedy_decomposer.hpp"
 #include "graph/generators.hpp"
@@ -44,11 +43,5 @@ int main() {
     std::printf(
         "\nshape check: trivial = N-2 always; greedy = N-2 (odd N) or N-1 "
         "(even N); every variant beats FM's N by at least 1-2 components.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    const Graph k64 = topology::complete(64);
-    bench::measure_and_emit("fig3_complete", k64.num_edges(), [&] {
-        (void)greedy_edge_decomposition(k64);
-    });
     return 0;
 }

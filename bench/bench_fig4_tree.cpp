@@ -9,7 +9,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "decomp/greedy_decomposer.hpp"
 #include "graph/generators.hpp"
@@ -78,11 +77,5 @@ int main() {
     std::printf(
         "\nshape check: d tracks the number of internal hubs (N/k for "
         "k-ary), always well below FM's N.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    const Graph big_tree = topology::kary_tree(4095, 4);
-    bench::measure_and_emit("fig4_tree", big_tree.num_edges(), [&] {
-        (void)greedy_edge_decomposition(big_tree);
-    });
     return 0;
 }

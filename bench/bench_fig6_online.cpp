@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench_json.hpp"
 #include "clocks/offline_timestamper.hpp"
 #include "clocks/online_clock.hpp"
 #include "core/causality.hpp"
@@ -59,14 +58,5 @@ int main() {
         std::printf(" %s", v.to_string().c_str());
     }
     std::printf("\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    constexpr std::size_t kReps = 1000;
-    bench::measure_and_emit("fig6_online", kReps * c.num_messages(), [&] {
-        for (std::size_t i = 0; i < kReps; ++i) {
-            OnlineTimestamper fresh(decomposition);
-            (void)fresh.timestamp_computation(c);
-        }
-    });
     return 0;
 }

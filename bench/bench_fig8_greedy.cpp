@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "decomp/exact_decomposer.hpp"
 #include "decomp/greedy_decomposer.hpp"
@@ -101,13 +100,5 @@ int main() {
     std::printf(
         "\nshape check: every measured ratio respects Theorem 6's bound of "
         "2; typical instances sit well below it.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    constexpr std::size_t kReps = 1000;
-    bench::measure_and_emit("fig8_greedy", kReps * g.num_edges(), [&] {
-        for (std::size_t i = 0; i < kReps; ++i) {
-            (void)greedy_edge_decomposition(g);
-        }
-    });
     return 0;
 }

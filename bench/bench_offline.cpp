@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "clocks/offline_timestamper.hpp"
 #include "common/rng.hpp"
 #include "core/causality.hpp"
@@ -91,15 +90,5 @@ int main() {
         "topologies and serialized traffic; offline <= online d on every "
         "row where both are reported; the min-dim post-pass (an extension "
         "beyond Fig. 9) never widens and sometimes shaves a component.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    Rng json_rng(4114);
-    WorkloadOptions options;
-    options.num_messages = 300;
-    const SyncComputation c =
-        random_computation(topology::ring(16), options, json_rng);
-    bench::measure_and_emit("offline", c.num_messages(), [&] {
-        (void)offline_timestamps(c);
-    });
     return 0;
 }

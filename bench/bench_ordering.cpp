@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "trace/ordering_classes.hpp"
@@ -50,14 +49,5 @@ int main() {
         "\nshape check: the hierarchy never inverts (RSC%% <= causal%% <= "
         "FIFO%%); eager delivery (bias 1.0) is always RSC — the regime the "
         "paper's rendezvous runtime enforces by construction.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    const Graph k6 = topology::complete(6);
-    bench::measure_and_emit("ordering", kRuns, [&] {
-        for (int run = 0; run < kRuns; ++run) {
-            (void)classify_ordering(
-                random_async_computation(k6, 15, 0.9, rng));
-        }
-    });
     return 0;
 }

@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "clocks/online_clock.hpp"
 #include "clocks/plausible_clock.hpp"
 #include "common/rng.hpp"
@@ -65,17 +64,5 @@ int main() {
     std::printf(
         "\nshape check: plausible accuracy climbs toward 1.0 only as R "
         "approaches N; the paper's clock is exact already at width d.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    Rng json_rng(7337);
-    WorkloadOptions options;
-    options.num_messages = 250;
-    const Graph g = topology::client_server(3, 29);
-    const SyncComputation c = random_computation(g, options, json_rng);
-    const SyncSystem system{Graph(g)};
-    auto exact = system.make_timestamper();
-    bench::measure_and_emit("related", c.num_messages(), [&] {
-        (void)exact.timestamp_computation(c);
-    });
     return 0;
 }

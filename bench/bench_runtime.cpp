@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "clocks/wire.hpp"
 #include "core/causality.hpp"
 #include "core/sync_system.hpp"
@@ -112,19 +111,5 @@ int main() {
         "piggyback stays constant while the FM piggyback grows with N; "
         "throughput is bounded by rendezvous synchronization, not by "
         "timestamp width.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh. Threaded runs
-    // allocate per rendezvous by design (mailbox queues, payload strings);
-    // the column records that honestly rather than claiming zero.
-    const std::size_t allocs_before = bench::allocations();
-    const auto start = std::chrono::steady_clock::now();
-    const Result json_run = run_client_server(4, 16, 60, false);
-    const double ns =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - start)
-                                .count()) /
-        static_cast<double>(json_run.messages);
-    bench::emit_json("runtime", json_run.messages, ns,
-                     bench::allocations() - allocs_before);
     return 0;
 }

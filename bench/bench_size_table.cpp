@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "core/sync_system.hpp"
 #include "graph/generators.hpp"
@@ -68,12 +67,5 @@ int main() {
         "\nshape check: star/triangle d=1; client-server d=4 at every "
         "client count; complete d=N-2; FM/d grows with N everywhere "
         "except the complete-graph worst case.\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh.
-    const Graph big = topology::client_server(4, 512);
-    bench::measure_and_emit("size_table", big.num_edges(), [&] {
-        const SyncSystem system{Graph(big)};
-        (void)system.width();
-    });
     return 0;
 }

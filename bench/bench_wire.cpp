@@ -12,7 +12,6 @@
 
 #include <cstdio>
 
-#include "bench_json.hpp"
 #include "clocks/direct_dependency.hpp"
 #include "clocks/fm_differential.hpp"
 #include "clocks/fm_sync_clock.hpp"
@@ -74,28 +73,5 @@ int main() {
         "client-server as N grows); fm-full tracks N; fm-diff sits between\n"
         "(helps only when channels repeat back-to-back); direct ships\n"
         "nothing but gives up O(d) queries (see bench_precedence).\n");
-
-    // Machine-readable summary for tools/bench_to_json.sh: the span
-    // encode/decode round trip on the steady-state (buffer-reusing) path.
-    Rng json_rng(8228);
-    WorkloadOptions options;
-    options.num_messages = 500;
-    const Graph g = topology::client_server(3, 61);
-    const SyncComputation c = random_computation(g, options, json_rng);
-    const SyncSystem system{Graph(g)};
-    auto paper = system.make_timestamper();
-    std::vector<VectorTimestamp> stamps;
-    stamps.reserve(c.num_messages());
-    for (const SyncMessage& m : c.messages()) {
-        stamps.push_back(paper.timestamp_message(m.sender, m.receiver));
-    }
-    std::vector<std::uint8_t> encoded;
-    std::vector<std::uint64_t> decoded(system.width());
-    bench::measure_and_emit("wire", c.num_messages(), [&] {
-        for (const VectorTimestamp& stamp : stamps) {
-            encode_timestamp_into(stamp.components(), encoded);
-            decode_timestamp_into(encoded, decoded);
-        }
-    });
     return 0;
 }

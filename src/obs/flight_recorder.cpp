@@ -232,8 +232,12 @@ Postmortem decode_postmortem(std::span<const std::uint8_t> bytes) {
     read_counter_table(pm.rates.counters);
     read_gauge_table(pm.rates.gauges);
 
+    // Division form: a forged count whose product with the event size
+    // wraps past 2^64 must not pass the length check.
     const std::uint64_t events = cursor.u64();
-    if (events * kTraceEventBytes != cursor.remaining()) {
+    const std::size_t payload = cursor.remaining();
+    if (payload % kTraceEventBytes != 0 ||
+        events != payload / kTraceEventBytes) {
         throw PostmortemError(PostmortemError::Code::malformed,
                               "postmortem event count mismatch");
     }

@@ -114,24 +114,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
     }
 }
 
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(in[at + static_cast<std::size_t>(i)])
-             << (8 * i);
-    }
-    return v;
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(in[at + static_cast<std::size_t>(i)])
-             << (8 * i);
-    }
-    return v;
-}
-
 std::uint64_t load_u64(const std::uint8_t* at) {
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) {
@@ -188,11 +170,14 @@ std::vector<TraceEvent> TraceSink::read_binary(
                                          std::end(kMagic), bytes.begin())) {
         throw std::invalid_argument("not a syncts binary trace");
     }
-    if (get_u32(bytes, 4) != kVersion) {
+    if (load_u32(bytes.data() + 4) != kVersion) {
         throw std::invalid_argument("unsupported binary trace version");
     }
-    const std::uint64_t count = get_u64(bytes, 8);
-    if (bytes.size() != 16 + count * kEventBytes) {
+    // Division form: a forged count whose product with the event size
+    // wraps past 2^64 must not pass the length check.
+    const std::uint64_t count = load_u64(bytes.data() + 8);
+    const std::size_t payload = bytes.size() - 16;
+    if (payload % kEventBytes != 0 || count != payload / kEventBytes) {
         throw std::invalid_argument("binary trace length mismatch");
     }
     std::vector<TraceEvent> events;

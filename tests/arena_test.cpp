@@ -425,58 +425,70 @@ TEST(RegionStore, ThousandEpochArenaChurnIsAllocationFree) {
 }
 
 TEST(RegionStore, ThousandEpochStoreChurnHoldsPeakBytesFlat) {
-    // The full store with a stability lag: up to kLag+1 regions live at
+    // The full store with a stability lag: up to lag+1 regions live at
     // once, 1000 epochs total. Slab traffic must be fully recycled (the
     // acquire-minus-reuse gap stops growing after warm-up), the pool
     // high-water mark must stay at the warm-up level, and the per-epoch
     // heap allocation rate (the map node + arena header control plane)
-    // must be constant — measured, not assumed.
-    SlabPool pool;
-    RegionStore store(pool);
-    constexpr EpochId kEpochs = 1000;
-    constexpr EpochId kLag = 3;
-    constexpr std::size_t kWidth = 6;
-    constexpr std::size_t kSlots = 64;
-    const auto churn = [&](EpochId e) {
-        TimestampArena& arena = store.open(e, kWidth, kSlots);
-        for (std::size_t i = 0; i < kSlots; ++i) arena.allocate();
-        if (e >= kLag) store.close(e - kLag);
+    // must be constant — measured, not assumed. The second shape is the
+    // region-churn gate's (docs/MEMORY.md).
+    struct Shape {
+        EpochId lag;
+        std::size_t width;
+        std::size_t slots;
     };
+    constexpr EpochId kEpochs = 1000;
+    for (const Shape shape : {Shape{3, 6, 64}, Shape{2, 8, 512}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "lag " << shape.lag << " width " << shape.width
+                     << " slots " << shape.slots);
+        SlabPool pool;
+        RegionStore store(pool);
+        const auto churn = [&](EpochId e) {
+            TimestampArena& arena =
+                store.open(e, shape.width, shape.slots);
+            for (std::size_t i = 0; i < shape.slots; ++i) arena.allocate();
+            if (e >= shape.lag) store.close(e - shape.lag);
+        };
 
-    EpochId e = 0;
-    for (; e < 16; ++e) churn(e);
-    const std::uint64_t fresh_before = pool.acquires() - pool.reuses();
-    const std::size_t peak_before = pool.peak_bytes();
+        EpochId e = 0;
+        for (; e < 16; ++e) churn(e);
+        const std::uint64_t fresh_before = pool.acquires() - pool.reuses();
+        const std::size_t peak_before = pool.peak_bytes();
 
-    const std::size_t heap_mid_start = g_allocations.load();
-    for (; e < kEpochs / 2; ++e) churn(e);
-    const std::size_t first_half = g_allocations.load() - heap_mid_start;
+        const std::size_t heap_mid_start = g_allocations.load();
+        for (; e < kEpochs / 2; ++e) churn(e);
+        const std::size_t first_half = g_allocations.load() - heap_mid_start;
 
-    const std::size_t heap_tail_start = g_allocations.load();
-    const EpochId tail_begin = e;
-    for (; e < kEpochs; ++e) churn(e);
-    const std::size_t second_half = g_allocations.load() - heap_tail_start;
+        const std::size_t heap_tail_start = g_allocations.load();
+        const EpochId tail_begin = e;
+        for (; e < kEpochs; ++e) churn(e);
+        const std::size_t second_half =
+            g_allocations.load() - heap_tail_start;
 
-    EXPECT_EQ(pool.acquires() - pool.reuses(), fresh_before)
-        << "every steady-state slab must come from the pool";
-    EXPECT_EQ(pool.peak_bytes(), peak_before)
-        << "peak slab bytes grew with epoch count";
-    EXPECT_LE(pool.peak_bytes(),
-              (kLag + 2) * 2 * kWidth * kSlots * sizeof(std::uint64_t))
-        << "peak slab bytes exceed the live-region working set";
-    // Constant control-plane rate: the same epochs-per-allocation ratio
-    // in both halves (each epoch is one map node + one arena header).
-    const std::size_t per_epoch_first =
-        first_half / (kEpochs / 2 - 16);
-    const std::size_t per_epoch_second =
-        second_half / (kEpochs - tail_begin);
-    EXPECT_EQ(per_epoch_first, per_epoch_second);
-    EXPECT_LE(per_epoch_second, 4u);
+        EXPECT_EQ(pool.acquires() - pool.reuses(), fresh_before)
+            << "every steady-state slab must come from the pool";
+        EXPECT_EQ(pool.peak_bytes(), peak_before)
+            << "peak slab bytes grew with epoch count";
+        EXPECT_LE(pool.peak_bytes(), (shape.lag + 2) * 2 * shape.width *
+                                         shape.slots *
+                                         sizeof(std::uint64_t))
+            << "peak slab bytes exceed the live-region working set";
+        // Constant control-plane rate: the same epochs-per-allocation
+        // ratio in both halves (each epoch is one map node + one arena
+        // header).
+        const std::size_t per_epoch_first =
+            first_half / (kEpochs / 2 - 16);
+        const std::size_t per_epoch_second =
+            second_half / (kEpochs - tail_begin);
+        EXPECT_EQ(per_epoch_first, per_epoch_second);
+        EXPECT_LE(per_epoch_second, 4u);
 
-    for (EpochId tail = kEpochs - kLag; tail < kEpochs; ++tail) {
-        store.close(tail);
+        for (EpochId tail = kEpochs - shape.lag; tail < kEpochs; ++tail) {
+            store.close(tail);
+        }
+        EXPECT_EQ(store.live_regions(), 0u);
     }
-    EXPECT_EQ(store.live_regions(), 0u);
 }
 
 // ---- Batch kernels ----------------------------------------------------

@@ -400,6 +400,18 @@ TEST(TraceSink, BinaryRejectsMalformedBuffers) {
     truncated.pop_back();
     EXPECT_THROW(obs::TraceSink::read_binary(truncated),
                  std::invalid_argument);
+
+    // A count of 41^-1 mod 2^64 makes count * 41 wrap to 1, so one
+    // payload byte fits a multiply-form length check.
+    constexpr std::uint64_t kWrapping = 10348173504763894809ull;
+    static_assert(kWrapping * obs::kTraceEventBytes == 1);
+    std::vector<std::uint8_t> wrapped(bytes.begin(), bytes.begin() + 16);
+    for (std::size_t i = 0; i < 8; ++i) {
+        wrapped[8 + i] = static_cast<std::uint8_t>(kWrapping >> (8 * i));
+    }
+    wrapped.push_back(0);
+    EXPECT_THROW(obs::TraceSink::read_binary(wrapped),
+                 std::invalid_argument);
 }
 
 TEST(TraceSink, ChromeTraceIsValidJsonWithRequiredFields) {

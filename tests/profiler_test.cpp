@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
 #include "obs/causal_profiler.hpp"
@@ -217,6 +218,23 @@ TEST(FlightRecorder, SyfrRejectsBitFlipsTruncationAndTrailingBytes) {
     std::vector<std::uint8_t> padded = bytes;
     padded.push_back(0);
     EXPECT_THROW((void)obs::decode_postmortem(padded), obs::PostmortemError);
+
+    // A resealed empty dump whose event count is 41^-1 mod 2^64: the
+    // count times 41 wraps to 1, matching the one payload byte.
+    constexpr std::uint64_t kWrapping = 10348173504763894809ull;
+    static_assert(kWrapping * obs::kTraceEventBytes == 1);
+    std::vector<std::uint8_t> wrapped;
+    obs::encode_postmortem_into(obs::Postmortem{}, wrapped);
+    wrapped.resize(wrapped.size() - common::kChecksumTrailerBytes);
+    const std::size_t count_at = wrapped.size() - 8;
+    for (std::size_t i = 0; i < 8; ++i) {
+        wrapped[count_at + i] =
+            static_cast<std::uint8_t>(kWrapping >> (8 * i));
+    }
+    wrapped.push_back(0);
+    common::append_checksum_trailer(wrapped);
+    ASSERT_EQ(wrapped.size(), 110u);
+    EXPECT_THROW((void)obs::decode_postmortem(wrapped), obs::PostmortemError);
 }
 
 TEST(FlightRecorder, FrontierTruncationFollowsEpochEntry) {

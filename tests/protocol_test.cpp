@@ -434,6 +434,70 @@ TEST(ProtocolChaos, DeltaCutsBytesOnWideTopologies) {
     EXPECT_LT(2 * b.protocol.bytes_sent, a.protocol.bytes_sent);
 }
 
+TEST(ProtocolChaos, FullStackCutsBytesPerMessageThreefold) {
+    // The wire-efficiency gate (docs/PROTOCOL.md). Grid 16x16 with 32
+    // alternating messages per edge is the traffic batching and deltas
+    // were built for. Counting a nominal 28 B (IPv4 + UDP) per packet,
+    // the full stack must send at least 3x fewer bytes per message than
+    // the classic profile. Every stack, and the full stack on a lossy
+    // network, stays bit-identical to the Fig. 5 oracle.
+    const Graph topology = topology::grid(16, 16);
+    SyncComputation script(topology);
+    for (const Edge& edge : topology.edges()) {
+        for (std::size_t k = 0; k < 32; ++k) {
+            if (k % 2 == 0) {
+                script.add_message(edge.u, edge.v);
+            } else {
+                script.add_message(edge.v, edge.u);
+            }
+        }
+    }
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(topology));
+    OnlineTimestamper direct(decomposition);
+    const std::vector<VectorTimestamp> expected =
+        direct.timestamp_computation(script);
+
+    const auto bytes_per_message = [&](const ProtocolOptions& protocol,
+                                       double drop) {
+        std::uint64_t bytes = 0;
+        std::uint64_t packets = 0;
+        std::uint64_t messages = 0;
+        for (std::uint64_t run = 1; run <= 3; ++run) {
+            SynchronizerOptions options;
+            options.seed = run;
+            options.latency_lo = 1;
+            options.latency_hi = 4;
+            options.protocol = protocol;
+            options.faults.seed = run * 6271;
+            options.faults.drop_probability = drop;
+            const SynchronizerResult result =
+                run_rendezvous_protocol(decomposition, script, options);
+            expect_oracle_stamps(result, expected);
+            bytes += result.protocol.bytes_sent;
+            packets += result.protocol.wire_packets;
+            messages += result.message_stamps.size();
+        }
+        return static_cast<double>(bytes + 28 * packets) /
+               static_cast<double>(messages);
+    };
+    ProtocolOptions batched;
+    batched.batching = true;
+    batched.coalesce_acks = true;
+    ProtocolOptions delta_only;
+    delta_only.delta = true;
+    ProtocolOptions full = batched;
+    full.delta = true;
+
+    const double classic = bytes_per_message(ProtocolOptions{}, 0.0);
+    bytes_per_message(batched, 0.0);
+    bytes_per_message(delta_only, 0.0);
+    const double full_stack = bytes_per_message(full, 0.0);
+    bytes_per_message(full, 0.05);
+    EXPECT_GE(classic / full_stack, 3.0)
+        << classic << " vs " << full_stack << " B/message";
+}
+
 TEST(ProtocolChaos, FiveHundredSchedulesBitIdenticalTimestamps) {
     ProtocolTotals totals;
     run_protocol_sweep(topology::path(3), 24, 81, 170, totals);

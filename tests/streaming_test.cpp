@@ -260,6 +260,37 @@ TEST_F(StreamingEquivalence, ClosureBitIdenticalOver500Seeds) {
     }
 }
 
+// Bench scale: one 4,000-message complete(16) schedule, 50x the sweep's
+// longest, through 512-row chunks. The relation count and 4,096 random
+// probes must match the batch closure.
+TEST_F(StreamingEquivalence, ClosureExactAtBenchScale) {
+    constexpr std::size_t kMessages = 4000;
+    constexpr std::uint64_t kSeed = 20002;
+    const Graph g = topology::complete(16);
+    Rng rng(kSeed);
+    WorkloadOptions workload;
+    workload.num_messages = kMessages;
+    const SyncComputation c = random_computation(g, workload, rng);
+    const Poset truth = message_poset(c);
+
+    StreamingClosureOptions options;
+    options.chunk_rows = 512;
+    StreamingClosure closure(g.num_vertices(), kMessages, options);
+    for (const SyncMessage& m : c.messages()) {
+        closure.ingest(m.sender, m.receiver);
+    }
+    closure.finish();
+
+    ASSERT_EQ(closure.relation_count(), truth.relation_count());
+    Rng probes(kSeed ^ 0x57AE);
+    for (std::size_t q = 0; q < 4096; ++q) {
+        const auto a = static_cast<MessageId>(probes.below(kMessages));
+        const auto b = static_cast<MessageId>(probes.below(kMessages));
+        ASSERT_EQ(closure.less(a, b), truth.less(a, b))
+            << "pair (" << a << ", " << b << ")";
+    }
+}
+
 // The incremental index must answer every query exactly as the batch
 // TimestampedTrace: the vector fast path while both stamps are resident,
 // the spilled-closure fallback after retirement.

@@ -15,6 +15,8 @@
 // delay all enabled, and compares every realized message timestamp
 // against OnlineTimestamper. Exit status: 0 when all schedules match,
 // 1 on any mismatch or stall — so this binary is CI-able as a chaos gate.
+// Integer values take an optional k or m suffix ("2k" = 2000); a
+// malformed value, or a zero --schedules or --messages, exits 2.
 //
 // --crash N arms the crash-recovery layer (docs/RECOVERY.md): every
 // schedule derives N whole-process crash/restart rules from its fault
@@ -34,10 +36,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clocks/online_clock.hpp"
+#include "common/scaled.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/reconfig_runtime.hpp"
@@ -93,6 +98,20 @@ struct Config {
     std::exit(2);
 }
 
+/// Integer flags go through the shared overflow-checked parser
+/// (common/scaled.hpp), so "abc" or "2x" is a usage error rather than a
+/// silent 0 or 2.
+std::uint64_t parse_count(const char* flag, std::string_view text) {
+    const std::optional<std::uint64_t> parsed =
+        common::parse_scaled_count(text);
+    if (!parsed.has_value()) {
+        std::fprintf(stderr, "bad count '%.*s' for %s\n",
+                     static_cast<int>(text.size()), text.data(), flag);
+        usage();
+    }
+    return *parsed;
+}
+
 Config parse_args(int argc, char** argv) {
     Config config;
     int i = 1;
@@ -104,16 +123,17 @@ Config parse_args(int argc, char** argv) {
         }
         return argv[++i];
     };
+    const auto next_count = [&](const char* flag) {
+        return parse_count(flag, next_value(flag));
+    };
     for (; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--schedules") {
-            config.schedules = std::strtoull(next_value("--schedules"),
-                                             nullptr, 10);
+            config.schedules = next_count("--schedules");
         } else if (flag == "--messages") {
-            config.messages = std::strtoull(next_value("--messages"),
-                                            nullptr, 10);
+            config.messages = next_count("--messages");
         } else if (flag == "--seed") {
-            config.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+            config.seed = next_count("--seed");
         } else if (flag == "--drop") {
             config.drop = std::strtod(next_value("--drop"), nullptr);
         } else if (flag == "--dup") {
@@ -123,42 +143,43 @@ Config parse_args(int argc, char** argv) {
         } else if (flag == "--delay") {
             config.delay = std::strtod(next_value("--delay"), nullptr);
         } else if (flag == "--jitter") {
-            config.jitter = std::strtoull(next_value("--jitter"), nullptr, 10);
+            config.jitter = next_count("--jitter");
         } else if (flag == "--latency") {
-            const std::string range = next_value("--latency");
+            const std::string_view range = next_value("--latency");
             const std::size_t colon = range.find(':');
-            if (colon == std::string::npos) usage();
-            config.latency_lo = std::strtoull(range.c_str(), nullptr, 10);
+            if (colon == std::string_view::npos) usage();
+            config.latency_lo =
+                parse_count("--latency", range.substr(0, colon));
             config.latency_hi =
-                std::strtoull(range.c_str() + colon + 1, nullptr, 10);
+                parse_count("--latency", range.substr(colon + 1));
         } else if (flag == "--reconfig") {
             config.reconfig = next_value("--reconfig");
         } else if (flag == "--crash") {
-            config.crash = std::strtoull(next_value("--crash"), nullptr, 10);
+            config.crash = next_count("--crash");
         } else if (flag == "--crash-downtime") {
-            config.crash_downtime =
-                std::strtoull(next_value("--crash-downtime"), nullptr, 10);
+            config.crash_downtime = next_count("--crash-downtime");
         } else if (flag == "--wal-flush") {
-            config.wal_flush = std::strtoull(next_value("--wal-flush"),
-                                             nullptr, 10);
+            config.wal_flush = next_count("--wal-flush");
         } else if (flag == "--snap-every") {
-            config.snap_every = std::strtoull(next_value("--snap-every"),
-                                              nullptr, 10);
+            config.snap_every = next_count("--snap-every");
         } else if (flag == "--window") {
-            config.window = std::strtoull(next_value("--window"), nullptr, 10);
+            config.window = next_count("--window");
         } else if (flag == "--batch") {
             config.batch = true;
         } else if (flag == "--delta") {
             config.delta = true;
         } else if (flag == "--bandwidth") {
-            config.bandwidth = std::strtoull(next_value("--bandwidth"),
-                                             nullptr, 10);
+            config.bandwidth = next_count("--bandwidth");
         } else if (flag == "--quiet") {
             config.quiet = true;
         } else {
             std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
             usage();
         }
+    }
+    if (config.schedules == 0 || config.messages == 0) {
+        std::fprintf(stderr, "--schedules and --messages must be positive\n");
+        usage();
     }
     return config;
 }
