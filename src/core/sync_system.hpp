@@ -30,7 +30,9 @@ class PrecedenceIndex;
 
 /// Strategy for picking the edge decomposition.
 enum class DecompositionStrategy {
-    /// Fig. 7 greedy; trivial N−2 decomposition on complete graphs.
+    /// The library default (default_decomposition): trivial N−2 on
+    /// complete graphs, else Fig. 7 greedy unless a matching or König
+    /// cover gives strictly fewer stars; optimal on 2-colourable graphs.
     automatic,
     /// Fig. 7 greedy always.
     greedy,

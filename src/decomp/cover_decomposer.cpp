@@ -1,6 +1,7 @@
 #include "decomp/cover_decomposer.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "decomp/exact_decomposer.hpp"
@@ -106,8 +107,15 @@ EdgeDecomposition default_decomposition(const Graph& g,
     // The matching-based cover often wins on hub-shaped topologies
     // (client–server: one star per server, per Section 3.3) because cover
     // vertices that own no edges drop out; greedy wins when triangles
-    // matter. Keep whichever is smaller.
+    // matter. On a 2-colourable graph the König cover is a minimum one,
+    // and with no triangles its stars are optimal: α(G) = β(G). A later
+    // candidate replaces an earlier one only when strictly smaller; ties
+    // keep the earlier, so a topology's stamps move only when d shrinks.
     EdgeDecomposition covered = approx_cover_decomposition(g);
+    if (const auto cover = bipartite_vertex_cover(g)) {
+        EdgeDecomposition konig = decomposition_from_cover(g, *cover);
+        if (konig.size() < covered.size()) covered = std::move(konig);
+    }
     const bool cover_wins = covered.size() < greedy.size();
     publish(greedy.size(), covered.size(),
             cover_wins ? covered.size() : greedy.size());

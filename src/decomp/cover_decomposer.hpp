@@ -38,9 +38,12 @@ EdgeDecomposition trivial_complete_decomposition(const Graph& g);
 
 /// The decomposition the library uses by default: the trivial N−2
 /// decomposition on complete graphs (Theorem 5's N−2 term), otherwise the
-/// smaller of the Fig. 7 greedy result and the matching-cover stars (which
-/// realize Section 3.3's one-star-per-server claim on client–server
-/// topologies).
+/// Fig. 7 greedy result unless a cover candidate is strictly smaller. The
+/// cover candidate is the matching-cover stars (which realize Section
+/// 3.3's one-star-per-server claim on client–server topologies), replaced
+/// on 2-colourable graphs by the König cover's stars when those are
+/// strictly smaller. The result is optimal, d = α(G) = β(G), on every
+/// 2-colourable graph.
 EdgeDecomposition default_decomposition(const Graph& g);
 
 /// As default_decomposition, but also publishes what the selection saw
@@ -48,9 +51,10 @@ EdgeDecomposition default_decomposition(const Graph& g);
 /// `decomp_cover_groups` (the two candidates; equal to `decomp_groups` on
 /// complete graphs where the trivial N−2 construction wins outright),
 /// `decomp_groups` (the chosen size d — the timestamp width),
-/// `decomp_lower_bound` (the maximal-matching lower bound on α(G)), and
-/// `decomp_gap` (chosen − lower bound: how far the heuristics might be
-/// from optimal).
+/// `decomp_lower_bound` (decomposition_lower_bound: the maximum matching
+/// on 2-colourable graphs, a greedy maximal one otherwise), and
+/// `decomp_gap` (chosen − lower bound: how far the choice might be from
+/// optimal; 0 proves it optimal, as on every 2-colourable graph).
 EdgeDecomposition default_decomposition(const Graph& g,
                                         obs::MetricsRegistry* registry);
 

@@ -11,6 +11,8 @@
 namespace syncts {
 
 std::size_t decomposition_lower_bound(const Graph& g) {
+    // König: a minimum cover of a bipartite graph is as large as ν(G).
+    if (const auto cover = bipartite_vertex_cover(g)) return cover->size();
     std::vector<char> used(g.num_vertices(), 0);
     std::size_t matched = 0;
     for (const Edge& e : g.edges()) {

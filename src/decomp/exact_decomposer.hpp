@@ -29,8 +29,11 @@ namespace syncts {
 std::optional<EdgeDecomposition> exact_edge_decomposition(
     const Graph& g, std::size_t node_budget = 50'000'000);
 
-/// Lower bound on α(G): size of a maximal matching (greedy). Edges of a
-/// matching pairwise share no vertex, so no two fit in one star/triangle.
+/// Lower bound on α(G): the size of a matching. Edges of a matching
+/// pairwise share no vertex, so no two fit in one star/triangle. On a
+/// 2-colourable graph it is the maximum matching ν(G), and there the bound
+/// is exact: α(G) = β(G) = ν(G) (no triangles, then König). Other graphs
+/// get a greedy maximal matching.
 std::size_t decomposition_lower_bound(const Graph& g);
 
 }  // namespace syncts

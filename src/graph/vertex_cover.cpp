@@ -1,7 +1,10 @@
 #include "graph/vertex_cover.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
+
+#include "graph/hopcroft_karp.hpp"
 
 namespace syncts {
 
@@ -13,6 +16,48 @@ std::vector<ProcessId> approx_vertex_cover(const Graph& g) {
             in_cover[e.u] = in_cover[e.v] = 1;
             cover.push_back(e.u);
             cover.push_back(e.v);
+        }
+    }
+    return cover;
+}
+
+std::optional<std::vector<ProcessId>> bipartite_vertex_cover(const Graph& g) {
+    // 2-colour every component by BFS; `slot` is a vertex's index among
+    // the vertices of its colour, i.e. its matcher-side vertex id.
+    constexpr std::uint8_t kUncoloured = 2;
+    const std::size_t n = g.num_vertices();
+    std::vector<std::uint8_t> colour(n, kUncoloured);
+    std::vector<std::size_t> slot(n);
+    std::size_t class_size[2] = {0, 0};
+    std::vector<ProcessId> queue;
+    for (ProcessId source = 0; source < n; ++source) {
+        if (colour[source] != kUncoloured) continue;
+        colour[source] = 0;
+        queue.assign(1, source);
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            const ProcessId v = queue[head];
+            slot[v] = class_size[colour[v]]++;
+            for (const ProcessId w : g.neighbors(v)) {
+                if (colour[w] == colour[v]) return std::nullopt;  // odd cycle
+                if (colour[w] == kUncoloured) {
+                    colour[w] = colour[v] == 0 ? 1 : 0;
+                    queue.push_back(w);
+                }
+            }
+        }
+    }
+
+    BipartiteMatcher matcher(class_size[0], class_size[1]);
+    for (const Edge& e : g.edges()) {
+        const ProcessId left = colour[e.u] == 0 ? e.u : e.v;
+        matcher.add_edge(slot[left], slot[e.other(left)]);
+    }
+    matcher.solve();
+    const auto [left_cover, right_cover] = matcher.minimum_vertex_cover();
+    std::vector<ProcessId> cover;
+    for (ProcessId v = 0; v < n; ++v) {
+        if ((colour[v] == 0 ? left_cover : right_cover)[slot[v]]) {
+            cover.push_back(v);
         }
     }
     return cover;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "poset/hopcroft_karp.hpp"
+#include "graph/hopcroft_karp.hpp"
 
 namespace syncts {
 

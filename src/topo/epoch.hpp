@@ -81,7 +81,7 @@ struct EpochTransition {
 
     /// True when the incremental re-decomposition was rejected by the
     /// quality guard (or the acyclic fast path fired) and the whole graph
-    /// was re-run through Fig. 7.
+    /// was re-decomposed by default_decomposition.
     bool full_rebuild = false;
 
     std::size_t old_width() const noexcept { return group_target.size(); }

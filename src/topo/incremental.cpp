@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "decomp/greedy_decomposer.hpp"
+#include "decomp/cover_decomposer.hpp"
 #include "graph/vertex_cover.hpp"
 
 namespace syncts {
@@ -33,7 +33,7 @@ bool touches_any(const EdgeGroup& group, const std::vector<char>& affected) {
 }
 
 IncrementalResult full_rebuild(const Graph& next) {
-    return IncrementalResult{greedy_edge_decomposition(next), 0, true};
+    return IncrementalResult{default_decomposition(next), 0, true};
 }
 
 }  // namespace
@@ -60,7 +60,7 @@ IncrementalResult incremental_redecompose(const EdgeDecomposition& previous,
 
     // Preserve every group with no endpoint in the affected neighborhood;
     // everything else (plus the added edges, which belong to no old group)
-    // forms the residual subgraph handed back to Fig. 7.
+    // forms the residual subgraph handed back to default_decomposition.
     EdgeDecomposition candidate(next);
     std::size_t preserved = 0;
     Graph residual(next.num_vertices());
@@ -82,7 +82,7 @@ IncrementalResult incremental_redecompose(const EdgeDecomposition& previous,
 
     // Materialized, not inlined into the range-for: groups() views into
     // the decomposition, which would be destroyed before the loop runs.
-    const EdgeDecomposition patch = greedy_edge_decomposition(residual);
+    const EdgeDecomposition patch = default_decomposition(residual);
     for (const EdgeGroup& group : patch.groups()) {
         replay_group(candidate, group);
     }
@@ -91,9 +91,10 @@ IncrementalResult incremental_redecompose(const EdgeDecomposition& previous,
 
     // Quality guard: accept only within 2·min(µ, N−2), where µ (maximal
     // matching size) lower-bounds β(G). An accepted candidate is then
-    // ≤ 2·min(β, N−2); a rejected one falls back to full Fig. 7, which is
-    // ≤ 2·min(β, N−2) by Theorems 5 and 6 — the published bound survives
-    // incrementality either way. (The N−2 cap of Theorem 5 assumes N ≥ 3.)
+    // ≤ 2·min(β, N−2); a rejected one falls back to a full rebuild, never
+    // wider than Fig. 7 and so ≤ 2·min(β, N−2) by Theorems 5 and 6 — the
+    // published bound survives incrementality either way. (The N−2 cap of
+    // Theorem 5 assumes N ≥ 3.)
     if (next.num_edges() > 0) {
         const std::size_t matching = approx_vertex_cover(next).size() / 2;
         std::size_t bound = 2 * matching;

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "decomp/greedy_decomposer.hpp"
+#include "decomp/cover_decomposer.hpp"
 #include "topo/incremental.hpp"
 
 namespace syncts {
@@ -68,7 +68,7 @@ Graph copy_graph_with(const Graph& g, std::size_t extra_vertices,
 }  // namespace
 
 TopologyManager::TopologyManager(Graph initial)
-    : TopologyManager(greedy_edge_decomposition(initial)) {}
+    : TopologyManager(default_decomposition(initial)) {}
 
 TopologyManager::TopologyManager(EdgeDecomposition initial) {
     SYNCTS_REQUIRE(initial.complete(),

@@ -18,9 +18,11 @@
 /// EdgeDecomposition) pair and turns every reconfiguration —
 /// add_channel / remove_channel / add_process — into the next immutable
 /// epoch plus an EpochTransition describing exactly which vector
-/// components survive. Decompositions are produced by the incremental
-/// greedy patch of topo/incremental.hpp (full Fig. 7 fallback under the
-/// quality guard), so the Theorem 6 bound holds in every epoch. Consumers
+/// components survive. Every decomposition it builds comes from the
+/// library's one selection, default_decomposition: epoch 0, the
+/// incremental patch of topo/incremental.hpp and its full-rebuild fallback
+/// under the quality guard. So the Theorem 6 bound holds in every epoch,
+/// and on 2-colourable graphs each rebuild is optimal. Consumers
 /// hold shared_ptr<const EdgeDecomposition> snapshots; nothing already
 /// handed out is ever mutated.
 
@@ -28,7 +30,8 @@ namespace syncts {
 
 class TopologyManager {
 public:
-    /// Epoch 0 = `initial` decomposed by the full Fig. 7 greedy run.
+    /// Epoch 0 = default_decomposition(`initial`): the library's selection,
+    /// optimal (d = β(G)) on 2-colourable graphs.
     explicit TopologyManager(Graph initial);
 
     /// Epoch 0 = a caller-provided complete decomposition (e.g. the exact

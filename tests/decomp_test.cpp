@@ -3,13 +3,18 @@
 #include <algorithm>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "decomp/edge_decomposition.hpp"
+#include "decomp/exact_decomposer.hpp"
+#include "decomp/greedy_decomposer.hpp"
 #include "graph/generators.hpp"
 #include "graph/vertex_cover.hpp"
 #include "test_util.hpp"
+#include "topo/topology_manager.hpp"
 
 namespace syncts {
 namespace {
@@ -171,11 +176,77 @@ TEST(DefaultDecomposition, PicksTrivialOnCompleteGraphs) {
     expect_valid_decomposition(d);
 }
 
+/// The selection before König covers joined it: trivial N−2 on complete
+/// graphs, otherwise Fig. 7 greedy unless the matching-cover stars are
+/// strictly smaller.
+EdgeDecomposition matching_cover_rule(const Graph& g) {
+    const std::size_t n = g.num_vertices();
+    if (n >= 3 && g.num_edges() == n * (n - 1) / 2) {
+        return trivial_complete_decomposition(g);
+    }
+    EdgeDecomposition greedy = greedy_edge_decomposition(g);
+    if (g.num_edges() == 0) return greedy;
+    EdgeDecomposition covered = approx_cover_decomposition(g);
+    return covered.size() < greedy.size() ? covered : greedy;
+}
+
 TEST(DefaultDecomposition, ValidAcrossSuite) {
-    for (const auto& [name, graph] : testing::small_graph_suite(11)) {
+    auto cases = testing::small_graph_suite(11);
+    Rng rng(12);
+    cases.push_back({"tree100", topology::random_tree(100, rng)});
+    cases.push_back({"cs_4x64", topology::client_server(4, 64)});
+    cases.push_back({"k16", topology::complete(16)});
+    cases.push_back({"grid16x16", topology::grid(16, 16)});
+    cases.push_back({"gnp40", topology::random_gnp(40, 0.1, rng)});
+    for (const auto& [name, graph] : cases) {
         const EdgeDecomposition d = default_decomposition(graph);
         expect_valid_decomposition(d);
+        // Stamps change only where d shrinks: never wider than the old
+        // rule, and identical, group for group, wherever equally wide.
+        const EdgeDecomposition before = matching_cover_rule(graph);
+        EXPECT_LE(d.size(), before.size()) << name;
+        if (d.size() == before.size()) {
+            EXPECT_EQ(d.to_string(), before.to_string()) << name;
+        }
     }
+}
+
+TEST(DefaultDecomposition, OptimalOnBipartiteTopologies) {
+    const auto expect_optimal = [](const std::string& name, const Graph& g,
+                                   std::size_t width) {
+        const EdgeDecomposition d = default_decomposition(g);
+        expect_valid_decomposition(d);
+        EXPECT_EQ(d.size(), width) << name;
+        EXPECT_EQ(decomposition_lower_bound(g), width) << name;
+    };
+    expect_optimal("grid16x16", topology::grid(16, 16), 128);
+    expect_optimal("grid8x8", topology::grid(8, 8), 32);
+    expect_optimal("hypercube6", topology::hypercube(6), 32);
+    expect_optimal("hypercube8", topology::hypercube(8), 128);
+    expect_optimal("ring32", topology::ring(32), 16);
+    expect_optimal("path20", topology::path(20), 10);
+
+    Rng rng(17);
+    for (int trial = 0; trial < 8; ++trial) {
+        const Graph tree = topology::random_tree(30 + 10 * trial, rng);
+        expect_optimal("tree" + std::to_string(trial), tree,
+                       exact_vertex_cover(tree).size());
+    }
+    for (int trial = 0; trial < 12; ++trial) {
+        // Random bipartite graph: sides {0..5} and {6..11}.
+        Graph g(12);
+        for (ProcessId l = 0; l < 6; ++l) {
+            for (ProcessId r = 6; r < 12; ++r) {
+                if (rng.uniform01() < 0.3) g.add_edge(l, r);
+            }
+        }
+        const auto alpha = exact_edge_decomposition(g);
+        ASSERT_TRUE(alpha.has_value());
+        expect_optimal("bipartite" + std::to_string(trial), g, alpha->size());
+    }
+
+    // Epoch 0 of a reconfigurable run uses the same selection.
+    EXPECT_EQ(TopologyManager(topology::grid(8, 8)).current().width(), 32u);
 }
 
 }  // namespace

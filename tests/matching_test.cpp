@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "poset/hopcroft_karp.hpp"
+#include "graph/hopcroft_karp.hpp"
 
 namespace syncts {
 namespace {

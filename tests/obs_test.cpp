@@ -584,18 +584,30 @@ TEST(Instrumentation, ArenaCountsSlotsGrowthAndKernelTraffic) {
 }
 
 TEST(Instrumentation, DecompositionSelectionPublishesGauges) {
-    obs::MetricsRegistry registry;
-    const Graph topology = topology::client_server(2, 4);
-    const EdgeDecomposition chosen =
-        default_decomposition(topology, &registry);
-    EXPECT_EQ(registry.gauge("decomp_groups").value(),
-              static_cast<std::int64_t>(chosen.size()));
-    EXPECT_GT(registry.gauge("decomp_greedy_groups").value(), 0);
-    EXPECT_GT(registry.gauge("decomp_cover_groups").value(), 0);
-    EXPECT_GE(registry.gauge("decomp_gap").value(), 0);
-    EXPECT_EQ(registry.gauge("decomp_groups").value(),
-              registry.gauge("decomp_lower_bound").value() +
-                  registry.gauge("decomp_gap").value());
+    const auto publish = [](const Graph& topology,
+                            obs::MetricsRegistry& registry) {
+        const EdgeDecomposition chosen =
+            default_decomposition(topology, &registry);
+        EXPECT_EQ(registry.gauge("decomp_groups").value(),
+                  static_cast<std::int64_t>(chosen.size()));
+        EXPECT_GT(registry.gauge("decomp_greedy_groups").value(), 0);
+        EXPECT_GT(registry.gauge("decomp_cover_groups").value(), 0);
+        EXPECT_GE(registry.gauge("decomp_gap").value(), 0);
+        EXPECT_EQ(registry.gauge("decomp_groups").value(),
+                  registry.gauge("decomp_lower_bound").value() +
+                      registry.gauge("decomp_gap").value());
+    };
+    obs::MetricsRegistry client_server;
+    publish(topology::client_server(2, 4), client_server);
+
+    // On a bipartite grid the König cover wins and the maximum-matching
+    // bound proves it optimal (Fig. 7 greedy alone gives 176).
+    obs::MetricsRegistry grid;
+    publish(topology::grid(16, 16), grid);
+    EXPECT_EQ(grid.gauge("decomp_groups").value(), 128);
+    EXPECT_EQ(grid.gauge("decomp_cover_groups").value(), 128);
+    EXPECT_EQ(grid.gauge("decomp_lower_bound").value(), 128);
+    EXPECT_EQ(grid.gauge("decomp_gap").value(), 0);
 }
 
 TEST(Instrumentation, SameSeedRunsProduceIdenticalReports) {

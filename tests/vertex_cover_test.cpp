@@ -94,5 +94,68 @@ TEST(ExactCover, PaperFig4TreeNeedsThreeHubs) {
     EXPECT_EQ(cover, (std::vector<ProcessId>{0, 1, 2}));
 }
 
+/// Random bipartite graph: `lefts` vertices 0.. on one side, the rest on
+/// the other, each cross pair an edge with probability `p`.
+Graph random_bipartite(std::size_t lefts, std::size_t rights, double p,
+                       Rng& rng) {
+    Graph g(lefts + rights);
+    for (std::size_t l = 0; l < lefts; ++l) {
+        for (std::size_t r = lefts; r < lefts + rights; ++r) {
+            if (rng.uniform01() < p) {
+                g.add_edge(static_cast<ProcessId>(l), static_cast<ProcessId>(r));
+            }
+        }
+    }
+    return g;
+}
+
+TEST(BipartiteCover, RejectsOddCycles) {
+    EXPECT_FALSE(bipartite_vertex_cover(topology::triangle()).has_value());
+    EXPECT_FALSE(bipartite_vertex_cover(topology::ring(7)).has_value());
+    EXPECT_FALSE(bipartite_vertex_cover(topology::paper_fig2b()).has_value());
+    // One odd component spoils an otherwise bipartite graph.
+    Graph g = topology::path(4);
+    const ProcessId a = g.add_vertex();
+    const ProcessId b = g.add_vertex();
+    const ProcessId c = g.add_vertex();
+    g.add_edge(a, b);
+    g.add_edge(b, c);
+    g.add_edge(a, c);
+    EXPECT_FALSE(bipartite_vertex_cover(g).has_value());
+}
+
+TEST(BipartiteCover, KnownSizes) {
+    EXPECT_EQ(bipartite_vertex_cover(Graph(4)), std::vector<ProcessId>{});
+    EXPECT_EQ(bipartite_vertex_cover(topology::star(10))->size(), 1u);
+    EXPECT_EQ(bipartite_vertex_cover(topology::ring(8))->size(), 4u);
+    EXPECT_EQ(bipartite_vertex_cover(topology::grid(16, 16))->size(), 128u);
+    EXPECT_EQ(bipartite_vertex_cover(topology::hypercube(6))->size(), 32u);
+    EXPECT_EQ(bipartite_vertex_cover(topology::client_server(4, 64))->size(),
+              4u);
+    EXPECT_EQ(bipartite_vertex_cover(topology::paper_fig4_tree())->size(),
+              3u);
+}
+
+TEST(BipartiteCover, MinimumOnRandomBipartiteGraphsAndForests) {
+    Rng rng(46);
+    for (int trial = 0; trial < 20; ++trial) {
+        // Disjoint union of a random bipartite graph and a random tree, so
+        // the colouring runs over several components.
+        Graph g = random_bipartite(4 + rng.below(2), 3 + rng.below(2), 0.4,
+                                   rng);
+        const Graph tree = topology::random_tree(5, rng);
+        const auto base = static_cast<ProcessId>(g.num_vertices());
+        for (std::size_t v = 0; v < tree.num_vertices(); ++v) g.add_vertex();
+        for (const Edge& e : tree.edges()) g.add_edge(base + e.u, base + e.v);
+
+        const auto cover = bipartite_vertex_cover(g);
+        ASSERT_TRUE(cover.has_value()) << "trial " << trial;
+        EXPECT_TRUE(is_vertex_cover(g, *cover));
+        EXPECT_TRUE(std::ranges::is_sorted(*cover));
+        EXPECT_EQ(cover->size(), brute_force_cover_size(g))
+            << "trial " << trial;
+    }
+}
+
 }  // namespace
 }  // namespace syncts

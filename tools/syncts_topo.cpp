@@ -1,8 +1,17 @@
 // syncts_topo — inspect a communication topology: decomposition sizes by
 // strategy, vertex-cover bounds, and optional Graphviz output.
 //
+// It prints what the library's selection (default_decomposition) saw: the
+// Fig. 7 greedy size, the cover candidate (the matching-cover stars, or the
+// König minimum-cover stars on a 2-colourable graph when fewer; the
+// trivial N−2 construction on complete graphs), the chosen d, and the
+// lower bound on d with the gap to it — a gap of 0 proves d optimal.
+//
 // Usage:
-//   syncts_topo <spec> [--dot] [--exact] [--reconfig <schedule>]
+//   syncts_topo <spec> [--dot] [--export] [--exact] [--reconfig <schedule>]
+//
+// Any other flag, --reconfig without a schedule, or a malformed <spec> is
+// a usage error: exit 2.
 //
 // <spec> is one of:
 //   star:<n> | ring:<n> | path:<n> | complete:<n> | tree:<n>:<arity> |
@@ -33,31 +42,49 @@
 #include "decomp/greedy_decomposer.hpp"
 #include "graph/generators.hpp"
 #include "graph/vertex_cover.hpp"
+#include "obs/metrics.hpp"
 #include "topo/reconfig.hpp"
 #include "topo/topology_manager.hpp"
 
 using namespace syncts;
 
 
+namespace {
+
+int usage() {
+    std::fprintf(stderr,
+                 "usage: syncts_topo <spec> [--dot] [--export] [--exact] "
+                 "[--reconfig <schedule>]\n"
+                 "specs: %s\n",
+                 tools::spec_help());
+    return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        std::fprintf(stderr,
-                     "usage: syncts_topo <spec> [--dot] [--export] [--exact] "
-                     "[--reconfig <schedule>]\n"
-                     "specs: %s\n",
-                     tools::spec_help());
-        return 2;
-    }
+    if (argc < 2) return usage();
     bool want_dot = false;
     bool want_exact = false;
     bool want_export = false;
     std::string reconfig;
     for (int i = 2; i < argc; ++i) {
         const std::string flag = argv[i];
-        if (flag == "--dot") want_dot = true;
-        if (flag == "--exact") want_exact = true;
-        if (flag == "--export") want_export = true;
-        if (flag == "--reconfig" && i + 1 < argc) reconfig = argv[++i];
+        if (flag == "--dot") {
+            want_dot = true;
+        } else if (flag == "--exact") {
+            want_exact = true;
+        } else if (flag == "--export") {
+            want_export = true;
+        } else if (flag == "--reconfig" && i + 1 < argc) {
+            reconfig = argv[++i];
+        } else {
+            std::fprintf(stderr, "syncts_topo: %s '%s'\n",
+                         flag == "--reconfig" ? "missing value for"
+                                              : "unknown flag",
+                         flag.c_str());
+            return usage();
+        }
     }
 
     const Graph g = tools::build_topology(argv[1]);
@@ -65,13 +92,22 @@ int main(int argc, char** argv) {
                 g.to_string().c_str(), g.is_connected() ? "yes" : "no",
                 g.is_acyclic() ? "yes" : "no");
 
+    // The selection's own view: both candidates, the choice, and the
+    // lower bound that proves it optimal when the gap is 0.
+    obs::MetricsRegistry selection;
+    const auto fallback = default_decomposition(g, &selection);
+    const auto seen = [&](const char* name) {
+        return selection.gauge(name).value();
+    };
     const auto greedy = greedy_edge_decomposition(g);
-    const auto fallback = default_decomposition(g);
     std::printf("greedy (Fig. 7):      d = %zu (%zu stars, %zu triangles)\n",
                 greedy.size(), greedy.star_count(), greedy.triangle_count());
-    std::printf("matching-cover stars: d = %zu\n",
-                approx_cover_decomposition(g).size());
+    std::printf("cover candidate:      d = %lld\n",
+                static_cast<long long>(seen("decomp_cover_groups")));
     std::printf("library default:      d = %zu\n", fallback.size());
+    std::printf("lower bound:          d >= %lld (gap %lld)\n",
+                static_cast<long long>(seen("decomp_lower_bound")),
+                static_cast<long long>(seen("decomp_gap")));
     std::printf("FM baseline width:    N = %zu\n", g.num_vertices());
 
     if (want_exact) {
