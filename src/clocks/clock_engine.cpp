@@ -1,5 +1,6 @@
 #include "clocks/clock_engine.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -8,7 +9,6 @@
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
 #include "common/check.hpp"
-#include "common/checksum.hpp"
 #include "common/ts_kernels.hpp"
 
 namespace syncts {
@@ -84,18 +84,19 @@ constexpr std::uint64_t kStateVersion = 1;
 }  // namespace
 
 void ClockEngine::save_state(std::vector<std::uint8_t>& out) const {
-    const std::size_t start = out.size();
-    out.insert(out.end(), std::begin(kStateMagic), std::end(kStateMagic));
-    encode_varint(kStateVersion, out);
-    encode_varint(static_cast<std::uint64_t>(family()), out);
-    encode_varint(epoch_, out);
-    encode_varint(floor_.size(), out);
-    for (const std::uint64_t word : floor_) encode_varint(word, out);
     std::vector<std::uint64_t> payload;
     save_payload(payload);
-    encode_varint(payload.size(), out);
-    for (const std::uint64_t word : payload) encode_varint(word, out);
-    common::append_checksum_trailer(out, start);
+    codec::SealedWriter writer(
+        out, 32 + 2 * (floor_.size() + payload.size()));
+    writer.bytes(kStateMagic);
+    writer.varint(kStateVersion);
+    writer.varint(static_cast<std::uint64_t>(family()));
+    writer.varint(epoch_);
+    writer.varint(floor_.size());
+    for (const std::uint64_t word : floor_) writer.varint(word);
+    writer.varint(payload.size());
+    for (const std::uint64_t word : payload) writer.varint(word);
+    writer.seal();
 }
 
 std::vector<std::uint8_t> ClockEngine::save_state() const {
@@ -105,57 +106,38 @@ std::vector<std::uint8_t> ClockEngine::save_state() const {
 }
 
 void ClockEngine::restore_state(std::span<const std::uint8_t> bytes) {
-    if (bytes.size() < sizeof(kStateMagic) + 8) {
-        throw WireError(WireError::Kind::truncated,
-                        "clock state shorter than magic plus checksum");
+    WireReader in(bytes, throw_wire_error);
+    in.need(sizeof(kStateMagic) + codec::kTrailerBytes,
+            "clock state shorter than magic plus checksum");
+    in.unseal();
+    if (!std::ranges::equal(in.bytes(sizeof(kStateMagic)), kStateMagic)) {
+        throw WireError(WireError::Kind::unsupported_version,
+                        "clock state magic mismatch");
     }
-    const std::span<const std::uint8_t> body = bytes.first(bytes.size() - 8);
-    const std::uint64_t stored =
-        common::read_checksum_trailer(bytes, body.size());
-    if (common::fnv1a64(body) != stored) {
-        throw WireError(WireError::Kind::checksum_mismatch,
-                        "clock state checksum mismatch");
-    }
-    std::size_t offset = 0;
-    for (const std::uint8_t magic : kStateMagic) {
-        if (body[offset++] != magic) {
-            throw WireError(WireError::Kind::unsupported_version,
-                            "clock state magic mismatch");
-        }
-    }
-    const std::uint64_t version = decode_varint(body, offset);
+    const std::uint64_t version = in.varint();
     if (version != kStateVersion) {
         throw WireError(WireError::Kind::unsupported_version,
                         "clock state from an unsupported format version");
     }
-    const std::uint64_t tag = decode_varint(body, offset);
+    const std::uint64_t tag = in.varint();
     SYNCTS_REQUIRE(tag == static_cast<std::uint64_t>(family()),
                    std::string("clock state family does not match this "
                                "engine (") +
                        to_string(family()) + ")");
-    const std::uint64_t epoch = decode_varint(body, offset);
+    const std::uint64_t epoch = in.varint();
     SYNCTS_REQUIRE(epoch <= std::numeric_limits<EpochId>::max(),
                    "clock state epoch exceeds the epoch id range");
-    const std::uint64_t floor_count = decode_varint(body, offset);
-    SYNCTS_REQUIRE(floor_count <= body.size(),
+    const std::uint64_t floor_count = in.varint();
+    SYNCTS_REQUIRE(floor_count <= in.size(),
                    "clock state floor length exceeds the frame");
-    std::vector<std::uint64_t> restored_floor;
-    restored_floor.reserve(floor_count);
-    for (std::uint64_t i = 0; i < floor_count; ++i) {
-        restored_floor.push_back(decode_varint(body, offset));
-    }
-    const std::uint64_t payload_count = decode_varint(body, offset);
-    SYNCTS_REQUIRE(payload_count <= body.size(),
+    std::vector<std::uint64_t> restored_floor(floor_count);
+    in.varints(restored_floor);
+    const std::uint64_t payload_count = in.varint();
+    SYNCTS_REQUIRE(payload_count <= in.size(),
                    "clock state payload length exceeds the frame");
-    std::vector<std::uint64_t> payload;
-    payload.reserve(payload_count);
-    for (std::uint64_t i = 0; i < payload_count; ++i) {
-        payload.push_back(decode_varint(body, offset));
-    }
-    if (offset != body.size()) {
-        throw WireError(WireError::Kind::trailing_bytes,
-                        "clock state has undecoded trailing bytes");
-    }
+    std::vector<std::uint64_t> payload(payload_count);
+    in.varints(payload);
+    in.end();
     // The payload restore validates the shape; only after it succeeds is
     // any engine state mutated.
     restore_payload(payload);

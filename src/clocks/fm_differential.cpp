@@ -1,21 +1,9 @@
 #include "clocks/fm_differential.hpp"
 
 #include "common/check.hpp"
+#include "common/codec.hpp"
 
 namespace syncts {
-
-namespace {
-
-std::size_t varint_size(std::uint64_t value) {
-    std::size_t size = 1;
-    while (value >= 0x80) {
-        value >>= 7;
-        ++size;
-    }
-    return size;
-}
-
-}  // namespace
 
 FmDifferentialTimestamper::FmDifferentialTimestamper(
     std::size_t num_processes)
@@ -34,9 +22,9 @@ void FmDifferentialTimestamper::account_direction(ProcessId from,
     for (std::size_t k = 0; k < n_; ++k) {
         if (current[k] == snapshot[k]) continue;
         ++entries;
-        bytes += varint_size(k) + varint_size(current[k]);
+        bytes += codec::varint_size(k) + codec::varint_size(current[k]);
     }
-    bytes += varint_size(entries);  // count header
+    bytes += codec::varint_size(entries);  // count header
     stats_.entries_sent += entries;
     stats_.wire_bytes += bytes;
     snapshot = current;

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "clocks/vector_timestamp.hpp"
-#include "common/checksum.hpp"
+#include "common/codec.hpp"
 #include "common/ids.hpp"
 #include "common/region.hpp"
 
@@ -56,13 +56,13 @@ private:
     Kind kind_;
 };
 
-/// Appends the LEB128 encoding of `value` to `out`.
-void encode_varint(std::uint64_t value, std::vector<std::uint8_t>& out);
+/// The codec fail function of every wire decoder (and of SYCK clock
+/// state): raises WireError with the kind of the codec fault — a count
+/// that exceeds the bytes left is a length_mismatch.
+[[noreturn]] void throw_wire_error(codec::Fault fault, const char* what);
 
-/// Decodes one varint starting at out[offset]; advances offset. Throws
-/// WireError on truncated or over-long (> 10 byte) input.
-std::uint64_t decode_varint(std::span<const std::uint8_t> bytes,
-                            std::size_t& offset);
+/// A codec reader whose failures raise WireError.
+using WireReader = codec::Reader<decltype(&throw_wire_error)>;
 
 /// Serializes width + components.
 std::vector<std::uint8_t> encode_timestamp(const VectorTimestamp& stamp);
@@ -92,13 +92,6 @@ void decode_timestamp_into(std::span<const std::uint8_t> bytes,
 /// Exact encoded size without materializing the bytes.
 std::size_t encoded_size(const VectorTimestamp& stamp);
 std::size_t encoded_size(std::span<const std::uint64_t> components);
-
-/// FNV-1a 64-bit hash of `bytes` — the frame checksum. The one shared
-/// implementation lives in common/checksum.hpp; this alias keeps the
-/// historical call sites (and the wire-format documentation anchor).
-inline std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
-    return common::fnv1a64(bytes);
-}
 
 /// Frame header fields, decoupled from timestamp storage. `epoch` is 0
 /// for version-1 frames (the format predates topology epochs; see
@@ -332,8 +325,7 @@ public:
     bool next(BatchFrame::Entry& out);
 
 private:
-    std::span<const std::uint8_t> payload_;
-    std::size_t offset_ = 0;
+    WireReader in_;  ///< over the payload, past the header once constructed
     std::uint64_t declared_ = 0;
     std::uint64_t yielded_ = 0;
     bool intact_ = false;

@@ -1,83 +1,60 @@
 #include "common/spill_store.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/check.hpp"
-#include "common/checksum.hpp"
+#include "common/codec.hpp"
 
 namespace syncts {
-
-namespace {
-
-void append_u64le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-std::uint64_t read_u64le(std::span<const std::uint8_t> bytes,
-                         std::size_t at) noexcept {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
-    }
-    return v;
-}
-
-}  // namespace
 
 void SpillStore::encode_chunk(std::uint64_t id,
                               std::span<const std::uint8_t> payload,
                               std::vector<std::uint8_t>& out) {
-    const std::size_t start = out.size();
-    out.insert(out.end(), std::begin(kSpillMagic), std::end(kSpillMagic));
-    out.push_back(kSpillVersion);
-    append_u64le(out, id);
-    append_u64le(out, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
-    common::append_checksum_trailer(out, start);
+    codec::SealedWriter writer(out, kSpillHeaderBytes + payload.size());
+    writer.bytes(kSpillMagic);
+    writer.byte(kSpillVersion);
+    writer.le64(id);
+    writer.le64(payload.size());
+    writer.bytes(payload);
+    writer.seal();
 }
 
 std::span<const std::uint8_t> SpillStore::decode_chunk(
     std::span<const std::uint8_t> bytes, std::uint64_t expected_id) {
-    if (bytes.size() < kSpillHeaderBytes + common::kChecksumTrailerBytes) {
-        throw SpillError(SpillError::Kind::format, expected_id,
-                         "truncated frame (" + std::to_string(bytes.size()) +
-                             " bytes)");
+    const auto format_error = [&](const std::string& what) {
+        return SpillError(SpillError::Kind::format, expected_id, what);
+    };
+    if (bytes.size() < kSpillHeaderBytes + codec::kTrailerBytes) {
+        throw format_error("truncated frame (" + std::to_string(bytes.size()) +
+                           " bytes)");
     }
-    for (std::size_t i = 0; i < 4; ++i) {
-        if (bytes[i] != static_cast<std::uint8_t>(kSpillMagic[i])) {
-            throw SpillError(SpillError::Kind::format, expected_id,
-                             "bad magic");
-        }
+    codec::Reader in(bytes, [&](codec::Fault fault, const char* what) {
+        if (fault != codec::Fault::checksum) throw format_error(what);
+        throw SpillError(SpillError::Kind::checksum, expected_id, what);
+    });
+    if (!std::ranges::equal(in.bytes(sizeof(kSpillMagic)), kSpillMagic)) {
+        throw format_error("bad magic");
     }
-    if (bytes[4] != kSpillVersion) {
-        throw SpillError(SpillError::Kind::format, expected_id,
-                         "unsupported version " + std::to_string(bytes[4]));
+    const std::uint8_t version = in.u8();
+    if (version != kSpillVersion) {
+        throw format_error("unsupported version " + std::to_string(version));
     }
-    const std::uint64_t id = read_u64le(bytes, 5);
+    const std::uint64_t id = in.le64();
     if (id != expected_id) {
-        throw SpillError(SpillError::Kind::format, expected_id,
-                         "frame carries id " + std::to_string(id));
+        throw format_error("frame carries id " + std::to_string(id));
     }
-    const std::uint64_t payload_len = read_u64le(bytes, 13);
-    const std::uint64_t expected_total =
-        kSpillHeaderBytes + payload_len + common::kChecksumTrailerBytes;
-    if (payload_len > bytes.size() || expected_total != bytes.size()) {
-        throw SpillError(SpillError::Kind::format, expected_id,
-                         "length field " + std::to_string(payload_len) +
-                             " does not match frame of " +
-                             std::to_string(bytes.size()) + " bytes");
+    const std::uint64_t payload_len = in.le64();
+    if (payload_len > bytes.size() ||
+        kSpillHeaderBytes + payload_len + codec::kTrailerBytes !=
+            bytes.size()) {
+        throw format_error("length field " + std::to_string(payload_len) +
+                           " does not match frame of " +
+                           std::to_string(bytes.size()) + " bytes");
     }
-    const std::size_t sealed = kSpillHeaderBytes + payload_len;
-    const std::uint64_t declared = common::read_checksum_trailer(bytes, sealed);
-    const std::uint64_t actual = common::fnv1a64(bytes.subspan(0, sealed));
-    if (declared != actual) {
-        throw SpillError(SpillError::Kind::checksum, expected_id,
-                         "checksum mismatch");
-    }
-    return bytes.subspan(kSpillHeaderBytes, payload_len);
+    in.unseal();
+    return in.bytes(static_cast<std::size_t>(payload_len));
 }
 
 SpillStore::SpillStore(std::string directory)

@@ -20,8 +20,9 @@
 ///   "SYSP" | version u8 | chunk id u64le | payload length u64le |
 ///   payload bytes | FNV-1a 64 trailer over everything before it
 ///
-/// following the same trailer discipline as every other framed format in
-/// the tree (checksum.hpp) and the SlabPool recycling discipline for its
+/// encoded through the codec every binary format shares (codec.hpp, which
+/// holds the trailer rule and the u64le fields) and following the
+/// SlabPool recycling discipline for its
 /// scratch buffers (the encode buffer is reused across put() calls, so a
 /// steady-state spill loop performs no per-chunk heap allocation beyond
 /// the file I/O itself). Files the store wrote are unlinked when the
@@ -32,7 +33,7 @@
 
 namespace syncts {
 
-inline constexpr char kSpillMagic[4] = {'S', 'Y', 'S', 'P'};
+inline constexpr std::uint8_t kSpillMagic[4] = {'S', 'Y', 'S', 'P'};
 inline constexpr std::uint8_t kSpillVersion = 1;
 
 /// Header bytes before the payload: magic + version + id + length.

@@ -1,10 +1,11 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
 
-#include "common/checksum.hpp"
+#include "common/codec.hpp"
 
 namespace syncts::obs {
 
@@ -26,235 +27,131 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::uint32_t kMaxNameBytes = 1u << 12;
 constexpr std::uint64_t kMaxTableEntries = 1u << 20;
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-    return common::fnv1a64({data, size});
+[[noreturn]] void throw_postmortem_error(codec::Fault fault,
+                                         const char* what) {
+    using Code = PostmortemError::Code;
+    // A count the bytes left cannot hold is implausible, hence malformed.
+    Code code = Code::malformed;
+    switch (fault) {
+        case codec::Fault::truncated: code = Code::truncated; break;
+        case codec::Fault::trailing: code = Code::trailing_bytes; break;
+        case codec::Fault::checksum: code = Code::bad_checksum; break;
+        case codec::Fault::overlong_varint:
+        case codec::Fault::count:
+        case codec::Fault::malformed: break;
+    }
+    throw PostmortemError(code, what);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+using PostmortemReader = codec::Reader<decltype(&throw_postmortem_error)>;
+
+template <typename Table>
+void write_table(codec::SealedWriter& writer, const Table& table) {
+    writer.le64(table.size());
+    for (const auto& [name, value] : table) {
+        writer.le32(static_cast<std::uint32_t>(name.size()));
+        writer.bytes({reinterpret_cast<const std::uint8_t*>(name.data()),
+                      name.size()});
+        writer.le64(static_cast<std::uint64_t>(value));
     }
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Strict bounds-checked little-endian cursor; every read throws
-/// PostmortemError::truncated instead of walking off the buffer.
-class Cursor {
-public:
-    explicit Cursor(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-    std::size_t at() const noexcept { return at_; }
-    std::size_t remaining() const noexcept { return bytes_.size() - at_; }
-
-    const std::uint8_t* take(std::size_t n) {
-        if (remaining() < n) {
-            throw PostmortemError(PostmortemError::Code::truncated,
-                                  "postmortem truncated");
-        }
-        const std::uint8_t* p = bytes_.data() + at_;
-        at_ += n;
-        return p;
-    }
-
-    std::uint8_t u8() { return *take(1); }
-
-    std::uint32_t u32() {
-        const std::uint8_t* p = take(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-        }
-        return v;
-    }
-
-    std::uint64_t u64() {
-        const std::uint8_t* p = take(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-        }
-        return v;
-    }
-
-    std::string name() {
-        const std::uint32_t len = u32();
-        if (len > kMaxNameBytes) {
-            throw PostmortemError(PostmortemError::Code::malformed,
-                                  "postmortem metric name too long");
-        }
-        const std::uint8_t* p = take(len);
-        return std::string(reinterpret_cast<const char*>(p), len);
-    }
-
-private:
-    std::span<const std::uint8_t> bytes_;
-    std::size_t at_ = 0;
-};
-
-std::uint64_t table_count(Cursor& cursor) {
-    const std::uint64_t count = cursor.u64();
+template <typename Table>
+void read_table(PostmortemReader& in, Table& table) {
+    const std::uint64_t count = in.le64();
     // Minimum 12 bytes per entry (empty name + value): a huge forged
     // count cannot pass, so decode never reserves unbounded memory.
-    if (count > kMaxTableEntries || count * 12 > cursor.remaining()) {
-        throw PostmortemError(PostmortemError::Code::malformed,
-                              "postmortem table count implausible");
+    if (count > kMaxTableEntries) {
+        in.fail(codec::Fault::count, "postmortem table count implausible");
     }
-    return count;
+    for (std::uint64_t i = 0, n = in.count(count, 12); i < n; ++i) {
+        const std::uint32_t length = in.le32();
+        if (length > kMaxNameBytes) {
+            in.fail(codec::Fault::malformed,
+                    "postmortem metric name too long");
+        }
+        const std::span<const std::uint8_t> name = in.bytes(length);
+        const auto value =
+            static_cast<typename Table::mapped_type>(in.le64());
+        if (!table.emplace(std::string(name.begin(), name.end()), value)
+                 .second) {
+            in.fail(codec::Fault::malformed,
+                    "postmortem duplicate metric name");
+        }
+    }
 }
 
 }  // namespace
 
 void encode_postmortem_into(const Postmortem& postmortem,
                             std::vector<std::uint8_t>& out) {
-    const std::size_t start = out.size();
-    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-    put_u32(out, kVersion);
-    out.push_back(static_cast<std::uint8_t>(postmortem.reason));
-    put_u32(out, postmortem.process);
-    put_u64(out, postmortem.step);
-    put_u64(out, postmortem.epoch);
-    put_u64(out, postmortem.frontier_epoch);
-    put_u64(out, postmortem.wal_lsn);
-    put_u64(out, postmortem.virtual_time);
-    put_u64(out, postmortem.snapshots);
-
-    put_u64(out, postmortem.metrics.counters.size());
-    for (const auto& [name, value] : postmortem.metrics.counters) {
-        put_string(out, name);
-        put_u64(out, value);
-    }
-    put_u64(out, postmortem.metrics.gauges.size());
-    for (const auto& [name, value] : postmortem.metrics.gauges) {
-        put_string(out, name);
-        put_u64(out, static_cast<std::uint64_t>(value));
-    }
-    put_u64(out, postmortem.rates.counters.size());
-    for (const auto& [name, value] : postmortem.rates.counters) {
-        put_string(out, name);
-        put_u64(out, value);
-    }
-    put_u64(out, postmortem.rates.gauges.size());
-    for (const auto& [name, value] : postmortem.rates.gauges) {
-        put_string(out, name);
-        put_u64(out, static_cast<std::uint64_t>(value));
-    }
-
-    put_u64(out, postmortem.events.size());
+    // The header and tables at a few dozen bytes per metric, then the
+    // events.
+    const std::size_t metrics =
+        postmortem.metrics.counters.size() + postmortem.metrics.gauges.size() +
+        postmortem.rates.counters.size() + postmortem.rates.gauges.size();
+    codec::SealedWriter writer(out, 96 + 40 * metrics +
+                                        kTraceEventBytes *
+                                            postmortem.events.size());
+    writer.bytes(kMagic);
+    writer.le32(kVersion);
+    writer.byte(static_cast<std::uint8_t>(postmortem.reason));
+    writer.le32(postmortem.process);
+    writer.le64(postmortem.step);
+    writer.le64(postmortem.epoch);
+    writer.le64(postmortem.frontier_epoch);
+    writer.le64(postmortem.wal_lsn);
+    writer.le64(postmortem.virtual_time);
+    writer.le64(postmortem.snapshots);
+    write_table(writer, postmortem.metrics.counters);
+    write_table(writer, postmortem.metrics.gauges);
+    write_table(writer, postmortem.rates.counters);
+    write_table(writer, postmortem.rates.gauges);
+    writer.le64(postmortem.events.size());
     for (const TraceEvent& event : postmortem.events) {
-        encode_trace_event_into(event, out);
+        write_trace_event(writer, event);
     }
-
-    put_u64(out, fnv1a(out.data() + start, out.size() - start));
+    writer.seal();
 }
 
 Postmortem decode_postmortem(std::span<const std::uint8_t> bytes) {
-    if (bytes.size() < 4 + 4 + 8) {
-        throw PostmortemError(PostmortemError::Code::truncated,
-                              "postmortem shorter than its envelope");
-    }
-    for (std::size_t i = 0; i < 4; ++i) {
-        if (bytes[i] != kMagic[i]) {
-            throw PostmortemError(PostmortemError::Code::bad_magic,
-                                  "not a SYFR postmortem");
-        }
+    PostmortemReader in(bytes, throw_postmortem_error);
+    in.need(4 + 4 + 8, "postmortem shorter than its envelope");
+    if (!std::ranges::equal(in.bytes(sizeof(kMagic)), kMagic)) {
+        throw PostmortemError(PostmortemError::Code::bad_magic,
+                              "not a SYFR postmortem");
     }
     // The checksum covers everything before the trailing 8 bytes; verify
     // first so every later "malformed" is a structural claim about bytes
     // the producer really wrote, not about transit damage.
-    const std::size_t body = bytes.size() - 8;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i) {
-        stored |= static_cast<std::uint64_t>(bytes[body + static_cast<std::size_t>(i)])
-                  << (8 * i);
-    }
-    if (fnv1a(bytes.data(), body) != stored) {
-        throw PostmortemError(PostmortemError::Code::bad_checksum,
-                              "postmortem checksum mismatch");
-    }
-
-    Cursor cursor(bytes.subspan(0, body));
-    cursor.take(4);  // magic, already checked
-    if (cursor.u32() != kVersion) {
+    in.unseal();
+    if (in.le32() != kVersion) {
         throw PostmortemError(PostmortemError::Code::bad_version,
                               "unsupported postmortem version");
     }
 
     Postmortem pm;
-    const std::uint8_t reason = cursor.u8();
+    const std::uint8_t reason = in.u8();
     if (reason < static_cast<std::uint8_t>(PostmortemReason::crash) ||
         reason > static_cast<std::uint8_t>(PostmortemReason::manual)) {
         throw PostmortemError(PostmortemError::Code::malformed,
                               "postmortem reason out of range");
     }
     pm.reason = static_cast<PostmortemReason>(reason);
-    pm.process = cursor.u32();
-    pm.step = cursor.u64();
-    pm.epoch = cursor.u64();
-    pm.frontier_epoch = cursor.u64();
-    pm.wal_lsn = cursor.u64();
-    pm.virtual_time = cursor.u64();
-    pm.snapshots = cursor.u64();
-
-    const auto read_counter_table = [&](auto& table) {
-        const std::uint64_t count = table_count(cursor);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            std::string name = cursor.name();
-            const std::uint64_t value = cursor.u64();
-            if (!table.emplace(std::move(name), value).second) {
-                throw PostmortemError(PostmortemError::Code::malformed,
-                                      "postmortem duplicate metric name");
-            }
-        }
-    };
-    const auto read_gauge_table = [&](auto& table) {
-        const std::uint64_t count = table_count(cursor);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            std::string name = cursor.name();
-            const auto value = static_cast<std::int64_t>(cursor.u64());
-            if (!table.emplace(std::move(name), value).second) {
-                throw PostmortemError(PostmortemError::Code::malformed,
-                                      "postmortem duplicate metric name");
-            }
-        }
-    };
-    read_counter_table(pm.metrics.counters);
-    read_gauge_table(pm.metrics.gauges);
-    read_counter_table(pm.rates.counters);
-    read_gauge_table(pm.rates.gauges);
-
-    // Division form: a forged count whose product with the event size
-    // wraps past 2^64 must not pass the length check.
-    const std::uint64_t events = cursor.u64();
-    const std::size_t payload = cursor.remaining();
-    if (payload % kTraceEventBytes != 0 ||
-        events != payload / kTraceEventBytes) {
-        throw PostmortemError(PostmortemError::Code::malformed,
-                              "postmortem event count mismatch");
-    }
-    pm.events.reserve(static_cast<std::size_t>(events));
-    for (std::uint64_t i = 0; i < events; ++i) {
-        TraceEvent event = decode_trace_event(cursor.take(kTraceEventBytes));
-        if (static_cast<std::uint8_t>(event.kind) >
-            static_cast<std::uint8_t>(TraceEventKind::bsched_defer)) {
-            throw PostmortemError(PostmortemError::Code::malformed,
-                                  "postmortem event kind out of range");
-        }
-        pm.events.push_back(event);
-    }
-    if (cursor.remaining() != 0) {
-        throw PostmortemError(PostmortemError::Code::trailing_bytes,
-                              "postmortem has trailing bytes");
-    }
+    pm.process = in.le32();
+    pm.step = in.le64();
+    pm.epoch = in.le64();
+    pm.frontier_epoch = in.le64();
+    pm.wal_lsn = in.le64();
+    pm.virtual_time = in.le64();
+    pm.snapshots = in.le64();
+    read_table(in, pm.metrics.counters);
+    read_table(in, pm.metrics.gauges);
+    read_table(in, pm.rates.counters);
+    read_table(in, pm.rates.gauges);
+    const std::uint64_t events = in.le64();
+    read_trace_events(in, events, pm.events);
+    in.end();
     return pm;
 }
 

@@ -100,93 +100,38 @@ namespace {
 
 constexpr std::uint8_t kMagic[4] = {'S', 'Y', 'T', 'R'};
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kEventBytes = kTraceEventBytes;
+/// Magic, version and count.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-std::uint64_t load_u64(const std::uint8_t* at) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(at[i]) << (8 * i);
-    }
-    return v;
-}
-
-std::uint32_t load_u32(const std::uint8_t* at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(at[i]) << (8 * i);
-    }
-    return v;
+[[noreturn]] void throw_dump_error(codec::Fault, const char* what) {
+    throw std::invalid_argument(std::string("binary trace: ") + what);
 }
 
 }  // namespace
 
-void encode_trace_event_into(const TraceEvent& event,
-                             std::vector<std::uint8_t>& out) {
-    put_u64(out, event.virtual_time);
-    put_u64(out, event.logical);
-    put_u64(out, event.arg_a);
-    put_u64(out, event.arg_b);
-    put_u32(out, event.process);
-    put_u32(out, event.peer);
-    out.push_back(static_cast<std::uint8_t>(event.kind));
-}
-
-TraceEvent decode_trace_event(const std::uint8_t* at) {
-    TraceEvent e;
-    e.virtual_time = load_u64(at);
-    e.logical = load_u64(at + 8);
-    e.arg_a = load_u64(at + 16);
-    e.arg_b = load_u64(at + 24);
-    e.process = load_u32(at + 32);
-    e.peer = load_u32(at + 36);
-    e.kind = static_cast<TraceEventKind>(at[40]);
-    return e;
-}
-
 void TraceSink::write_binary(std::vector<std::uint8_t>& out) const {
     out.clear();
-    out.reserve(4 + 4 + 8 + size() * kEventBytes);
-    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-    put_u32(out, kVersion);
-    put_u64(out, static_cast<std::uint64_t>(size()));
-    for_each([&](const TraceEvent& e) { encode_trace_event_into(e, out); });
+    codec::Writer writer(out, kHeaderBytes + size() * kTraceEventBytes);
+    writer.bytes(kMagic);
+    writer.le32(kVersion);
+    writer.le64(size());
+    for_each([&](const TraceEvent& e) { write_trace_event(writer, e); });
+    writer.finish();
 }
 
 std::vector<TraceEvent> TraceSink::read_binary(
     const std::vector<std::uint8_t>& bytes) {
-    if (bytes.size() < 16 || !std::equal(std::begin(kMagic),
-                                         std::end(kMagic), bytes.begin())) {
+    codec::Reader in(bytes, throw_dump_error);
+    if (bytes.size() < kHeaderBytes ||
+        !std::ranges::equal(in.bytes(sizeof(kMagic)), kMagic)) {
         throw std::invalid_argument("not a syncts binary trace");
     }
-    if (load_u32(bytes.data() + 4) != kVersion) {
+    if (in.le32() != kVersion) {
         throw std::invalid_argument("unsupported binary trace version");
     }
-    // Division form: a forged count whose product with the event size
-    // wraps past 2^64 must not pass the length check.
-    const std::uint64_t count = load_u64(bytes.data() + 8);
-    const std::size_t payload = bytes.size() - 16;
-    if (payload % kEventBytes != 0 || count != payload / kEventBytes) {
-        throw std::invalid_argument("binary trace length mismatch");
-    }
+    const std::uint64_t count = in.le64();
     std::vector<TraceEvent> events;
-    events.reserve(static_cast<std::size_t>(count));
-    std::size_t at = 16;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        events.push_back(decode_trace_event(bytes.data() + at));
-        at += kEventBytes;
-    }
+    read_trace_events(in, count, events);
     return events;
 }
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
+
 /// \file trace_sink.hpp
 /// Typed causal trace events captured into a fixed-capacity ring buffer.
 ///
@@ -76,16 +78,48 @@ struct TraceEvent {
 /// 4 x u64 + 2 x u32 + the kind byte, little-endian throughout.
 inline constexpr std::size_t kTraceEventBytes = 4 * 8 + 2 * 4 + 1;
 
-/// Appends the packed little-endian form of `event` (kTraceEventBytes).
-/// Shared by the SYTR trace frame and the SYFR post-mortem dump so the
-/// two stay bit-compatible per event.
-void encode_trace_event_into(const TraceEvent& event,
-                             std::vector<std::uint8_t>& out);
+/// Writes the packed little-endian form of `event` (kTraceEventBytes)
+/// through a codec writer. Shared by the SYTR event dump and the SYFR
+/// post-mortem so the two stay bit-compatible per event.
+template <typename Writer>
+void write_trace_event(Writer& writer, const TraceEvent& event) {
+    writer.le64(event.virtual_time);
+    writer.le64(event.logical);
+    writer.le64(event.arg_a);
+    writer.le64(event.arg_b);
+    writer.le32(event.process);
+    writer.le32(event.peer);
+    writer.byte(static_cast<std::uint8_t>(event.kind));
+}
 
-/// Decodes one packed event starting at `at` (caller guarantees
-/// kTraceEventBytes readable). Does not validate the kind byte — callers
-/// with untrusted input check it against the enum range themselves.
-TraceEvent decode_trace_event(const std::uint8_t* at);
+/// Reads `declared` packed events into `out`; they must fill the rest of
+/// the reader exactly (codec::Fault::count otherwise, checked in division
+/// form so a forged count whose product with the event size wraps past
+/// 2^64 cannot pass), and a kind byte past the enum fails
+/// codec::Fault::malformed. The one event decoder of both binary readers.
+template <typename Fail>
+void read_trace_events(codec::Reader<Fail>& in, std::uint64_t declared,
+                       std::vector<TraceEvent>& out) {
+    if (in.remaining() % kTraceEventBytes != 0 ||
+        declared != in.remaining() / kTraceEventBytes) {
+        in.fail(codec::Fault::count, "event count does not match its bytes");
+    }
+    out.reserve(static_cast<std::size_t>(declared));
+    for (std::uint64_t i = 0; i < declared; ++i) {
+        TraceEvent& event = out.emplace_back();
+        event.virtual_time = in.le64();
+        event.logical = in.le64();
+        event.arg_a = in.le64();
+        event.arg_b = in.le64();
+        event.process = in.le32();
+        event.peer = in.le32();
+        const std::uint8_t kind = in.u8();
+        if (kind > static_cast<std::uint8_t>(TraceEventKind::bsched_defer)) {
+            in.fail(codec::Fault::malformed, "trace event kind out of range");
+        }
+        event.kind = static_cast<TraceEventKind>(kind);
+    }
+}
 
 class TraceSink {
 public:
@@ -141,12 +175,13 @@ public:
     void write_chrome_trace(std::string& out) const;
     std::string to_chrome_trace() const;
 
-    /// Compact binary form: magic "SYTR", version, count, then packed
-    /// little-endian events.
+    /// Compact binary form (the SYTR event dump, docs/FORMATS.md):
+    /// magic "SYTR", u32 version 1, u64 count, then packed little-endian
+    /// events. Replaces the contents of `out`.
     void write_binary(std::vector<std::uint8_t>& out) const;
 
     /// Parses `write_binary` output; throws std::invalid_argument on a
-    /// malformed buffer.
+    /// malformed buffer, an out-of-range event kind included.
     static std::vector<TraceEvent> read_binary(
         const std::vector<std::uint8_t>& bytes);
 

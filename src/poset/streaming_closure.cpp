@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
+#include "common/codec.hpp"
 
 namespace syncts {
 
@@ -11,19 +14,9 @@ namespace {
 
 constexpr std::size_t kChunkPayloadHeaderBytes = 16;  // row_begin, row_count
 
-void append_u64le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-std::uint64_t read_u64le(std::span<const std::uint8_t> bytes,
-                         std::size_t at) noexcept {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
-    }
-    return v;
+/// Chunk payloads are the closure's own bytes, so a short one is a bug.
+[[noreturn]] void throw_payload_bug(codec::Fault, const char* what) {
+    throw std::logic_error(std::string("spill payload: ") + what);
 }
 
 }  // namespace
@@ -108,10 +101,12 @@ void StreamingClosure::retire_chunk() {
     const std::uint64_t row_count = chunk_row_offsets_.size();
 
     std::vector<std::uint8_t> payload;
-    payload.reserve(kChunkPayloadHeaderBytes + chunk_words_.size() * 8);
-    append_u64le(payload, row_begin);
-    append_u64le(payload, row_count);
-    for (const std::uint64_t word : chunk_words_) append_u64le(payload, word);
+    codec::Writer writer(payload,
+                         kChunkPayloadHeaderBytes + chunk_words_.size() * 8);
+    writer.le64(row_begin);
+    writer.le64(row_count);
+    for (const std::uint64_t word : chunk_words_) writer.le64(word);
+    writer.finish();
 
     if (options_.spill != nullptr) {
         options_.spill->put(index, payload);
@@ -154,10 +149,9 @@ std::span<const std::uint8_t> StreamingClosure::chunk_payload(
 
 std::span<const std::uint64_t> StreamingClosure::row_in_payload(
     std::span<const std::uint8_t> payload, MessageId m) const {
-    SYNCTS_ENSURE(payload.size() >= kChunkPayloadHeaderBytes,
-                  "spill payload shorter than its header");
-    const std::uint64_t row_begin = read_u64le(payload, 0);
-    const std::uint64_t row_count = read_u64le(payload, 8);
+    codec::Reader in(payload, throw_payload_bug);
+    const std::uint64_t row_begin = in.le64();
+    const std::uint64_t row_count = in.le64();
     SYNCTS_ENSURE(m >= row_begin && m < row_begin + row_count,
                   "row not in this chunk");
     std::size_t word_offset = 0;

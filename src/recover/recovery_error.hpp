@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/codec.hpp"
+
 /// \file recovery_error.hpp
 /// Typed failure for damaged or inconsistent durable recovery state
 /// (snapshots and write-ahead logs; docs/RECOVERY.md).
@@ -32,5 +34,26 @@ public:
 private:
     Kind kind_;
 };
+
+/// The codec fail function of the WAL and snapshot decoders: a value or
+/// length that runs past the input is `truncated` (an over-long varint
+/// too), leftover bytes or an out-of-range field `malformed`.
+[[noreturn]] inline void throw_recovery_error(codec::Fault fault,
+                                              const char* what) {
+    using Kind = RecoveryError::Kind;
+    Kind kind = Kind::truncated;
+    switch (fault) {
+        case codec::Fault::truncated:
+        case codec::Fault::overlong_varint:
+        case codec::Fault::count: break;
+        case codec::Fault::trailing:
+        case codec::Fault::malformed: kind = Kind::malformed; break;
+        case codec::Fault::checksum: kind = Kind::checksum_mismatch; break;
+    }
+    throw RecoveryError(kind, what);
+}
+
+/// A codec reader whose failures raise RecoveryError.
+using RecoveryReader = codec::Reader<decltype(&throw_recovery_error)>;
 
 }  // namespace syncts

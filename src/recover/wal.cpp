@@ -4,100 +4,58 @@
 #include <string>
 #include <utility>
 
-#include "clocks/wire.hpp"
 #include "common/check.hpp"
-#include "common/checksum.hpp"
 
 namespace syncts {
 
-namespace {
-
-std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
-                          std::size_t& offset) {
-    try {
-        return decode_varint(bytes, offset);
-    } catch (const WireError& error) {
-        throw RecoveryError(RecoveryError::Kind::truncated, error.what());
-    }
-}
-
-std::vector<std::uint8_t> read_blob(std::span<const std::uint8_t> bytes,
-                                    std::size_t& offset) {
-    const std::uint64_t length = read_varint(bytes, offset);
-    if (length > bytes.size() - offset) {
-        throw RecoveryError(RecoveryError::Kind::truncated,
-                            "WAL blob length exceeds the record");
-    }
-    const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(offset);
-    offset += length;
-    return std::vector<std::uint8_t>(
-        begin, begin + static_cast<std::ptrdiff_t>(length));
-}
-
-}  // namespace
-
 void encode_wal_record_into(const WalRecord& record,
                             std::vector<std::uint8_t>& out) {
-    const std::size_t start = out.size();
-    encode_varint(record.lsn, out);
-    out.push_back(static_cast<std::uint8_t>(record.type));
-    encode_varint(record.peer, out);
-    encode_varint(record.sequence, out);
-    encode_varint(record.message, out);
-    encode_varint(record.epoch, out);
-    encode_varint(record.frame.size(), out);
-    out.insert(out.end(), record.frame.begin(), record.frame.end());
-    encode_varint(record.aux.size(), out);
-    out.insert(out.end(), record.aux.begin(), record.aux.end());
-    common::append_checksum_trailer(out, start);
+    // Header varints at their common sizes, then the two blobs.
+    codec::SealedWriter writer(
+        out, 24 + record.frame.size() + record.aux.size());
+    writer.varint(record.lsn);
+    writer.byte(static_cast<std::uint8_t>(record.type));
+    writer.varint(record.peer);
+    writer.varint(record.sequence);
+    writer.varint(record.message);
+    writer.varint(record.epoch);
+    writer.blob(record.frame);
+    writer.blob(record.aux);
+    writer.seal();
 }
 
 WalRecord decode_wal_record(std::span<const std::uint8_t> bytes) {
-    if (bytes.size() < 8 + 2) {
-        throw RecoveryError(RecoveryError::Kind::truncated,
-                            "WAL record shorter than its checksum");
-    }
-    const std::span<const std::uint8_t> body = bytes.first(bytes.size() - 8);
-    const std::uint64_t stored =
-        common::read_checksum_trailer(bytes, body.size());
-    if (common::fnv1a64(body) != stored) {
-        throw RecoveryError(RecoveryError::Kind::checksum_mismatch,
-                            "WAL record checksum mismatch");
-    }
-    std::size_t offset = 0;
+    RecoveryReader in(bytes, throw_recovery_error);
+    in.need(8 + 2, "WAL record shorter than its checksum");
+    in.unseal();
     WalRecord record;
-    record.lsn = read_varint(body, offset);
-    if (offset >= body.size()) {
-        throw RecoveryError(RecoveryError::Kind::truncated,
-                            "WAL record ends before its type byte");
-    }
-    const std::uint8_t type = body[offset++];
+    record.lsn = in.varint();
+    const std::uint8_t type = in.u8();
     if (type < static_cast<std::uint8_t>(WalRecordType::send) ||
         type > static_cast<std::uint8_t>(WalRecordType::epoch)) {
         throw RecoveryError(RecoveryError::Kind::malformed,
                             "WAL record has an unknown type");
     }
     record.type = static_cast<WalRecordType>(type);
-    const std::uint64_t peer = read_varint(body, offset);
+    const std::uint64_t peer = in.varint();
     if (peer > kNoProcess) {
         throw RecoveryError(RecoveryError::Kind::malformed,
                             "WAL record peer out of range");
     }
     record.peer = static_cast<ProcessId>(peer);
-    record.sequence = read_varint(body, offset);
-    record.message = read_varint(body, offset);
-    const std::uint64_t epoch = read_varint(body, offset);
+    record.sequence = in.varint();
+    record.message = in.varint();
+    const std::uint64_t epoch = in.varint();
     if (epoch > std::numeric_limits<EpochId>::max()) {
         throw RecoveryError(RecoveryError::Kind::malformed,
                             "WAL record epoch exceeds the epoch id range");
     }
     record.epoch = static_cast<EpochId>(epoch);
-    record.frame = read_blob(body, offset);
-    record.aux = read_blob(body, offset);
-    if (offset != body.size()) {
-        throw RecoveryError(RecoveryError::Kind::malformed,
-                            "WAL record has undecoded trailing bytes");
-    }
+    const std::span<const std::uint8_t> frame = in.blob();
+    record.frame.assign(frame.begin(), frame.end());
+    const std::span<const std::uint8_t> aux = in.blob();
+    record.aux.assign(aux.begin(), aux.end());
+    in.end();
     return record;
 }
 

@@ -1,12 +1,14 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/checksum.hpp"
+#include "common/codec.hpp"
 
 namespace syncts {
 
@@ -135,44 +137,30 @@ SyncComputation parse_computation(const std::string& text) {
 
 namespace {
 
-constexpr char kStreamMagic[4] = {'S', 'Y', 'T', 'R'};
+constexpr std::uint8_t kStreamHeader[5] = {'S', 'Y', 'T', 'R',
+                                           kStreamTraceVersion};
+constexpr std::uint8_t kChunkTag[1] = {'C'};
+constexpr std::uint8_t kEndTag[1] = {'E'};
 
-void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
+[[noreturn]] void throw_stream_error(codec::Fault, const char* what) {
+    throw std::invalid_argument(std::string("SYTR stream: ") + what);
 }
 
-std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
-                          std::size_t& at, const char* what) {
-    std::uint64_t v = 0;
-    for (std::size_t shift = 0; shift < 64; shift += 7) {
-        SYNCTS_REQUIRE(at < bytes.size(),
-                       std::string("truncated varint for ") + what);
-        const std::uint8_t byte = bytes[at++];
-        v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) return v;
-    }
-    throw std::invalid_argument(std::string("overlong varint for ") + what);
-}
+using StreamReader = codec::Reader<decltype(&throw_stream_error)>;
 
-void append_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (std::size_t i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-}
-
-/// Seals and writes one frame: the already-assembled prefix (tag bytes)
-/// plus payload_len + payload + trailer.
-void write_frame(std::ostream& out, std::vector<std::uint8_t>& frame,
+/// Seals and writes one frame: `head` (magic and version, or a frame
+/// tag), the u32le payload length, the payload, and the trailer over all
+/// of them.
+void write_frame(std::ostream& out, std::span<const std::uint8_t> head,
                  std::span<const std::uint8_t> payload) {
     SYNCTS_REQUIRE(payload.size() <= kStreamFrameCap,
                    "stream frame payload over cap");
-    append_u32le(frame, static_cast<std::uint32_t>(payload.size()));
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    common::append_checksum_trailer(frame, 0);
+    std::vector<std::uint8_t> frame;
+    codec::SealedWriter writer(frame, head.size() + 4 + payload.size());
+    writer.bytes(head);
+    writer.le32(static_cast<std::uint32_t>(payload.size()));
+    writer.bytes(payload);
+    writer.seal();
     out.write(reinterpret_cast<const char*>(frame.data()),
               static_cast<std::streamsize>(frame.size()));
     SYNCTS_REQUIRE(static_cast<bool>(out), "stream write failed");
@@ -189,15 +177,29 @@ void read_exact(std::istream& in, std::vector<std::uint8_t>& frame,
                    std::string("stream truncated reading ") + what);
 }
 
-/// Validates the trailer sealing frame[0..frame.size()-8).
-void check_frame_trailer(const std::vector<std::uint8_t>& frame,
-                         const char* what) {
-    const std::size_t sealed = frame.size() - common::kChecksumTrailerBytes;
-    const std::uint64_t declared = common::read_checksum_trailer(frame, sealed);
-    const std::uint64_t actual =
-        common::fnv1a64({frame.data(), sealed});
-    SYNCTS_REQUIRE(declared == actual,
-                   std::string("stream checksum mismatch in ") + what);
+/// Reads the rest of the frame whose head, ending in its u32le payload
+/// `length`, is already in `frame`; verifies the trailer; and returns a
+/// reader over the payload.
+StreamReader read_payload(std::istream& in, std::vector<std::uint8_t>& frame,
+                          std::uint32_t length, const char* what) {
+    SYNCTS_REQUIRE(length <= kStreamFrameCap, std::string("hostile ") +
+                                                  what + " length " +
+                                                  std::to_string(length));
+    const std::size_t head = frame.size();
+    read_exact(in, frame, length + codec::kTrailerBytes, what);
+    StreamReader payload(frame, throw_stream_error);
+    payload.unseal();
+    (void)payload.bytes(head);
+    return payload;
+}
+
+/// Appends one record to a chunk: its kind byte, then its varints.
+void append_record(std::vector<std::uint8_t>& chunk, TraceRecord::Kind kind,
+                   std::initializer_list<std::uint64_t> fields) {
+    codec::Writer writer(chunk, 1 + 2 * codec::kMaxVarintBytes);
+    writer.byte(static_cast<std::uint8_t>(kind));
+    for (const std::uint64_t field : fields) writer.varint(field);
+    writer.finish();
 }
 
 }  // namespace
@@ -209,16 +211,15 @@ StreamingTraceWriter::StreamingTraceWriter(std::ostream& out,
       num_processes_(topology.num_vertices()),
       chunk_events_(chunk_events == 0 ? 1 : chunk_events) {
     std::vector<std::uint8_t> payload;
-    append_varint(payload, topology.num_vertices());
-    append_varint(payload, topology.num_edges());
+    codec::Writer writer(payload, 4 + 4 * topology.num_edges());
+    writer.varint(topology.num_vertices());
+    writer.varint(topology.num_edges());
     for (const Edge& e : topology.edges()) {
-        append_varint(payload, e.u);
-        append_varint(payload, e.v);
+        writer.varint(e.u);
+        writer.varint(e.v);
     }
-    std::vector<std::uint8_t> frame(std::begin(kStreamMagic),
-                                    std::end(kStreamMagic));
-    frame.push_back(kStreamTraceVersion);
-    write_frame(out_, frame, payload);
+    writer.finish();
+    write_frame(out_, kStreamHeader, payload);
 }
 
 void StreamingTraceWriter::add_message(ProcessId sender, ProcessId receiver) {
@@ -226,10 +227,7 @@ void StreamingTraceWriter::add_message(ProcessId sender, ProcessId receiver) {
     SYNCTS_REQUIRE(sender < num_processes_ && receiver < num_processes_,
                    "endpoint out of range");
     SYNCTS_REQUIRE(sender != receiver, "a message needs distinct endpoints");
-    chunk_.push_back(
-        static_cast<std::uint8_t>(TraceRecord::Kind::message));
-    append_varint(chunk_, sender);
-    append_varint(chunk_, receiver);
+    append_record(chunk_, TraceRecord::Kind::message, {sender, receiver});
     ++chunk_count_;
     ++total_events_;
     if (chunk_count_ >= chunk_events_) flush_chunk();
@@ -238,9 +236,7 @@ void StreamingTraceWriter::add_message(ProcessId sender, ProcessId receiver) {
 void StreamingTraceWriter::add_internal(ProcessId process) {
     SYNCTS_REQUIRE(!finished_, "stream already finished");
     SYNCTS_REQUIRE(process < num_processes_, "process out of range");
-    chunk_.push_back(
-        static_cast<std::uint8_t>(TraceRecord::Kind::internal));
-    append_varint(chunk_, process);
+    append_record(chunk_, TraceRecord::Kind::internal, {process});
     ++chunk_count_;
     ++total_events_;
     if (chunk_count_ >= chunk_events_) flush_chunk();
@@ -249,12 +245,11 @@ void StreamingTraceWriter::add_internal(ProcessId process) {
 void StreamingTraceWriter::flush_chunk() {
     if (chunk_count_ == 0) return;
     std::vector<std::uint8_t> payload;
-    payload.reserve(chunk_.size() + 4);
-    append_varint(payload, chunk_count_);
-    payload.insert(payload.end(), chunk_.begin(), chunk_.end());
-    std::vector<std::uint8_t> frame;
-    frame.push_back(static_cast<std::uint8_t>('C'));
-    write_frame(out_, frame, payload);
+    codec::Writer writer(payload, codec::kMaxVarintBytes + chunk_.size());
+    writer.varint(chunk_count_);
+    writer.bytes(chunk_);
+    writer.finish();
+    write_frame(out_, kChunkTag, payload);
     chunk_.clear();
     chunk_count_ = 0;
 }
@@ -263,10 +258,10 @@ void StreamingTraceWriter::finish() {
     if (finished_) return;
     flush_chunk();
     std::vector<std::uint8_t> payload;
-    append_varint(payload, total_events_);
-    std::vector<std::uint8_t> frame;
-    frame.push_back(static_cast<std::uint8_t>('E'));
-    write_frame(out_, frame, payload);
+    codec::Writer writer(payload, codec::kMaxVarintBytes);
+    writer.varint(total_events_);
+    writer.finish();
+    write_frame(out_, kEndTag, payload);
     out_.flush();
     finished_ = true;
 }
@@ -274,68 +269,47 @@ void StreamingTraceWriter::finish() {
 StreamingTraceReader::StreamingTraceReader(std::istream& in) : in_(in) {
     frame_.clear();
     read_exact(in_, frame_, 4 + 1 + 4, "stream header");
-    for (std::size_t i = 0; i < 4; ++i) {
-        SYNCTS_REQUIRE(frame_[i] == static_cast<std::uint8_t>(kStreamMagic[i]),
-                       "not a SYTR stream (bad magic)");
-    }
-    SYNCTS_REQUIRE(frame_[4] == kStreamTraceVersion,
+    StreamReader head(frame_, throw_stream_error);
+    SYNCTS_REQUIRE(std::ranges::equal(head.bytes(4),
+                                      std::span(kStreamHeader).first(4)),
+                   "not a SYTR stream (bad magic)");
+    const std::uint8_t version = head.u8();
+    SYNCTS_REQUIRE(version == kStreamTraceVersion,
                    "unsupported SYTR stream version " +
-                       std::to_string(frame_[4]));
-    std::uint32_t payload_len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        payload_len |= static_cast<std::uint32_t>(frame_[5 + i]) << (8 * i);
-    }
-    SYNCTS_REQUIRE(payload_len <= kStreamFrameCap,
-                   "hostile header length " + std::to_string(payload_len));
-    read_exact(in_, frame_, payload_len + common::kChecksumTrailerBytes,
-               "stream header payload");
-    check_frame_trailer(frame_, "stream header");
+                       std::to_string(version));
+    StreamReader payload =
+        read_payload(in_, frame_, head.le32(), "stream header");
 
-    const std::span<const std::uint8_t> payload{frame_.data() + 9,
-                                                payload_len};
-    std::size_t at = 0;
-    const std::uint64_t n = read_varint(payload, at, "process count");
-    const std::uint64_t e = read_varint(payload, at, "edge count");
+    const std::uint64_t n = payload.varint();
+    const std::uint64_t e = payload.varint();
     SYNCTS_REQUIRE(n <= kNoProcess, "hostile process count");
     // Each edge costs at least two payload bytes — reject counts the
     // payload cannot possibly hold before allocating for them.
-    SYNCTS_REQUIRE(e <= (payload.size() - at) / 2 + 1,
+    SYNCTS_REQUIRE(e <= payload.remaining() / 2 + 1,
                    "hostile edge count " + std::to_string(e));
     Graph g(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < e; ++i) {
-        const std::uint64_t u = read_varint(payload, at, "edge endpoint");
-        const std::uint64_t v = read_varint(payload, at, "edge endpoint");
+        const std::uint64_t u = payload.varint();
+        const std::uint64_t v = payload.varint();
         SYNCTS_REQUIRE(u < n && v < n, "edge endpoint out of range");
         g.add_edge(static_cast<ProcessId>(u), static_cast<ProcessId>(v));
     }
-    SYNCTS_REQUIRE(at == payload.size(),
-                   "trailing garbage in stream header");
+    payload.end();
     topology_ = std::move(g);
 }
 
 void StreamingTraceReader::pull_frame() {
     frame_.clear();
     read_exact(in_, frame_, 1 + 4, "frame tag");
-    const char tag = static_cast<char>(frame_[0]);
+    StreamReader head(frame_, throw_stream_error);
+    const char tag = static_cast<char>(head.u8());
     SYNCTS_REQUIRE(tag == 'C' || tag == 'E',
                    std::string("unknown frame tag '") + tag + "'");
-    std::uint32_t payload_len = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        payload_len |= static_cast<std::uint32_t>(frame_[1 + i]) << (8 * i);
-    }
-    SYNCTS_REQUIRE(payload_len <= kStreamFrameCap,
-                   "hostile frame length " + std::to_string(payload_len));
-    read_exact(in_, frame_, payload_len + common::kChecksumTrailerBytes,
-               "frame payload");
-    check_frame_trailer(frame_, tag == 'C' ? "chunk frame" : "end frame");
-
-    const std::span<const std::uint8_t> payload{frame_.data() + 5,
-                                                payload_len};
-    std::size_t at = 0;
+    StreamReader payload = read_payload(
+        in_, frame_, head.le32(), tag == 'C' ? "chunk frame" : "end frame");
     if (tag == 'E') {
-        const std::uint64_t total = read_varint(payload, at, "event total");
-        SYNCTS_REQUIRE(at == payload.size(),
-                       "trailing garbage in end frame");
+        const std::uint64_t total = payload.varint();
+        payload.end();
         SYNCTS_REQUIRE(total == events_read_,
                        "end frame declares " + std::to_string(total) +
                            " events but " + std::to_string(events_read_) +
@@ -343,20 +317,19 @@ void StreamingTraceReader::pull_frame() {
         finished_ = true;
         return;
     }
-    const std::uint64_t count = read_varint(payload, at, "record count");
+    const std::uint64_t count = payload.varint();
     // Every record costs at least two payload bytes.
-    SYNCTS_REQUIRE(count > 0 && count <= (payload.size() - at) / 2 + 1,
+    SYNCTS_REQUIRE(count > 0 && count <= payload.remaining() / 2 + 1,
                    "hostile record count " + std::to_string(count));
     const std::uint64_t n = topology_.num_vertices();
     pending_.clear();
     pending_.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t i = 0; i < count; ++i) {
-        SYNCTS_REQUIRE(at < payload.size(), "truncated record");
-        const std::uint8_t kind = payload[at++];
+        const std::uint8_t kind = payload.u8();
         TraceRecord record;
         if (kind == static_cast<std::uint8_t>(TraceRecord::Kind::message)) {
-            const std::uint64_t s = read_varint(payload, at, "sender");
-            const std::uint64_t r = read_varint(payload, at, "receiver");
+            const std::uint64_t s = payload.varint();
+            const std::uint64_t r = payload.varint();
             SYNCTS_REQUIRE(s < n && r < n, "endpoint out of range");
             SYNCTS_REQUIRE(s != r, "self-message in stream");
             record.kind = TraceRecord::Kind::message;
@@ -364,7 +337,7 @@ void StreamingTraceReader::pull_frame() {
             record.b = static_cast<ProcessId>(r);
         } else if (kind ==
                    static_cast<std::uint8_t>(TraceRecord::Kind::internal)) {
-            const std::uint64_t p = read_varint(payload, at, "process");
+            const std::uint64_t p = payload.varint();
             SYNCTS_REQUIRE(p < n, "process out of range");
             record.kind = TraceRecord::Kind::internal;
             record.a = static_cast<ProcessId>(p);
@@ -374,8 +347,7 @@ void StreamingTraceReader::pull_frame() {
         }
         pending_.push_back(record);
     }
-    SYNCTS_REQUIRE(at == payload.size(),
-                   "trailing garbage in chunk frame");
+    payload.end();
     pending_at_ = 0;
 }
 

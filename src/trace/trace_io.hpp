@@ -51,7 +51,7 @@ SyncComputation read_computation(std::istream& in);
 //                 0x01 varint process                  (internal event)
 //   end frame:    'E' | payload_len u32le | varint total_events | FNV trailer
 //
-// Every trailer seals the bytes of its own frame (checksum.hpp), so a
+// Every trailer seals the bytes of its own frame (common/codec.hpp), so a
 // flipped bit or a mid-chunk truncation is caught at the frame where it
 // happened, not at end of stream. payload_len is capped
 // (kStreamFrameCap) so a hostile length field cannot drive allocation.

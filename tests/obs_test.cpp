@@ -412,6 +412,13 @@ TEST(TraceSink, BinaryRejectsMalformedBuffers) {
     wrapped.push_back(0);
     EXPECT_THROW(obs::TraceSink::read_binary(wrapped),
                  std::invalid_argument);
+
+    // An event kind past the enum is rejected, as the SYFR reader
+    // rejects it: the kind byte closes the first event.
+    std::vector<std::uint8_t> bad_kind = bytes;
+    bad_kind[16 + obs::kTraceEventBytes - 1] = 200;
+    EXPECT_THROW(obs::TraceSink::read_binary(bad_kind),
+                 std::invalid_argument);
 }
 
 TEST(TraceSink, ChromeTraceIsValidJsonWithRequiredFields) {

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/checksum.hpp"
+#include "common/codec.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
 #include "obs/causal_profiler.hpp"
@@ -225,14 +225,14 @@ TEST(FlightRecorder, SyfrRejectsBitFlipsTruncationAndTrailingBytes) {
     static_assert(kWrapping * obs::kTraceEventBytes == 1);
     std::vector<std::uint8_t> wrapped;
     obs::encode_postmortem_into(obs::Postmortem{}, wrapped);
-    wrapped.resize(wrapped.size() - common::kChecksumTrailerBytes);
+    wrapped.resize(wrapped.size() - codec::kTrailerBytes);
     const std::size_t count_at = wrapped.size() - 8;
     for (std::size_t i = 0; i < 8; ++i) {
         wrapped[count_at + i] =
             static_cast<std::uint8_t>(kWrapping >> (8 * i));
     }
     wrapped.push_back(0);
-    common::append_checksum_trailer(wrapped);
+    wrapped = testing::sealed(wrapped);
     ASSERT_EQ(wrapped.size(), 110u);
     EXPECT_THROW((void)obs::decode_postmortem(wrapped), obs::PostmortemError);
 }
@@ -350,11 +350,15 @@ TEST(FlightRecorder, CrashDumpEventsAreACrashFreeTracePrefixSlice) {
     EXPECT_EQ(found, control_events.begin());
     std::vector<std::uint8_t> dumped_bytes;
     std::vector<std::uint8_t> control_bytes;
+    codec::Writer dumped_writer(dumped_bytes, 0);
+    codec::Writer control_writer(control_bytes, 0);
     for (std::size_t i = 0; i < prefix.size(); ++i) {
-        obs::encode_trace_event_into(prefix[i], dumped_bytes);
-        obs::encode_trace_event_into(*(found + static_cast<long>(i)),
-                                     control_bytes);
+        obs::write_trace_event(dumped_writer, prefix[i]);
+        obs::write_trace_event(control_writer,
+                               *(found + static_cast<long>(i)));
     }
+    dumped_writer.finish();
+    control_writer.finish();
     EXPECT_EQ(dumped_bytes, control_bytes);
 
     // The dump's WAL position is what recovery actually replayed from —

@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -14,6 +16,26 @@
 /// instantiated across sizes, and random computations over them.
 
 namespace syncts::testing {
+
+/// `body` followed by its checksum trailer: a hand-forged record that
+/// clears the checksum, so a decoder's structural checks are what meet it.
+inline std::vector<std::uint8_t> sealed(const std::vector<std::uint8_t>& body) {
+    std::vector<std::uint8_t> out;
+    codec::SealedWriter writer(out, body.size());
+    writer.bytes(body);
+    writer.seal();
+    return out;
+}
+
+/// `values` as varints, one after another.
+inline std::vector<std::uint8_t> varints(
+    const std::vector<std::uint64_t>& values) {
+    std::vector<std::uint8_t> out;
+    codec::Writer writer(out, 0);
+    for (const std::uint64_t value : values) writer.varint(value);
+    writer.finish();
+    return out;
+}
 
 struct TopologyCase {
     std::string name;

@@ -9,7 +9,6 @@
 #include "clocks/engine_stock.hpp"
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
-#include "common/checksum.hpp"
 #include "common/pool.hpp"
 #include "common/region.hpp"
 #include "core/multi_epoch_trace.hpp"
@@ -478,8 +477,8 @@ TEST(Topology, VersionOneFramesInteroperateAsEpochZero) {
     // components, then the checksum trailer, with no version escape.
     std::vector<std::uint8_t> v1;
     encode_epoch_frame_into(0, 5, 2, stamp, v1);
-    std::vector<std::uint8_t> spelled{5, 2, 4, 3, 0, 7, 1};
-    common::append_checksum_trailer(spelled);
+    const std::vector<std::uint8_t> spelled =
+        testing::sealed({5, 2, 4, 3, 0, 7, 1});
     EXPECT_EQ(v1, spelled);
 
     // A pre-epoch frame decodes through the epoch-aware reader as epoch 0.

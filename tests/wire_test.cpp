@@ -6,52 +6,47 @@
 
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
-#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/sync_system.hpp"
 #include "graph/generators.hpp"
+#include "test_util.hpp"
 #include "trace/generator.hpp"
 
 namespace syncts {
 namespace {
 
 TEST(Varint, SmallValuesAreOneByte) {
-    std::vector<std::uint8_t> out;
-    encode_varint(0, out);
-    encode_varint(1, out);
-    encode_varint(127, out);
+    const std::vector<std::uint8_t> out = testing::varints({0, 1, 127});
     EXPECT_EQ(out.size(), 3u);
-    std::size_t offset = 0;
-    EXPECT_EQ(decode_varint(out, offset), 0u);
-    EXPECT_EQ(decode_varint(out, offset), 1u);
-    EXPECT_EQ(decode_varint(out, offset), 127u);
-    EXPECT_EQ(offset, out.size());
+    WireReader in(out, throw_wire_error);
+    EXPECT_EQ(in.varint(), 0u);
+    EXPECT_EQ(in.varint(), 1u);
+    EXPECT_EQ(in.varint(), 127u);
+    EXPECT_EQ(in.remaining(), 0u);
 }
 
 TEST(Varint, BoundaryValuesRoundTrip) {
     for (const std::uint64_t value :
          {0ull, 127ull, 128ull, 16383ull, 16384ull, 0xFFFFFFFFull,
           0xFFFFFFFFFFFFFFFFull}) {
-        std::vector<std::uint8_t> out;
-        encode_varint(value, out);
-        std::size_t offset = 0;
-        EXPECT_EQ(decode_varint(out, offset), value);
-        EXPECT_EQ(offset, out.size());
+        const std::vector<std::uint8_t> out = testing::varints({value});
+        WireReader in(out, throw_wire_error);
+        EXPECT_EQ(in.varint(), value);
+        EXPECT_EQ(in.remaining(), 0u);
     }
 }
 
 TEST(Varint, TruncatedInputRejected) {
-    std::vector<std::uint8_t> out;
-    encode_varint(300, out);
+    std::vector<std::uint8_t> out = testing::varints({300});
     out.pop_back();
-    std::size_t offset = 0;
-    EXPECT_THROW(decode_varint(out, offset), std::invalid_argument);
+    WireReader in(out, throw_wire_error);
+    EXPECT_THROW(in.varint(), std::invalid_argument);
 }
 
 TEST(Varint, OverlongInputRejected) {
     const std::vector<std::uint8_t> bytes(11, 0x80);
-    std::size_t offset = 0;
-    EXPECT_THROW(decode_varint(bytes, offset), std::invalid_argument);
+    WireReader in(bytes, throw_wire_error);
+    EXPECT_THROW(in.varint(), std::invalid_argument);
 }
 
 TEST(TimestampWire, RoundTrip) {
@@ -127,9 +122,9 @@ TEST(TimestampWire, TypedErrorsCarryTheirKind) {
 }
 
 TEST(Checksum, Fnv1a64KnownVectors) {
-    EXPECT_EQ(fnv1a64({}), 0xCBF29CE484222325ull);
+    EXPECT_EQ(codec::fnv1a64({}), 0xCBF29CE484222325ull);
     const std::vector<std::uint8_t> a{'a'};
-    EXPECT_EQ(fnv1a64(a), 0xAF63DC4C8601EC8Cull);
+    EXPECT_EQ(codec::fnv1a64(a), 0xAF63DC4C8601EC8Cull);
 }
 
 /// An epoch-0 frame — the v1 layout — as the tests below build and
@@ -208,8 +203,8 @@ TEST(SyncFrameWire, WidthMismatchRejectedBeforeComponents) {
 // hostile frame) must still be rejected exactly as the general loop
 // rejects it.
 TEST(SyncFrameWire, ContinuationBitInOneBytePerComponentPayloadIsRejected) {
-    std::vector<std::uint8_t> bytes{1, 0, 3, 0x81, 0x01, 0x05};
-    common::append_checksum_trailer(bytes);
+    const std::vector<std::uint8_t> bytes =
+        testing::sealed({1, 0, 3, 0x81, 0x01, 0x05});
     std::vector<std::uint64_t> stamp(3);
     try {
         decode_epoch_frame_into(bytes, stamp);
@@ -217,8 +212,8 @@ TEST(SyncFrameWire, ContinuationBitInOneBytePerComponentPayloadIsRejected) {
     } catch (const WireError& e) {
         EXPECT_EQ(e.kind(), WireError::Kind::truncated);
     }
-    std::vector<std::uint8_t> valid{1, 0, 3, 0x7F, 0x01, 0x05};
-    common::append_checksum_trailer(valid);
+    const std::vector<std::uint8_t> valid =
+        testing::sealed({1, 0, 3, 0x7F, 0x01, 0x05});
     EXPECT_EQ(decode_epoch_frame_into(valid, stamp).sequence, 1u);
     EXPECT_EQ(stamp, (std::vector<std::uint64_t>{0x7F, 0x01, 0x05}));
 }
@@ -246,10 +241,16 @@ TEST(SyncFrameWire, RealWorkloadFramesRoundTrip) {
 
 // The single-pass encoders must emit exactly the bytes of the format
 // definition: varints written one after another, then the FNV-1a
-// trailer. The references here are built from encode_varint and
-// append_checksum_trailer alone, so a change the encoders and decoders
-// shared (which round-trip tests cannot see) still fails this test.
+// trailer. The references here write the fields through the plain codec
+// writer and seal the result separately, so a change to the frame
+// encoders' layout or to the sealed writer's checksum fold still fails
+// this test (the bytes themselves are pinned in format_pins_test).
 namespace reference {
+
+void append(std::vector<std::uint8_t>& out,
+            const std::vector<std::uint8_t>& bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+}
 
 std::vector<std::uint8_t> full_frame(EpochId epoch, std::uint64_t sequence,
                                      std::uint64_t message,
@@ -257,15 +258,13 @@ std::vector<std::uint8_t> full_frame(EpochId epoch, std::uint64_t sequence,
     std::vector<std::uint8_t> out;
     if (epoch != 0) {
         out.push_back(kEpochFrameMarker);
-        encode_varint(kEpochFrameVersion, out);
-        encode_varint(epoch, out);
+        append(out, testing::varints({kEpochFrameVersion, epoch}));
     }
-    encode_varint(sequence, out);
-    encode_varint(message, out);
-    encode_varint(stamp.size(), out);
-    for (const std::uint64_t component : stamp) encode_varint(component, out);
-    common::append_checksum_trailer(out);
-    return out;
+    append(out, testing::varints({sequence, message, stamp.size()}));
+    for (const std::uint64_t component : stamp) {
+        append(out, testing::varints({component}));
+    }
+    return testing::sealed(out);
 }
 
 std::vector<std::uint8_t> delta_frame(EpochId epoch, std::uint64_t sequence,
@@ -277,18 +276,13 @@ std::vector<std::uint8_t> delta_frame(EpochId epoch, std::uint64_t sequence,
     for (std::size_t i = 0; i < stamp.size(); ++i) {
         if (stamp[i] == base[i]) continue;
         ++count;
-        encode_varint(i, pairs);
-        encode_varint(stamp[i] - base[i], pairs);
+        append(pairs, testing::varints({i, stamp[i] - base[i]}));
     }
     std::vector<std::uint8_t> out{kEpochFrameMarker};
-    encode_varint(kDeltaFrameVersion, out);
-    encode_varint(epoch, out);
-    encode_varint(sequence, out);
-    encode_varint(message, out);
-    encode_varint(count, out);
-    out.insert(out.end(), pairs.begin(), pairs.end());
-    common::append_checksum_trailer(out);
-    return out;
+    append(out, testing::varints(
+                    {kDeltaFrameVersion, epoch, sequence, message, count}));
+    append(out, pairs);
+    return testing::sealed(out);
 }
 
 }  // namespace reference
