@@ -113,9 +113,4 @@ private:
     std::vector<std::uint64_t> components_;
 };
 
-/// Free-function form of the vector order for symmetry with the paper.
-inline bool vector_less(const VectorTimestamp& u, const VectorTimestamp& v) {
-    return u.less(v);
-}
-
 }  // namespace syncts

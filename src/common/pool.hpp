@@ -7,6 +7,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -146,8 +147,7 @@ private:
 
 /// Resolves AnalysisOptions to a usable pool: borrows options.pool when
 /// set, otherwise owns a freshly spawned one for the lease's lifetime.
-/// Callers should check options.parallel() first and keep the serial path
-/// pool-free.
+/// Row sweeps go through map_rows, which keeps the serial path pool-free.
 class PoolLease {
 public:
     explicit PoolLease(const AnalysisOptions& options)
@@ -171,6 +171,43 @@ public:
 private:
     Pool* borrowed_;
     Pool* owned_;
+};
+
+/// The one sharding front end for row sweeps over [0, n): returns
+/// fn(begin, end) per chunk, in row order. Serial `options` run one inline
+/// chunk with no pool; otherwise the chunks are Pool::map_chunks' at grain
+/// 0 on a pool leased for the call (set options.pool to keep one across
+/// calls). n == 0 yields no chunks. Reducing the result left to right
+/// equals the serial sweep whenever fn is a pure function of its range.
+template <typename T, typename Fn>
+std::vector<T> map_rows(std::size_t n, const AnalysisOptions& options,
+                        Fn&& fn) {
+    std::vector<T> chunks;
+    if (n == 0) return chunks;
+    if (!options.parallel()) {
+        chunks.push_back(fn(std::size_t{0}, n));
+        return chunks;
+    }
+    PoolLease lease(options);
+    return lease.pool().map_chunks<T>(n, 0, fn);
+}
+
+/// One pool for a run of map_rows calls: options() are the given options
+/// with a pool leased once when they ask for threads, so the calls share
+/// it instead of each spawning threads; serial options stay pool-free.
+class PinnedPool {
+public:
+    explicit PinnedPool(const AnalysisOptions& options) : options_(options) {
+        if (options_.parallel()) {
+            options_.pool = &lease_.emplace(options_).pool();
+        }
+    }
+
+    const AnalysisOptions& options() const noexcept { return options_; }
+
+private:
+    AnalysisOptions options_;
+    std::optional<PoolLease> lease_;
 };
 
 }  // namespace syncts

@@ -70,7 +70,6 @@ SpillStore::SpillStore(std::string directory)
 }
 
 SpillStore::~SpillStore() {
-    if (keep_files_) return;
     for (const auto& [id, size] : sizes_) {
         (void)size;
         std::error_code ec;

@@ -26,7 +26,7 @@
 /// scratch buffers (the encode buffer is reused across put() calls, so a
 /// steady-state spill loop performs no per-chunk heap allocation beyond
 /// the file I/O itself). Files the store wrote are unlinked when the
-/// store is destroyed unless `keep_files(true)` was requested.
+/// store is destroyed.
 ///
 /// Corruption is a typed `SpillError`, never silent: a truncated file, a
 /// flipped bit, a wrong chunk id, or a hostile length field all throw.
@@ -82,10 +82,6 @@ public:
     /// Unlinks chunk `id` (no-op when absent).
     void remove(std::uint64_t id);
 
-    /// When true, files survive the store's destruction (default false:
-    /// spill data is scratch state, not a durable artifact).
-    void keep_files(bool keep) noexcept { keep_files_ = keep; }
-
     const std::string& directory() const noexcept { return directory_; }
     std::size_t chunk_count() const noexcept { return sizes_.size(); }
     std::uint64_t bytes_written() const noexcept { return bytes_written_; }
@@ -117,7 +113,6 @@ private:
     std::vector<std::uint8_t> read_buffer_;
     std::uint64_t bytes_written_ = 0;
     std::uint64_t bytes_read_ = 0;
-    bool keep_files_ = false;
 
     obs::Counter* writes_metric_ = nullptr;
     obs::Counter* reads_metric_ = nullptr;

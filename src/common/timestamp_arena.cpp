@@ -20,12 +20,11 @@ void sharded_scan(const TimestampArena& arena,
     SYNCTS_REQUIRE(out.size() == arena.size(),
                    "output size does not match the slot count");
     arena.note_kernel(arena.size());
-    if (!options.parallel()) {
-        kernel(std::size_t{0}, out.size());
-        return;
-    }
-    PoolLease lease(options);
-    lease.pool().parallel_for(out.size(), 0, kernel);
+    map_rows<std::size_t>(out.size(), options,
+                          [&](std::size_t begin, std::size_t end) {
+                              kernel(begin, end);
+                              return end - begin;
+                          });
 }
 
 }  // namespace

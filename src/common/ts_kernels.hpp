@@ -62,23 +62,6 @@ inline void copy(std::span<std::uint64_t> dst,
     for (std::size_t k = 0; k < dst.size(); ++k) dst[k] = src[k];
 }
 
-/// dst = max(a, b) — join without clobbering either input.
-inline void join_into(std::span<std::uint64_t> dst,
-                      std::span<const std::uint64_t> a,
-                      std::span<const std::uint64_t> b) noexcept {
-    const std::size_t n = dst.size();
-    std::size_t k = 0;
-    for (; k + kUnroll <= n; k += kUnroll) {
-        dst[k] = a[k] > b[k] ? a[k] : b[k];
-        dst[k + 1] = a[k + 1] > b[k + 1] ? a[k + 1] : b[k + 1];
-        dst[k + 2] = a[k + 2] > b[k + 2] ? a[k + 2] : b[k + 2];
-        dst[k + 3] = a[k + 3] > b[k + 3] ? a[k + 3] : b[k + 3];
-    }
-    for (; k < n; ++k) {
-        dst[k] = a[k] > b[k] ? a[k] : b[k];
-    }
-}
-
 inline void zero(std::span<std::uint64_t> v) noexcept {
     for (auto& c : v) c = 0;
 }

@@ -13,9 +13,11 @@
 /// \file causality.hpp
 /// Free-standing causality utilities over collections of vector
 /// timestamps: the O(d) precedence test of Section 2 plus bulk validation
-/// helpers used by the test suite and the benchmark harness. Every helper
-/// has an arena form (flat slab, batch kernels) and a materialized
-/// std::span<const VectorTimestamp> compat form.
+/// helpers used by the test suite and the benchmark harness. Every
+/// all-pairs check runs through one sweep over an arena (flat slab, batch
+/// kernel, rows sharded across the analysis pool); the
+/// std::span<const VectorTimestamp> compat forms pack into an arena and
+/// delegate.
 
 namespace syncts {
 
@@ -30,6 +32,10 @@ Order compare(std::span<const std::uint64_t> a,
 
 const char* to_string(Order order);
 
+/// Packs materialized stamps (slot i = stamps[i]) into a fresh arena;
+/// every stamp must share one width.
+TimestampArena pack_stamps(std::span<const VectorTimestamp> stamps);
+
 /// Number of unordered pairs {i, j} whose stamps are concurrent.
 std::size_t count_concurrent_pairs(std::span<const VectorTimestamp> stamps);
 std::size_t count_concurrent_pairs(const TimestampArena& stamps,
@@ -40,7 +46,9 @@ std::size_t count_concurrent_pairs(const TimestampArena& stamps,
 /// number of disagreeing ordered pairs; 0 means the encoding is exact.
 /// The arena form shards rows of the O(M²) sweep across the analysis
 /// pool; per-shard counts reduce in shard (= row) order, so the result is
-/// identical to the serial sweep at every thread count.
+/// identical to the serial sweep at every thread count. This and the two
+/// checks below throw std::invalid_argument unless the poset has exactly
+/// one element per stamp.
 std::size_t encoding_mismatches(const Poset& poset,
                                 std::span<const VectorTimestamp> stamps);
 std::size_t encoding_mismatches(const Poset& poset,

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/ts_kernels.hpp"
 #include "trace/ground_truth.hpp"
 
 namespace syncts {
@@ -115,24 +114,17 @@ std::size_t MultiEpochTrace::verify_against_ground_truth(
     const std::size_t n = num_messages();
     // Pure per-row sweep, reduced in chunk order — bit-identical to the
     // serial scan at any thread count (docs/PARALLELISM.md).
-    const auto count_rows = [&](std::size_t begin, std::size_t end) {
-        std::size_t mismatches = 0;
-        for (std::size_t a = begin; a < end; ++a) {
-            for (std::size_t b = 0; b < n; ++b) {
-                if (a == b) continue;
-                if (truth.less(a, b) != precedes(a, b)) ++mismatches;
+    const std::vector<std::size_t> partial = map_rows<std::size_t>(
+        n, options, [&](std::size_t begin, std::size_t end) {
+            std::size_t mismatches = 0;
+            for (std::size_t a = begin; a < end; ++a) {
+                for (std::size_t b = 0; b < n; ++b) {
+                    if (a == b) continue;
+                    if (truth.less(a, b) != precedes(a, b)) ++mismatches;
+                }
             }
-        }
-        return mismatches;
-    };
-    if (n == 0) return 0;
-    if (!options.parallel()) return count_rows(std::size_t{0}, n);
-    PoolLease lease(options);
-    const std::vector<std::size_t> partial =
-        lease.pool().map_chunks<std::size_t>(
-            n, 0, [&](std::size_t begin, std::size_t end) {
-                return count_rows(begin, end);
-            });
+            return mismatches;
+        });
     return std::accumulate(partial.begin(), partial.end(), std::size_t{0});
 }
 

@@ -48,11 +48,6 @@ OnlineTimestamper SyncSystem::make_timestamper() const {
     return OnlineTimestamper(decomposition_);
 }
 
-std::unique_ptr<ClockEngine> SyncSystem::make_engine(
-    ClockFamily family) const {
-    return make_clock_engine(family, decomposition_);
-}
-
 TimestampedNetwork SyncSystem::make_network() const {
     return TimestampedNetwork(decomposition_);
 }

@@ -72,11 +72,6 @@ public:
     /// Fresh simulator-facing timestamper (Fig. 5 over recorded messages).
     OnlineTimestamper make_timestamper() const;
 
-    /// Fresh clock engine of any family over this system's topology; the
-    /// online family uses this system's decomposition.
-    std::unique_ptr<ClockEngine> make_engine(
-        ClockFamily family = ClockFamily::online) const;
-
     /// Fresh threaded rendezvous network sharing this decomposition.
     TimestampedNetwork make_network() const;
 

@@ -1,7 +1,6 @@
 #include "core/timestamped_trace.hpp"
 
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -12,21 +11,6 @@
 #include "trace/ground_truth.hpp"
 
 namespace syncts {
-
-namespace {
-
-TimestampArena pack_stamps(const std::vector<VectorTimestamp>& stamps) {
-    const std::size_t width = stamps.empty() ? 0 : stamps.front().width();
-    TimestampArena arena(width, stamps.size());
-    for (const VectorTimestamp& stamp : stamps) {
-        SYNCTS_REQUIRE(stamp.width() == width,
-                       "all message timestamps must share one width");
-        arena.allocate(stamp.components());
-    }
-    return arena;
-}
-
-}  // namespace
 
 TimestampedTrace::TimestampedTrace(SyncComputation computation,
                                    TimestampArena stamps)
@@ -67,16 +51,6 @@ std::vector<MessageId> TimestampedTrace::concurrent_with(MessageId m) const {
     return result;
 }
 
-std::vector<MessageId> TimestampedTrace::successors_of(MessageId m) const {
-    // probe = stamp(m); kProbeLeq alone ⇒ stamp(m) < stamp(other).
-    const std::span<const std::uint8_t> flags = relate_row(m);
-    std::vector<MessageId> result;
-    for (MessageId other = 0; other < flags.size(); ++other) {
-        if (flags[other] == ts::kProbeLeq) result.push_back(other);
-    }
-    return result;
-}
-
 std::vector<MessageId> TimestampedTrace::minimal_messages() const {
     std::vector<MessageId> result;
     for (MessageId m = 0; m < stamps_.size(); ++m) {
@@ -106,14 +80,7 @@ std::vector<MessageId> TimestampedTrace::maximal_messages() const {
 }
 
 std::size_t TimestampedTrace::concurrent_pair_count() const {
-    std::size_t count = 0;
-    for (MessageId m = 0; m < stamps_.size(); ++m) {
-        const std::span<const std::uint8_t> flags = relate_row(m);
-        for (MessageId other = m + 1; other < flags.size(); ++other) {
-            if (flags[other] == 0) ++count;
-        }
-    }
-    return count;
+    return count_concurrent_pairs(stamps_);
 }
 
 std::size_t TimestampedTrace::verify_against_ground_truth(
@@ -153,37 +120,33 @@ std::size_t TimestampedTrace::verify_against_ground_truth(
     // ts::less hit is a mismatch. Each ordered pair is counted exactly
     // once, so the total equals the batch a-outer/b-inner sweep; the sum
     // is independent of grouping, so it is also thread-count invariant.
+    // One pool serves every window: a pool leased per map_rows call would
+    // spawn its threads once per chunk_rows.
+    const PinnedPool pool(options.analysis);
     std::size_t mismatches = 0;
-    std::optional<PoolLease> lease;
-    if (options.analysis.parallel()) lease.emplace(options.analysis);
     std::vector<std::pair<MessageId, std::span<const std::uint64_t>>> window;
     window.reserve(options.chunk_rows);
     const auto flush = [&]() {
-        if (window.empty()) return;
-        const auto count_rows = [&](std::size_t begin, std::size_t end) {
-            std::size_t count = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-                const MessageId b = window[i].first;
-                const std::span<const std::uint64_t> words = window[i].second;
-                const auto stamp_b = stamps_.span(b);
-                for (MessageId a = 0; a < b; ++a) {
-                    const bool truth = (words[a / 64] >> (a % 64)) & 1;
-                    const auto stamp_a = stamps_.span(a);
-                    if (truth != ts::less(stamp_a, stamp_b)) ++count;
-                    if (ts::less(stamp_b, stamp_a)) ++count;
+        const std::vector<std::size_t> partial = map_rows<std::size_t>(
+            window.size(), pool.options(),
+            [&](std::size_t begin, std::size_t end) {
+                std::size_t count = 0;
+                for (std::size_t i = begin; i < end; ++i) {
+                    const MessageId b = window[i].first;
+                    const std::span<const std::uint64_t> words =
+                        window[i].second;
+                    const auto stamp_b = stamps_.span(b);
+                    for (MessageId a = 0; a < b; ++a) {
+                        const bool truth = (words[a / 64] >> (a % 64)) & 1;
+                        const auto stamp_a = stamps_.span(a);
+                        if (truth != ts::less(stamp_a, stamp_b)) ++count;
+                        if (ts::less(stamp_b, stamp_a)) ++count;
+                    }
                 }
-            }
-            return count;
-        };
-        if (!lease.has_value()) {
-            mismatches += count_rows(0, window.size());
-        } else {
-            const std::vector<std::size_t> partial =
-                lease->pool().map_chunks<std::size_t>(window.size(), 0,
-                                                      count_rows);
-            mismatches += std::accumulate(partial.begin(), partial.end(),
-                                          std::size_t{0});
-        }
+                return count;
+            });
+        mismatches +=
+            std::accumulate(partial.begin(), partial.end(), std::size_t{0});
         window.clear();
     };
     // The window flushes exactly at chunk boundaries (same chunk_rows),

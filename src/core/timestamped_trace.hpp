@@ -18,9 +18,9 @@
 /// search at query time, which is the whole point of timestamping.
 ///
 /// Stamps live in one TimestampArena (slot m = message m's timestamp), so
-/// the whole-trace scans (concurrent_with, minimal/maximal fronts,
-/// concurrent_pair_count) stream the flat slab through the batch kernels
-/// instead of chasing one heap vector per message.
+/// the whole-trace scans (concurrent_with, minimal/maximal fronts) stream
+/// the flat slab through the batch kernels instead of chasing one heap
+/// vector per message; concurrent_pair_count is the causality.hpp sweep.
 
 namespace syncts {
 
@@ -56,7 +56,7 @@ public:
     TimestampedTrace(SyncComputation computation, TimestampArena stamps);
 
     /// Compat shim: packs materialized stamps (one per message, uniform
-    /// width) into a fresh arena.
+    /// width) into a fresh arena (pack_stamps).
     TimestampedTrace(SyncComputation computation,
                      std::vector<VectorTimestamp> message_stamps);
 
@@ -90,10 +90,6 @@ public:
     /// All messages concurrent with m. One batch relate_many pass.
     std::vector<MessageId> concurrent_with(MessageId m) const;
 
-    /// All messages strictly after m (m ↦ m') — the paper's "orphan"
-    /// query direction. One batch pass.
-    std::vector<MessageId> successors_of(MessageId m) const;
-
     /// Messages m with no m' ↦ m (the computation's first wave).
     std::vector<MessageId> minimal_messages() const;
 
@@ -101,7 +97,7 @@ public:
     std::vector<MessageId> maximal_messages() const;
 
     /// Count of unordered concurrent pairs — a measure of how much
-    /// parallelism the timestamps must preserve.
+    /// parallelism the timestamps must preserve (count_concurrent_pairs).
     std::size_t concurrent_pair_count() const;
 
     /// Checks Theorem 4 against ground truth (the transitively closed ▷

@@ -105,9 +105,9 @@ EdgeDecomposition default_decomposition(const Graph& g,
         return greedy;
     }
     // The matching-based cover often wins on hub-shaped topologies
-    // (client–server: one star per server, per Section 3.3) because cover
-    // vertices that own no edges drop out; greedy wins when triangles
-    // matter. On a 2-colourable graph the König cover is a minimum one,
+    // because cover vertices that own no edges drop out; greedy wins when
+    // triangles matter. On a 2-colourable graph the König cover is a
+    // minimum one (client–server: min(#servers, #clients) stars),
     // and with no triangles its stars are optimal: α(G) = β(G). A later
     // candidate replaces an earlier one only when strictly smaller; ties
     // keep the earlier, so a topology's stamps move only when d shrinks.

@@ -39,11 +39,11 @@ EdgeDecomposition trivial_complete_decomposition(const Graph& g);
 /// The decomposition the library uses by default: the trivial N−2
 /// decomposition on complete graphs (Theorem 5's N−2 term), otherwise the
 /// Fig. 7 greedy result unless a cover candidate is strictly smaller. The
-/// cover candidate is the matching-cover stars (which realize Section
-/// 3.3's one-star-per-server claim on client–server topologies), replaced
-/// on 2-colourable graphs by the König cover's stars when those are
-/// strictly smaller. The result is optimal, d = α(G) = β(G), on every
-/// 2-colourable graph.
+/// cover candidate is the matching-cover stars, replaced on 2-colourable
+/// graphs by the König cover's stars when those are strictly smaller. The
+/// result is optimal, d = α(G) = β(G), on every 2-colourable graph: on
+/// client–server topologies d = min(#servers, #clients), one star per
+/// server or per client, whichever side is smaller.
 EdgeDecomposition default_decomposition(const Graph& g);
 
 /// As default_decomposition, but also publishes what the selection saw

@@ -45,7 +45,8 @@ Graph kary_tree(std::size_t n, std::size_t arity);
 /// clients. Every client is connected to every server; servers are also
 /// connected to each other when `connect_servers` is set. This models the
 /// synchronous-RPC systems of Section 3.3: a decomposition of one star per
-/// server always exists, so d == servers regardless of client count.
+/// server always exists, so d <= servers regardless of client count (the
+/// default decomposition reaches min(servers, clients)).
 Graph client_server(std::size_t servers, std::size_t clients,
                     bool connect_servers = false);
 

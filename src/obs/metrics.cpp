@@ -35,28 +35,6 @@ void append_key(std::string& out, std::string_view name) {
     out += "\":";
 }
 
-// Lockstep merge of a sorted source range into a sorted value map:
-// matching keys are overwritten in place, stale keys erased, new keys
-// inserted at the hint. When the key sets already agree (the steady
-// state for registries, which never unregister) this touches no
-// allocator. `value(entry)` extracts the value for a source entry.
-template <typename Source, typename Map, typename Value>
-void merge_values_into(const Source& source, Map& out, Value value) {
-    auto it = out.begin();
-    for (const auto& entry : source) {
-        const auto& name = entry.first;
-        while (it != out.end() && it->first < name) it = out.erase(it);
-        if (it != out.end() && it->first == name) {
-            it->second = value(entry);
-            ++it;
-        } else {
-            it = out.emplace_hint(it, name, value(entry));
-            ++it;
-        }
-    }
-    out.erase(it, out.end());
-}
-
 }  // namespace
 
 // ---- Histogram ---------------------------------------------------------
@@ -158,30 +136,20 @@ void Histogram::reset() noexcept {
 MetricsDelta snapshot_delta(const MetricsSnapshot& before,
                             const MetricsSnapshot& after) {
     MetricsDelta delta;
-    snapshot_delta_into(before, after, delta);
-    return delta;
-}
-
-void snapshot_delta_into(const MetricsSnapshot& before,
-                         const MetricsSnapshot& after, MetricsDelta& delta) {
     // `before` walks in lockstep with `after` (both are name-ordered),
     // so the whole diff is one linear pass with no per-name lookups.
     auto prev = before.counters.begin();
-    merge_values_into(
-        after.counters, delta.counters, [&](const auto& entry) {
-            const auto& [name, value] = entry;
-            while (prev != before.counters.end() && prev->first < name) {
-                ++prev;
-            }
-            if (prev == before.counters.end() || prev->first != name ||
-                prev->second > value) {
-                // New counter, or the registry was reset mid-interval:
-                // the interval restarts at the counter's current value.
-                return value;
-            }
-            return value - prev->second;
-        });
+    for (const auto& [name, value] : after.counters) {
+        while (prev != before.counters.end() && prev->first < name) ++prev;
+        // A new counter, or one reset mid-interval, restarts the interval
+        // at its current value.
+        const bool restart = prev == before.counters.end() ||
+                             prev->first != name || prev->second > value;
+        delta.counters.emplace_hint(delta.counters.end(), name,
+                                    restart ? value : value - prev->second);
+    }
     delta.gauges = after.gauges;
+    return delta;
 }
 
 // ---- MetricsRegistry ---------------------------------------------------
@@ -232,15 +200,14 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot snap;
-    snapshot_into(snap);
+    for (const auto& [name, counter] : counters_) {
+        snap.counters.emplace_hint(snap.counters.end(), name,
+                                   counter->value());
+    }
+    for (const auto& [name, gauge] : gauges_) {
+        snap.gauges.emplace_hint(snap.gauges.end(), name, gauge->value());
+    }
     return snap;
-}
-
-void MetricsRegistry::snapshot_into(MetricsSnapshot& out) const {
-    merge_values_into(counters_, out.counters,
-                      [](const auto& entry) { return entry.second->value(); });
-    merge_values_into(gauges_, out.gauges,
-                      [](const auto& entry) { return entry.second->value(); });
 }
 
 void MetricsRegistry::value_layout(std::vector<std::string>& counter_names,

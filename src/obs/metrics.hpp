@@ -169,13 +169,6 @@ struct MetricsDelta {
 MetricsDelta snapshot_delta(const MetricsSnapshot& before,
                             const MetricsSnapshot& after);
 
-/// In-place variant of `snapshot_delta` for periodic callers: `delta`'s
-/// existing map nodes are reused, so a steady-state refresh performs no
-/// allocations. (The flight recorder goes further and diffs positional
-/// value vectors — see `MetricsRegistry::read_values`.)
-void snapshot_delta_into(const MetricsSnapshot& before,
-                         const MetricsSnapshot& after, MetricsDelta& delta);
-
 /// Creates-or-returns metrics by name. Returned references are stable for
 /// the registry's lifetime (metrics are heap-allocated once and never
 /// moved), so components cache raw pointers at attach time and never pay
@@ -204,12 +197,6 @@ public:
     /// Copies every counter and gauge value (relaxed reads — take
     /// snapshots at quiescent points for cross-metric consistency).
     MetricsSnapshot snapshot() const;
-
-    /// Refreshes `out` to the current values, reusing its map nodes:
-    /// when the registered names have not changed since the last call
-    /// (the steady state — registration is create-once), this performs
-    /// no allocations.
-    void snapshot_into(MetricsSnapshot& out) const;
 
     /// Bumped on every new registration, never by reset(): a caller
     /// holding a cached `value_layout()` may keep reading values

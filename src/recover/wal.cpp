@@ -108,12 +108,6 @@ std::uint64_t Wal::first_lsn() const noexcept {
     return next_lsn_;
 }
 
-std::size_t Wal::durable_bytes() const noexcept {
-    std::size_t total = 0;
-    for (const Stored& stored : durable_) total += stored.bytes.size();
-    return total;
-}
-
 std::vector<WalRecord> Wal::replay(std::uint64_t from_lsn) const {
     if (from_lsn < first_lsn()) {
         // Records the caller needs were truncated (or never survived a

@@ -93,9 +93,6 @@ public:
     std::uint64_t truncated_records() const noexcept { return truncated_; }
     std::uint64_t dropped_records() const noexcept { return dropped_; }
 
-    /// Durable bytes currently retained.
-    std::size_t durable_bytes() const noexcept;
-
 private:
     struct Stored {
         std::uint64_t lsn = 0;

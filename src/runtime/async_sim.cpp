@@ -17,10 +17,6 @@ void AsyncSimulator::set_down(ProcessId p, bool down) {
     down_[p] = down;
 }
 
-bool AsyncSimulator::is_down(ProcessId p) const noexcept {
-    return p < down_.size() && down_[p];
-}
-
 void AsyncSimulator::set_fixed_latency(std::uint64_t latency) {
     SYNCTS_REQUIRE(latency > 0, "latency must be positive");
     latency_ = [latency](const Packet&, Rng&) { return latency; };

@@ -79,8 +79,6 @@ public:
     /// restart the process).
     void set_down(ProcessId p, bool down);
 
-    bool is_down(ProcessId p) const noexcept;
-
     /// Counts one executed crash rule into the fault statistics.
     void note_crash() noexcept { ++crash_stats_.crashes; }
 
@@ -105,7 +103,6 @@ public:
     std::uint64_t run(std::uint64_t max_events = 10'000'000);
 
     std::uint64_t packets_delivered() const noexcept { return delivered_; }
-    std::uint64_t timers_fired() const noexcept { return timers_fired_; }
 
     /// What the fault plan actually injected so far, including the
     /// crash/down-drop counts the runtime reported.

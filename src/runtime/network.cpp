@@ -301,14 +301,4 @@ RunRecord TimestampedNetwork::run(const std::vector<ProcessProgram>& programs) {
     return record;
 }
 
-TimestampArena RunRecord::stamp_arena() const {
-    const std::size_t width =
-        message_stamps.empty() ? 0 : message_stamps.front().width();
-    TimestampArena arena(width, message_stamps.size());
-    for (const VectorTimestamp& stamp : message_stamps) {
-        arena.allocate(stamp.components());
-    }
-    return arena;
-}
-
 }  // namespace syncts

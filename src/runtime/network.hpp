@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "clocks/event_timestamp.hpp"
-#include "common/timestamp_arena.hpp"
 #include "decomp/edge_decomposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_sink.hpp"
@@ -138,10 +137,6 @@ struct RunRecord {
 
     /// notes[i] — the user note attached to internal event i.
     std::vector<std::string> internal_notes;
-
-    /// The message stamps packed into one flat arena (slot m = message m)
-    /// for the batch precedence kernels / TimestampedTrace.
-    TimestampArena stamp_arena() const;
 };
 
 class TimestampedNetwork {

@@ -123,7 +123,10 @@ struct BandwidthOptions {
 /// packet count, bytes, and delivery schedule change.
 struct ProtocolOptions {
     /// Collect frames bound for the same destination within a tick (and
-    /// coalesced ACKs) into one v4 batch container per packet.
+    /// coalesced ACKs) into one v4 batch container per packet. Any knob
+    /// (active()) routes frames through the per-destination TX queues,
+    /// which batch whenever two frames share a destination and a tick, so
+    /// this knob adds nothing beyond turning that routing on.
     bool batching = false;
 
     /// Hold ACKs up to max(latency_hi, 1) ticks (well under any

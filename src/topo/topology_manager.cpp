@@ -88,12 +88,6 @@ std::size_t TopologyManager::max_num_processes() const noexcept {
     return n;
 }
 
-std::size_t TopologyManager::max_width() const noexcept {
-    std::size_t w = 0;
-    for (const Epoch& e : epochs_) w = std::max(w, e.width());
-    return w;
-}
-
 const EpochTransition& TopologyManager::transition_into(EpochId id) const {
     SYNCTS_REQUIRE(id >= 1 && id < epochs_.size(),
                    "no transition into that epoch");

@@ -57,11 +57,6 @@ public:
     /// multi-epoch runtime provisions up front (docs/MEMORY.md).
     std::size_t max_num_processes() const noexcept;
 
-    /// Largest decomposition width over all epochs — the widest
-    /// timestamp row any epoch's region will ever hold, so the figure
-    /// that bounds a run's steady-state slab footprint.
-    std::size_t max_width() const noexcept;
-
     /// The transition that produced epoch `id` (id ≥ 1).
     const EpochTransition& transition_into(EpochId id) const;
     std::span<const EpochTransition> transitions() const noexcept {

@@ -73,9 +73,6 @@ public:
     const InternalEvent& internal_event(InternalId id) const;
 
     std::span<const SyncMessage> messages() const noexcept { return messages_; }
-    std::span<const InternalEvent> internal_events() const noexcept {
-        return internal_;
-    }
 
     /// The event sequence of process p (messages and internal events, in
     /// instant order).

@@ -5,6 +5,7 @@
 #include "core/causality.hpp"
 #include "core/sync_system.hpp"
 #include "core/timestamped_trace.hpp"
+#include "decomp/cover_decomposer.hpp"
 #include "test_util.hpp"
 #include "trace/ground_truth.hpp"
 
@@ -37,7 +38,12 @@ TEST(DecompositionGrowth, LeafJoinKeepsWidth) {
 }
 
 TEST(DecompositionGrowth, RepeatedGrowthStaysConstantWidth) {
-    SyncSystem system(topology::client_server(3, 2));
+    // The default on client_server(3, 2) is the König cover's two client
+    // stars (d = 2, optimal); the Section 3.3 claim is about the server
+    // stars, so build those explicitly.
+    EXPECT_EQ(SyncSystem(topology::client_server(3, 2)).width(), 2u);
+    SyncSystem system(
+        decomposition_from_cover(topology::client_server(3, 2), {0, 1, 2}));
     ASSERT_EQ(system.width(), 3u);
     for (int i = 0; i < 20; ++i) {
         const std::vector<GroupId> groups{0, 1, 2};

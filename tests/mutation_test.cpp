@@ -98,5 +98,30 @@ TEST(Mutation, ConsistencyCheckerIsWeakerThanEncoding) {
     EXPECT_GT(encoding_mismatches(f.truth, scalarized), 0u);
 }
 
+TEST(Mutation, DroppedStampIsRejectedNotSkipped) {
+    // Zero the last message's stamp, then drop it: a check that swept
+    // only the stamps it was handed would never compare that message and
+    // report 0. Every Theorem 4 check must refuse the short stamp list.
+    const SyncComputation c =
+        testing::random_workload(topology::ring(5), 10, 0.0, 1301);
+    const Poset truth = message_poset(c);
+    std::vector<VectorTimestamp> stamps = online_timestamps(c);
+    ASSERT_EQ(stamps.size(), 10u);
+    stamps.back() = VectorTimestamp(stamps.back().width());
+    stamps.pop_back();
+    TimestampArena arena(stamps.front().width());
+    for (const VectorTimestamp& stamp : stamps) {
+        arena.allocate(stamp.components());
+    }
+
+    EXPECT_THROW(encoding_mismatches(truth, stamps), std::invalid_argument);
+    EXPECT_THROW(consistency_violations(truth, stamps),
+                 std::invalid_argument);
+    EXPECT_THROW(encoding_mismatches(truth, arena), std::invalid_argument);
+    EXPECT_THROW(consistency_violations(truth, arena), std::invalid_argument);
+    EXPECT_THROW(encoding_mismatch_pairs(truth, arena),
+                 std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace syncts

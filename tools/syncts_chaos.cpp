@@ -15,8 +15,10 @@
 // delay all enabled, and compares every realized message timestamp
 // against OnlineTimestamper. Exit status: 0 when all schedules match,
 // 1 on any mismatch or stall — so this binary is CI-able as a chaos gate.
-// Integer values take an optional k or m suffix ("2k" = 2000); a
-// malformed value, or a zero --schedules or --messages, exits 2.
+// Integer values take an optional k or m suffix ("2k" = 2000),
+// --schedules and --messages are at least 1, probabilities lie in [0, 1]
+// and --latency needs 1 <= LO <= HI; a malformed value prints
+// "bad value ..." and exits 2.
 //
 // --crash N arms the crash-recovery layer (docs/RECOVERY.md): every
 // schedule derives N whole-process crash/restart rules from its fault
@@ -36,13 +38,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "clocks/online_clock.hpp"
-#include "common/scaled.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/reconfig_runtime.hpp"
@@ -98,20 +98,6 @@ struct Config {
     std::exit(2);
 }
 
-/// Integer flags go through the shared overflow-checked parser
-/// (common/scaled.hpp), so "abc" or "2x" is a usage error rather than a
-/// silent 0 or 2.
-std::uint64_t parse_count(const char* flag, std::string_view text) {
-    const std::optional<std::uint64_t> parsed =
-        common::parse_scaled_count(text);
-    if (!parsed.has_value()) {
-        std::fprintf(stderr, "bad count '%.*s' for %s\n",
-                     static_cast<int>(text.size()), text.data(), flag);
-        usage();
-    }
-    return *parsed;
-}
-
 Config parse_args(int argc, char** argv) {
     Config config;
     int i = 1;
@@ -124,34 +110,35 @@ Config parse_args(int argc, char** argv) {
         return argv[++i];
     };
     const auto next_count = [&](const char* flag) {
-        return parse_count(flag, next_value(flag));
+        return tools::parse_count(flag, next_value(flag));
+    };
+    const auto next_positive = [&](const char* flag) {
+        return tools::parse_positive(flag, next_value(flag));
+    };
+    const auto next_probability = [&](const char* flag) {
+        return tools::parse_probability(flag, next_value(flag));
     };
     for (; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--schedules") {
-            config.schedules = next_count("--schedules");
+            config.schedules = next_positive("--schedules");
         } else if (flag == "--messages") {
-            config.messages = next_count("--messages");
+            config.messages = next_positive("--messages");
         } else if (flag == "--seed") {
             config.seed = next_count("--seed");
         } else if (flag == "--drop") {
-            config.drop = std::strtod(next_value("--drop"), nullptr);
+            config.drop = next_probability("--drop");
         } else if (flag == "--dup") {
-            config.dup = std::strtod(next_value("--dup"), nullptr);
+            config.dup = next_probability("--dup");
         } else if (flag == "--corrupt") {
-            config.corrupt = std::strtod(next_value("--corrupt"), nullptr);
+            config.corrupt = next_probability("--corrupt");
         } else if (flag == "--delay") {
-            config.delay = std::strtod(next_value("--delay"), nullptr);
+            config.delay = next_probability("--delay");
         } else if (flag == "--jitter") {
             config.jitter = next_count("--jitter");
         } else if (flag == "--latency") {
-            const std::string_view range = next_value("--latency");
-            const std::size_t colon = range.find(':');
-            if (colon == std::string_view::npos) usage();
-            config.latency_lo =
-                parse_count("--latency", range.substr(0, colon));
-            config.latency_hi =
-                parse_count("--latency", range.substr(colon + 1));
+            std::tie(config.latency_lo, config.latency_hi) =
+                tools::parse_range("--latency", next_value("--latency"));
         } else if (flag == "--reconfig") {
             config.reconfig = next_value("--reconfig");
         } else if (flag == "--crash") {
@@ -176,10 +163,6 @@ Config parse_args(int argc, char** argv) {
             std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
             usage();
         }
-    }
-    if (config.schedules == 0 || config.messages == 0) {
-        std::fprintf(stderr, "--schedules and --messages must be positive\n");
-        usage();
     }
     return config;
 }

@@ -56,6 +56,9 @@
 // Exit status: 0 clean; 1 on any timestamp mismatch,
 // protocol stall, or undetected frame corruption; 2 on usage errors —
 // so the binary doubles as a CI smoke gate (see .github/workflows/ci.yml).
+// Counts take an optional k or m suffix ("2k" = 2000), probabilities lie
+// in [0, 1] and --latency needs 1 <= LO <= HI; a malformed value prints
+// "bad value ..." and exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -68,11 +71,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "clocks/clock_engine.hpp"
 #include "common/pool.hpp"
-#include "common/scaled.hpp"
 #include "common/spill_store.hpp"
 #include "common/ts_kernels.hpp"
 #include "core/streaming_index.hpp"
@@ -158,41 +161,24 @@ struct Config {
     std::exit(2);
 }
 
-/// Parses a --crash rule "P:STEP:DOWN".
+/// Parses a --crash rule "P:STEP:DOWN" of counts, STEP >= 1.
 CrashRule parse_crash(const char* text) {
+    const std::vector<std::string> fields = tools::split(text, ':');
+    if (fields.size() != 3) {
+        tools::reject_value("--crash", text, "not P:STEP:DOWN");
+    }
+    const std::uint64_t process = tools::parse_count("--crash", fields[0]);
+    if (process > std::numeric_limits<ProcessId>::max()) {
+        tools::reject_value("--crash", text, "no such process");
+    }
     CrashRule rule;
-    char* end = nullptr;
-    rule.process =
-        static_cast<ProcessId>(std::strtoull(text, &end, 10));
-    if (end == nullptr || *end != ':') {
-        std::fprintf(stderr, "bad crash rule '%s'\n", text);
-        usage();
-    }
-    rule.at_step = std::strtoull(end + 1, &end, 10);
-    if (end == nullptr || *end != ':') {
-        std::fprintf(stderr, "bad crash rule '%s'\n", text);
-        usage();
-    }
-    rule.downtime = std::strtoull(end + 1, &end, 10);
-    if (end == nullptr || *end != '\0' || rule.at_step == 0) {
-        std::fprintf(stderr, "bad crash rule '%s'\n", text);
-        usage();
+    rule.process = static_cast<ProcessId>(process);
+    rule.at_step = tools::parse_count("--crash", fields[1]);
+    rule.downtime = tools::parse_count("--crash", fields[2]);
+    if (rule.at_step == 0) {
+        tools::reject_value("--crash", text, "STEP must be at least 1");
     }
     return rule;
-}
-
-/// Parses "5000", "5k", "2m" (case-insensitive suffix) through the
-/// shared overflow-checked parser (common/scaled.hpp), so a 10m-scale
-/// count can never wrap on its way into the derived counters.
-std::size_t parse_events(const char* text) {
-    const std::optional<std::uint64_t> parsed =
-        common::parse_scaled_count(text);
-    if (!parsed.has_value() ||
-        *parsed > std::numeric_limits<std::size_t>::max()) {
-        std::fprintf(stderr, "bad event count '%s'\n", text);
-        usage();
-    }
-    return static_cast<std::size_t>(*parsed);
 }
 
 Config parse_args(int argc, char** argv) {
@@ -205,46 +191,52 @@ Config parse_args(int argc, char** argv) {
         }
         return argv[++i];
     };
+    // Counts take a k or m suffix ("5k", "2m") and are overflow-checked,
+    // so a 10m-scale count can never wrap on its way into the derived
+    // counters; a malformed value exits 2 (topo_spec.hpp).
+    const auto next_count = [&](const char* flag) {
+        return tools::parse_count(flag, next_value(flag));
+    };
+    const auto next_positive = [&](const char* flag) {
+        return tools::parse_positive(flag, next_value(flag));
+    };
+    const auto next_probability = [&](const char* flag) {
+        return tools::parse_probability(flag, next_value(flag));
+    };
     for (; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--topology") {
             config.spec = next_value("--topology");
         } else if (flag == "--events") {
-            config.events = parse_events(next_value("--events"));
+            config.events = next_count("--events");
         } else if (flag == "--seed") {
-            config.seed = std::strtoull(next_value("--seed"), nullptr, 10);
+            config.seed = next_count("--seed");
         } else if (flag == "--runs") {
-            config.runs = std::strtoull(next_value("--runs"), nullptr, 10);
+            config.runs = next_positive("--runs");
         } else if (flag == "--drop") {
-            config.drop = std::strtod(next_value("--drop"), nullptr);
+            config.drop = next_probability("--drop");
         } else if (flag == "--dup") {
-            config.dup = std::strtod(next_value("--dup"), nullptr);
+            config.dup = next_probability("--dup");
         } else if (flag == "--corrupt") {
-            config.corrupt = std::strtod(next_value("--corrupt"), nullptr);
+            config.corrupt = next_probability("--corrupt");
         } else if (flag == "--delay") {
-            config.delay = std::strtod(next_value("--delay"), nullptr);
+            config.delay = next_probability("--delay");
         } else if (flag == "--jitter") {
-            config.jitter = std::strtoull(next_value("--jitter"), nullptr, 10);
+            config.jitter = next_count("--jitter");
         } else if (flag == "--latency") {
-            const std::string range = next_value("--latency");
-            const std::size_t colon = range.find(':');
-            if (colon == std::string::npos) usage();
-            config.latency_lo = std::strtoull(range.c_str(), nullptr, 10);
-            config.latency_hi =
-                std::strtoull(range.c_str() + colon + 1, nullptr, 10);
+            std::tie(config.latency_lo, config.latency_hi) =
+                tools::parse_range("--latency", next_value("--latency"));
         } else if (flag == "--trace") {
             config.trace_json_path = next_value("--trace");
         } else if (flag == "--trace-binary") {
             config.trace_binary_path = next_value("--trace-binary");
         } else if (flag == "--trace-capacity") {
-            config.trace_capacity =
-                std::strtoull(next_value("--trace-capacity"), nullptr, 10);
+            config.trace_capacity = next_positive("--trace-capacity");
         } else if (flag == "--threads") {
-            config.threads =
-                std::strtoull(next_value("--threads"), nullptr, 10);
+            config.threads = next_positive("--threads");
             config.analysis = true;
         } else if (flag == "--queries") {
-            config.queries = parse_events(next_value("--queries"));
+            config.queries = next_count("--queries");
             config.analysis = true;
         } else if (flag == "--reconfig") {
             config.reconfig = next_value("--reconfig");
@@ -261,13 +253,11 @@ Config parse_args(int argc, char** argv) {
         } else if (flag == "--delta") {
             config.delta = true;
         } else if (flag == "--bandwidth") {
-            config.bandwidth = std::strtoull(next_value("--bandwidth"),
-                                             nullptr, 10);
+            config.bandwidth = next_count("--bandwidth");
         } else if (flag == "--stream") {
             config.stream = true;
         } else if (flag == "--max-resident-mb") {
-            config.max_resident_mb = std::strtoull(
-                next_value("--max-resident-mb"), nullptr, 10);
+            config.max_resident_mb = next_count("--max-resident-mb");
         } else if (flag == "--spill-dir") {
             config.spill_dir = next_value("--spill-dir");
         } else if (flag == "--ingest") {
@@ -282,10 +272,6 @@ Config parse_args(int argc, char** argv) {
             std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
             usage();
         }
-    }
-    if (config.runs == 0 || config.trace_capacity == 0 ||
-        config.threads == 0) {
-        usage();
     }
     return config;
 }

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,15 +42,22 @@ int main(int argc, char** argv) {
             return 2;
         }
         const Graph g = tools::build_topology(argv[2]);
-        Rng rng(tools::parse_count(argv[4]));
         WorkloadOptions options;
-        options.num_messages = tools::parse_count(argv[3]);
+        options.num_messages = tools::parse_count("<messages>", argv[3]);
+        Rng rng(tools::parse_count("<seed>", argv[4]));
         const SyncComputation generated =
             random_computation(g, options, rng);
         std::printf("%s", serialize_computation(generated).c_str());
         return 0;
     }
     std::vector<std::pair<MessageId, MessageId>> queries;
+    const auto message = [](const char* text) {
+        const std::uint64_t m = tools::parse_count("--query", text);
+        if (m > std::numeric_limits<MessageId>::max()) {
+            tools::reject_value("--query", text, "no such message");
+        }
+        return static_cast<MessageId>(m);
+    };
     bool want_stamps = false;
     bool want_diagram = false;
     std::string path;
@@ -60,9 +68,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--diagram") {
             want_diagram = true;
         } else if (arg == "--query" && i + 2 < argc) {
-            queries.emplace_back(
-                static_cast<MessageId>(std::atoi(argv[i + 1])),
-                static_cast<MessageId>(std::atoi(argv[i + 2])));
+            queries.emplace_back(message(argv[i + 1]), message(argv[i + 2]));
             i += 2;
         } else if (path.empty()) {
             path = arg;

@@ -1,20 +1,24 @@
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/scaled.hpp"
 #include "graph/generators.hpp"
 
-/// Shared command-line topology specs for the syncts tools:
+/// Shared command-line parsing for the syncts tools: topology specs
 ///   star:<n> | ring:<n> | path:<n> | complete:<n> | tree:<n>:<arity> |
 ///   cs:<servers>:<clients> | grid:<w>:<h> | triangles:<t> |
 ///   gnp:<n>:<p%>:<seed> | fig2b | fig4
+/// and the strict flag values (counts, probabilities, LO:HI ranges).
 
 namespace syncts::tools {
 
@@ -27,11 +31,6 @@ inline std::vector<std::string> split(const std::string& text, char sep) {
         if (pos == std::string::npos) return parts;
         start = pos + 1;
     }
-}
-
-inline std::size_t parse_count(const std::string& token) {
-    return static_cast<std::size_t>(
-        std::strtoull(token.c_str(), nullptr, 10));
 }
 
 /// Builds the graph a spec names. A malformed spec — an unknown kind, the
@@ -105,6 +104,65 @@ inline Graph build_topology(const std::string& spec) {
         reject(at == std::string::npos ? what : what.substr(at + dash.size()));
     }
     return Graph{};
+}
+
+/// Rejects a flag value the way every tool does: prints `bad value
+/// '<value>' for <flag>: <why>` and exits 2.
+[[noreturn]] inline void reject_value(std::string_view flag,
+                                      std::string_view value,
+                                      std::string_view why) {
+    std::fprintf(stderr, "bad value '%.*s' for %.*s: %.*s\n",
+                 static_cast<int>(value.size()), value.data(),
+                 static_cast<int>(flag.size()), flag.data(),
+                 static_cast<int>(why.size()), why.data());
+    std::exit(2);
+}
+
+/// A count: decimal digits with an optional k (×1e3) or m (×1e6) suffix,
+/// overflow-checked (common/scaled.hpp), so "2k" is 2000 and "abc" or
+/// "2x" is rejected rather than read as 0 or 2.
+inline std::uint64_t parse_count(std::string_view flag,
+                                 std::string_view text) {
+    const std::optional<std::uint64_t> value =
+        common::parse_scaled_count(text);
+    if (!value.has_value()) reject_value(flag, text, "not a count");
+    return *value;
+}
+
+/// A count of at least 1.
+inline std::uint64_t parse_positive(std::string_view flag,
+                                    std::string_view text) {
+    const std::uint64_t value = parse_count(flag, text);
+    if (value == 0) reject_value(flag, text, "must be at least 1");
+    return value;
+}
+
+/// A probability: a number that parses whole and lies in [0, 1].
+inline double parse_probability(std::string_view flag,
+                                const std::string& text) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size()) {
+        reject_value(flag, text, "not a number");
+    }
+    if (!(value >= 0.0 && value <= 1.0)) {
+        reject_value(flag, text, "not a probability in [0, 1]");
+    }
+    return value;
+}
+
+/// A tick range LO:HI of counts with 1 <= LO <= HI.
+inline std::pair<std::uint64_t, std::uint64_t> parse_range(
+    std::string_view flag, std::string_view text) {
+    const std::size_t colon = text.find(':');
+    if (colon == std::string_view::npos) reject_value(flag, text, "not LO:HI");
+    const auto lo = common::parse_scaled_count(text.substr(0, colon));
+    const auto hi = common::parse_scaled_count(text.substr(colon + 1));
+    if (!lo.has_value() || !hi.has_value()) {
+        reject_value(flag, text, "LO and HI must be counts");
+    }
+    if (*lo < 1 || *lo > *hi) reject_value(flag, text, "needs 1 <= LO <= HI");
+    return {*lo, *hi};
 }
 
 inline const char* spec_help() {
