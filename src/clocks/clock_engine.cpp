@@ -86,16 +86,15 @@ constexpr std::uint64_t kStateVersion = 1;
 void ClockEngine::save_state(std::vector<std::uint8_t>& out) const {
     std::vector<std::uint64_t> payload;
     save_payload(payload);
-    codec::SealedWriter writer(
-        out, 32 + 2 * (floor_.size() + payload.size()));
+    codec::Writer writer(out, 32 + 2 * (floor_.size() + payload.size()));
     writer.bytes(kStateMagic);
     writer.varint(kStateVersion);
     writer.varint(static_cast<std::uint64_t>(family()));
     writer.varint(epoch_);
     writer.varint(floor_.size());
-    for (const std::uint64_t word : floor_) writer.varint(word);
+    writer.varints(floor_);
     writer.varint(payload.size());
-    for (const std::uint64_t word : payload) writer.varint(word);
+    writer.varints(payload);
     writer.seal();
 }
 

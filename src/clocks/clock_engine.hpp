@@ -130,7 +130,7 @@ public:
 
     /// Serializes the engine's complete mutable state — family tag,
     /// epoch, accumulated floor, and the family payload — as a versioned
-    /// byte frame trailed by an FNV-1a 64 checksum, appended to `out`.
+    /// byte frame trailed by a CRC32C checksum, appended to `out`.
     /// An engine restored from these bytes stamps bit-identically to
     /// this one from the capture point on.
     void save_state(std::vector<std::uint8_t>& out) const;

@@ -100,7 +100,7 @@ void encode_timestamp_into(std::span<const std::uint64_t> components,
     out.clear();
     codec::Writer writer(out, 2 * (1 + components.size()));
     writer.varint(components.size());
-    for (const std::uint64_t component : components) writer.varint(component);
+    writer.varints(components);
     writer.finish();
 }
 
@@ -154,7 +154,7 @@ void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
     // Back-compat rule: epoch-0 traffic is bit-identical to the version-1
     // format, so pre-epoch peers interoperate unchanged.
     out.clear();
-    codec::SealedWriter writer(out, kHeaderHint + 2 * stamp.size());
+    codec::Writer writer(out, kHeaderHint + 2 * stamp.size());
     if (epoch != 0) {
         writer.byte(kEpochFrameMarker);
         writer.varint(kEpochFrameVersion);
@@ -163,7 +163,7 @@ void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
     writer.varint(sequence);
     writer.varint(message);
     writer.varint(stamp.size());
-    for (const std::uint64_t component : stamp) writer.varint(component);
+    writer.varints(stamp);
     writer.seal();
 }
 
@@ -181,7 +181,7 @@ bool encode_delta_frame_into(EpochId epoch, std::uint64_t sequence,
         if (stamp[i] < base[i]) return false;  // non-monotone: full resync
         if (stamp[i] != base[i]) ++changed;
     }
-    codec::SealedWriter writer(out, kHeaderHint + 4 * changed);
+    codec::Writer writer(out, kHeaderHint + 4 * changed);
     writer.byte(kEpochFrameMarker);
     writer.varint(kDeltaFrameVersion);
     writer.varint(epoch);
@@ -343,7 +343,7 @@ void BatchFrame::encode_batch_into(std::vector<std::uint8_t>& out) const {
     SYNCTS_REQUIRE(!empty(), "encoding an empty batch container");
     out.clear();
     // Entry headers (kind, tag, length) take a few bytes each.
-    codec::SealedWriter writer(out, kHeaderHint + pending_bytes_ + 8 * live_);
+    codec::Writer writer(out, kHeaderHint + pending_bytes_ + 8 * live_);
     writer.byte(kEpochFrameMarker);
     writer.varint(kBatchFrameVersion);
     writer.varint(live_);

@@ -24,7 +24,7 @@
 ///
 /// Because production transports lose and corrupt bytes, the rendezvous
 /// protocol does not ship bare timestamps: it ships *frames* — sequence
-/// number + message id + timestamp, trailed by an FNV-1a 64 checksum.
+/// number + message id + timestamp, trailed by a CRC32C checksum.
 /// Decoders validate length, checksum, and the expected decomposition
 /// width d *before* allocating components, and report failures with a
 /// typed WireError so callers can count and recover (retransmission)
@@ -107,7 +107,7 @@ struct FrameHeader {
 /// numbers sequences from 1, so a leading 0x00 byte is unambiguous: v2
 /// frames are `0x00, varint version, varint epoch` followed by the v1
 /// body (varint sequence, varint message, encoded timestamp) and the same
-/// 8-byte FNV-1a trailer over everything before it.
+/// 4-byte CRC32C trailer over everything before it.
 inline constexpr std::uint8_t kEpochFrameMarker = 0x00;
 
 /// Current versioned frame format.
@@ -116,11 +116,12 @@ inline constexpr std::uint64_t kEpochFrameVersion = 2;
 /// Full-vector frame writer: frames `stamp` (an arena row or clock span)
 /// with the given header, replacing the contents of `out`. Epoch 0 emits
 /// the version-1 layout — varint sequence, varint message, encoded
-/// timestamp, then an 8-byte little-endian FNV-1a 64 checksum of
-/// everything before it — so pre-epoch peers read epoch-0 traffic
-/// unchanged; any later epoch emits a v2 frame. `sequence` must be >= 1 —
-/// that is what keeps the two layouts distinguishable. Single pass: `out`
-/// is sized once and the checksum is folded in as the bytes are written.
+/// timestamp, then a 4-byte little-endian CRC32C of everything before
+/// it — so pre-epoch peers read epoch-0 traffic unchanged; any later
+/// epoch emits a v2 frame. `sequence` must be >= 1 — that is what keeps
+/// the two layouts distinguishable. `out` is sized once, the stamp is
+/// written in one bulk varint pass, and the checksum is one pass over the
+/// finished frame.
 /// Capacity is reused, so encoding into a kept or recycled buffer
 /// allocates nothing (docs/INTERNALS.md §5).
 void encode_epoch_frame_into(EpochId epoch, std::uint64_t sequence,
@@ -144,7 +145,7 @@ FrameHeader decode_epoch_frame_into(std::span<const std::uint8_t> bytes,
 // the Vaidya–Kulkarni observation applied to the rendezvous protocol.
 // Layout: `0x00, varint 3, varint epoch, varint sequence, varint
 // message, varint count, count x (varint index, varint increment)`, same
-// 8-byte FNV-1a trailer. Unlike v2, epoch 0 is legal here (the 0x00
+// 4-byte CRC32C trailer. Unlike v2, epoch 0 is legal here (the 0x00
 // marker already disambiguates from v1). `increment` is the component's
 // growth over the shadow base — clock components are monotonic on a
 // channel, so increments are small and the encoder refuses (returns
@@ -212,7 +213,7 @@ void decode_frame_stamp(const FrameInfo& info,
 // One network packet carrying several complete frames — the container
 // the ACK coalescer and the bandwidth scheduler flush. Layout: `0x00,
 // varint 4, varint count, count x (varint kind, varint tag, varint
-// length, length bytes)`, 8-byte FNV-1a trailer over everything before
+// length, length bytes)`, 4-byte CRC32C trailer over everything before
 // it. Every entry body is itself a complete checksummed frame, so a
 // flipped bit inside one entry spoils only that entry: the streaming
 // reader keeps yielding the rest and the per-entry decode rejects the

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -7,17 +9,22 @@
 #include <span>
 #include <vector>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SYNCTS_CRC32C_SSE42 1
+#include <nmmintrin.h>
+#endif
+
 /// \file codec.hpp
 /// The byte rules every binary format in the tree shares (docs/FORMATS.md
 /// §"Shared encoding"): LEB128 varints, little-endian integers,
-/// length-prefixed blobs, caps on declared counts, and the 8-byte FNV-1a
-/// 64 checksum trailer. Its users:
+/// length-prefixed blobs, caps on declared counts, and the 4-byte CRC32C
+/// checksum trailer. Its users:
 ///
 ///   - wire frames v1–v4 and the bare timestamp (clocks/wire);
 ///   - SYCK clock state (clocks/clock_engine);
 ///   - WAL records (recover/wal) and SYSN snapshots (recover/snapshot);
 ///   - SYFR post-mortems (obs/flight_recorder);
-///   - the SYTR event dump (obs/trace_sink);
+///   - the SYEV event dump (obs/trace_sink);
 ///   - SYTR v2 streams (trace/trace_io);
 ///   - SYSP spill chunks (common/spill_store) and the closure chunk
 ///     payloads they carry (poset/streaming_closure);
@@ -30,20 +37,71 @@
 
 namespace syncts::codec {
 
-inline constexpr std::uint64_t kFnv1aOffsetBasis = 0xCBF29CE484222325ull;
-inline constexpr std::uint64_t kFnv1aPrime = 0x100000001B3ull;
-
-/// Bytes of the checksum trailer: the FNV-1a 64 of everything before it,
+/// Bytes of the checksum trailer: the CRC32C of everything before it,
 /// little-endian.
-inline constexpr std::size_t kTrailerBytes = 8;
+inline constexpr std::size_t kTrailerBytes = 4;
 
 /// Longest LEB128 encoding of a 64-bit value.
 inline constexpr std::size_t kMaxVarintBytes = 10;
 
-inline std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
-    std::uint64_t hash = kFnv1aOffsetBasis;
-    for (const std::uint8_t byte : bytes) hash = (hash ^ byte) * kFnv1aPrime;
-    return hash;
+/// CRC32C (Castagnoli; RFC 3720 §B.4): reflected polynomial 0x82F63B78,
+/// initial value and final XOR 0xFFFFFFFF. The table body serves hosts
+/// without SSE4.2.
+inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = [] {
+    std::array<std::uint32_t, 256> table{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t crc = i;
+        for (int bit = 0; bit < 8; ++bit) {
+            crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+        }
+        table[i] = crc;
+    }
+    return table;
+}();
+
+inline std::uint32_t crc32c_portable(
+    std::span<const std::uint8_t> bytes) noexcept {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const std::uint8_t byte : bytes) {
+        crc = kCrc32cTable[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+    }
+    return ~crc;
+}
+
+#if defined(SYNCTS_CRC32C_SSE42)
+/// The SSE4.2 body: one crc32 instruction per 8 bytes, then the tail.
+/// Run it only where sse42_available() says the host has the instruction.
+__attribute__((target("sse4.2"))) inline std::uint32_t crc32c_sse42(
+    std::span<const std::uint8_t> bytes) noexcept {
+    const std::uint8_t* at = bytes.data();
+    std::size_t left = bytes.size();
+    std::uint64_t wide = 0xFFFFFFFFu;
+    for (; left >= 8; at += 8, left -= 8) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, at, 8);
+        wide = _mm_crc32_u64(wide, word);
+    }
+    auto crc = static_cast<std::uint32_t>(wide);
+    for (; left > 0; ++at, --left) crc = _mm_crc32_u8(crc, *at);
+    return ~crc;
+}
+#endif
+
+/// Whether the host runs crc32c_sse42, checked once per process.
+inline bool sse42_available() noexcept {
+#if defined(SYNCTS_CRC32C_SSE42)
+    static const bool available = __builtin_cpu_supports("sse4.2") != 0;
+    return available;
+#else
+    return false;
+#endif
+}
+
+inline std::uint32_t crc32c(std::span<const std::uint8_t> bytes) noexcept {
+#if defined(SYNCTS_CRC32C_SSE42)
+    if (sse42_available()) return crc32c_sse42(bytes);
+#endif
+    return crc32c_portable(bytes);
 }
 
 /// Bytes the LEB128 encoding of `value` takes.
@@ -60,44 +118,67 @@ inline std::size_t varint_size(std::uint64_t value) noexcept {
 /// Requires sealed.size() >= kTrailerBytes.
 inline bool trailer_matches(std::span<const std::uint8_t> sealed) noexcept {
     const std::size_t body = sealed.size() - kTrailerBytes;
-    std::uint64_t declared = 0;
+    std::uint32_t declared = 0;
     for (std::size_t i = 0; i < kTrailerBytes; ++i) {
-        declared |= static_cast<std::uint64_t>(sealed[body + i]) << (8 * i);
+        declared |= static_cast<std::uint32_t>(sealed[body + i]) << (8 * i);
     }
-    return fnv1a64(sealed.first(body)) == declared;
+    return crc32c(sealed.first(body)) == declared;
 }
 
 /// The one encoder. It appends at out.size(): `out` is sized once from
-/// the caller's hint, every byte goes through a raw pointer, and a write
-/// that would overrun the hint first doubles the record's room. A sealed
-/// writer folds each byte into the FNV-1a state as it writes it, so
-/// seal() appends the trailer without a second pass over the record; a
-/// plain writer (Writer) pays nothing for the checksum. finish() or
-/// seal() trims `out` to the bytes written; until then `out` holds
-/// scratch.
-template <bool Sealed>
-class BasicWriter {
+/// the caller's hint (the record's expected bytes, any trailer
+/// included), every byte goes through a raw pointer, and a write that
+/// would overrun the hint first doubles the record's room. seal() appends
+/// the trailer in one CRC32C pass over the record. finish() or seal()
+/// trims `out` to the bytes written; until then `out` holds scratch.
+class Writer {
 public:
-    BasicWriter(std::vector<std::uint8_t>& out, std::size_t hint)
+    Writer(std::vector<std::uint8_t>& out, std::size_t hint)
         : out_(out), start_(out.size()) {
-        out.resize(start_ + hint + kTail);
+        out.resize(start_ + hint);
         at_ = out.data() + start_;
         end_ = at_ + hint;
     }
 
     void byte(std::uint8_t value) {
         reserve(1);
-        put(value);
+        *at_++ = value;
     }
 
     void varint(std::uint64_t value) {
         reserve(kMaxVarintBytes);
+        std::uint8_t* at = at_;
         // Most clock components fit one byte: keep that path straight.
         while (value >= 0x80) [[unlikely]] {
-            put(static_cast<std::uint8_t>(value) | 0x80u);
+            *at++ = static_cast<std::uint8_t>(value) | 0x80u;
             value >>= 7;
         }
-        put(static_cast<std::uint8_t>(value));
+        *at++ = static_cast<std::uint8_t>(value);
+        at_ = at;
+    }
+
+    /// Each value as a varint: the encoder twin of Reader::varints. Each
+    /// block of values below 0x80 (most clock components) is narrowed in
+    /// one pass with the cursor in a local, so the byte stores cannot
+    /// alias it; a block holding a longer value goes one varint at a time.
+    void varints(std::span<const std::uint64_t> values) {
+        constexpr std::size_t kBlock = 16;
+        for (std::size_t i = 0; i < values.size(); i += kBlock) {
+            const auto block =
+                values.subspan(i, std::min(kBlock, values.size() - i));
+            std::uint64_t high = 0;
+            for (const std::uint64_t value : block) high |= value;
+            if (high >= 0x80) {
+                for (const std::uint64_t value : block) varint(value);
+                continue;
+            }
+            reserve(block.size());
+            std::uint8_t* at = at_;
+            for (const std::uint64_t value : block) {
+                *at++ = static_cast<std::uint8_t>(value);
+            }
+            at_ = at;
+        }
     }
 
     void le32(std::uint32_t value) { little_endian(value, 4); }
@@ -105,12 +186,9 @@ public:
 
     void bytes(std::span<const std::uint8_t> data) {
         reserve(data.size());
-        if constexpr (Sealed) {
-            for (const std::uint8_t value : data) put(value);
-        } else if (!data.empty()) {
-            std::memcpy(at_, data.data(), data.size());
-            at_ += data.size();
-        }
+        if (data.empty()) return;
+        std::memcpy(at_, data.data(), data.size());
+        at_ += data.size();
     }
 
     /// A varint length, then the bytes.
@@ -119,15 +197,10 @@ public:
         bytes(data);
     }
 
-    /// Appends the trailer over every byte this writer wrote, then trims.
-    void seal()
-        requires Sealed
-    {
-        std::uint64_t checksum = hash_;
-        for (std::size_t i = 0; i < kTrailerBytes; ++i) {
-            *at_++ = static_cast<std::uint8_t>(checksum);
-            checksum >>= 8;
-        }
+    /// Appends the trailer, the CRC32C of every byte this writer wrote
+    /// (le32 reserves its room), then trims.
+    void seal() {
+        le32(crc32c({out_.data() + start_, at_}));
         finish();
     }
 
@@ -136,18 +209,10 @@ public:
     }
 
 private:
-    /// Room kept past end_ for the trailer.
-    static constexpr std::size_t kTail = Sealed ? kTrailerBytes : 0;
-
-    void put(std::uint8_t value) noexcept {
-        *at_++ = value;
-        if constexpr (Sealed) hash_ = (hash_ ^ value) * kFnv1aPrime;
-    }
-
     void little_endian(std::uint64_t value, std::size_t width) {
         reserve(width);
         for (std::size_t i = 0; i < width; ++i) {
-            put(static_cast<std::uint8_t>(value));
+            *at_++ = static_cast<std::uint8_t>(value);
             value >>= 8;
         }
     }
@@ -159,7 +224,7 @@ private:
     void grow(std::size_t n) {
         const auto used = static_cast<std::size_t>(at_ - out_.data());
         const std::size_t room = start_ + 2 * (used - start_ + n);
-        out_.resize(room + kTail);
+        out_.resize(room);
         at_ = out_.data() + used;
         end_ = out_.data() + room;
     }
@@ -168,11 +233,7 @@ private:
     std::size_t start_;  ///< where this record begins in out_
     std::uint8_t* at_ = nullptr;
     std::uint8_t* end_ = nullptr;  ///< end of the room for the record
-    std::uint64_t hash_ = kFnv1aOffsetBasis;
 };
-
-using Writer = BasicWriter<false>;
-using SealedWriter = BasicWriter<true>;
 
 /// What a Reader found wrong. Each format maps a fault to its own
 /// exception type and kind in the fail function it hands the Reader.

@@ -12,7 +12,8 @@ namespace syncts {
 void SpillStore::encode_chunk(std::uint64_t id,
                               std::span<const std::uint8_t> payload,
                               std::vector<std::uint8_t>& out) {
-    codec::SealedWriter writer(out, kSpillHeaderBytes + payload.size());
+    codec::Writer writer(
+        out, kSpillHeaderBytes + payload.size() + codec::kTrailerBytes);
     writer.bytes(kSpillMagic);
     writer.byte(kSpillVersion);
     writer.le64(id);

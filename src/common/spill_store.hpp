@@ -18,7 +18,7 @@
 /// directory: each chunk becomes one self-validating file
 ///
 ///   "SYSP" | version u8 | chunk id u64le | payload length u64le |
-///   payload bytes | FNV-1a 64 trailer over everything before it
+///   payload bytes | CRC32C trailer over everything before it
 ///
 /// encoded through the codec every binary format shares (codec.hpp, which
 /// holds the trailer rule and the u64le fields) and following the

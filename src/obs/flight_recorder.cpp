@@ -46,7 +46,7 @@ constexpr std::uint64_t kMaxTableEntries = 1u << 20;
 using PostmortemReader = codec::Reader<decltype(&throw_postmortem_error)>;
 
 template <typename Table>
-void write_table(codec::SealedWriter& writer, const Table& table) {
+void write_table(codec::Writer& writer, const Table& table) {
     writer.le64(table.size());
     for (const auto& [name, value] : table) {
         writer.le32(static_cast<std::uint32_t>(name.size()));
@@ -90,9 +90,8 @@ void encode_postmortem_into(const Postmortem& postmortem,
     const std::size_t metrics =
         postmortem.metrics.counters.size() + postmortem.metrics.gauges.size() +
         postmortem.rates.counters.size() + postmortem.rates.gauges.size();
-    codec::SealedWriter writer(out, 96 + 40 * metrics +
-                                        kTraceEventBytes *
-                                            postmortem.events.size());
+    codec::Writer writer(
+        out, 96 + 40 * metrics + kTraceEventBytes * postmortem.events.size());
     writer.bytes(kMagic);
     writer.le32(kVersion);
     writer.byte(static_cast<std::uint8_t>(postmortem.reason));
@@ -116,12 +115,13 @@ void encode_postmortem_into(const Postmortem& postmortem,
 
 Postmortem decode_postmortem(std::span<const std::uint8_t> bytes) {
     PostmortemReader in(bytes, throw_postmortem_error);
-    in.need(4 + 4 + 8, "postmortem shorter than its envelope");
+    in.need(4 + 4 + codec::kTrailerBytes,
+            "postmortem shorter than its envelope");
     if (!std::ranges::equal(in.bytes(sizeof(kMagic)), kMagic)) {
         throw PostmortemError(PostmortemError::Code::bad_magic,
                               "not a SYFR postmortem");
     }
-    // The checksum covers everything before the trailing 8 bytes; verify
+    // The checksum covers everything before the trailer; verify
     // first so every later "malformed" is a structural claim about bytes
     // the producer really wrote, not about transit damage.
     in.unseal();

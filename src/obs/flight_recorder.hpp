@@ -82,8 +82,8 @@ struct Postmortem {
 };
 
 /// Appends the SYFR binary form: magic + version + header + the last
-/// metrics snapshot/delta + packed events, trailed by an 8-byte
-/// little-endian FNV-1a 64 checksum over everything before it.
+/// metrics snapshot/delta + packed events, trailed by a 4-byte
+/// little-endian CRC32C checksum over everything before it.
 void encode_postmortem_into(const Postmortem& postmortem,
                             std::vector<std::uint8_t>& out);
 

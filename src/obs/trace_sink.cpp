@@ -98,7 +98,7 @@ std::string TraceSink::to_chrome_trace() const {
 
 namespace {
 
-constexpr std::uint8_t kMagic[4] = {'S', 'Y', 'T', 'R'};
+constexpr std::uint8_t kMagic[4] = {'S', 'Y', 'E', 'V'};
 constexpr std::uint32_t kVersion = 1;
 /// Magic, version and count.
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;

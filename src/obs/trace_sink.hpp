@@ -74,15 +74,14 @@ struct TraceEvent {
     friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
-/// Bytes one packed event occupies in the SYTR/SYFR binary formats:
+/// Bytes one packed event occupies in the SYEV/SYFR binary formats:
 /// 4 x u64 + 2 x u32 + the kind byte, little-endian throughout.
 inline constexpr std::size_t kTraceEventBytes = 4 * 8 + 2 * 4 + 1;
 
 /// Writes the packed little-endian form of `event` (kTraceEventBytes)
-/// through a codec writer. Shared by the SYTR event dump and the SYFR
+/// through a codec writer. Shared by the SYEV event dump and the SYFR
 /// post-mortem so the two stay bit-compatible per event.
-template <typename Writer>
-void write_trace_event(Writer& writer, const TraceEvent& event) {
+inline void write_trace_event(codec::Writer& writer, const TraceEvent& event) {
     writer.le64(event.virtual_time);
     writer.le64(event.logical);
     writer.le64(event.arg_a);
@@ -175,8 +174,8 @@ public:
     void write_chrome_trace(std::string& out) const;
     std::string to_chrome_trace() const;
 
-    /// Compact binary form (the SYTR event dump, docs/FORMATS.md):
-    /// magic "SYTR", u32 version 1, u64 count, then packed little-endian
+    /// Compact binary form (the SYEV event dump, docs/FORMATS.md):
+    /// magic "SYEV", u32 version 1, u64 count, then packed little-endian
     /// events. Replaces the contents of `out`.
     void write_binary(std::vector<std::uint8_t>& out) const;
 

@@ -12,7 +12,7 @@ namespace {
 constexpr std::uint8_t kSnapshotMagic[4] = {'S', 'Y', 'S', 'N'};
 constexpr std::uint64_t kSnapshotVersion = 1;
 
-void write_window(codec::SealedWriter& writer, const FrameWindow& window) {
+void write_window(codec::Writer& writer, const FrameWindow& window) {
     writer.varint(window.capacity());
     writer.varint(window.size());
     window.for_each([&](const FrameWindow::Entry& entry) {
@@ -61,8 +61,8 @@ void encode_snapshot_into(const Snapshot& snapshot,
                           std::vector<std::uint8_t>& out) {
     const ProcessState& state = snapshot.state;
     // The clock and the outstanding frame; the windows grow the record.
-    codec::SealedWriter writer(out, 32 + 2 * state.clock.size() +
-                                        state.outstanding.frame.size());
+    codec::Writer writer(out, 32 + 2 * state.clock.size() +
+                                  state.outstanding.frame.size());
     writer.bytes(kSnapshotMagic);
     writer.varint(kSnapshotVersion);
     writer.varint(snapshot.wal_lsn);
@@ -71,7 +71,7 @@ void encode_snapshot_into(const Snapshot& snapshot,
     writer.varint(state.cursor);
     writer.varint(state.steps);
     writer.varint(state.clock.size());
-    for (const std::uint64_t word : state.clock) writer.varint(word);
+    writer.varints(state.clock);
     writer.byte(state.outstanding.active ? 1 : 0);
     if (state.outstanding.active) {
         writer.varint(state.outstanding.receiver);

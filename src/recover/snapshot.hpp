@@ -79,7 +79,7 @@ struct Snapshot {
 
 /// Serializes the snapshot: "SYSN" magic, varint version, the state
 /// fields as varints (frames length-prefixed verbatim), trailed by an
-/// 8-byte little-endian FNV-1a 64 checksum of everything before it.
+/// 4-byte little-endian CRC32C checksum of everything before it.
 void encode_snapshot_into(const Snapshot& snapshot,
                           std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snapshot);

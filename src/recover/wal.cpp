@@ -11,8 +11,7 @@ namespace syncts {
 void encode_wal_record_into(const WalRecord& record,
                             std::vector<std::uint8_t>& out) {
     // Header varints at their common sizes, then the two blobs.
-    codec::SealedWriter writer(
-        out, 24 + record.frame.size() + record.aux.size());
+    codec::Writer writer(out, 24 + record.frame.size() + record.aux.size());
     writer.varint(record.lsn);
     writer.byte(static_cast<std::uint8_t>(record.type));
     writer.varint(record.peer);
@@ -26,7 +25,7 @@ void encode_wal_record_into(const WalRecord& record,
 
 WalRecord decode_wal_record(std::span<const std::uint8_t> bytes) {
     RecoveryReader in(bytes, throw_recovery_error);
-    in.need(8 + 2, "WAL record shorter than its checksum");
+    in.need(codec::kTrailerBytes + 2, "WAL record shorter than its checksum");
     in.unseal();
     WalRecord record;
     record.lsn = in.varint();

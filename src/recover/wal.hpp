@@ -111,7 +111,7 @@ private:
 
 /// Record byte format (exposed for tests/fuzzing): varint lsn, one type
 /// byte, varint peer/sequence/message/epoch, varint-length-prefixed frame
-/// and aux, trailed by an 8-byte little-endian FNV-1a 64 checksum.
+/// and aux, trailed by a 4-byte little-endian CRC32C checksum.
 void encode_wal_record_into(const WalRecord& record,
                             std::vector<std::uint8_t>& out);
 WalRecord decode_wal_record(std::span<const std::uint8_t> bytes);

@@ -156,7 +156,8 @@ void write_frame(std::ostream& out, std::span<const std::uint8_t> head,
     SYNCTS_REQUIRE(payload.size() <= kStreamFrameCap,
                    "stream frame payload over cap");
     std::vector<std::uint8_t> frame;
-    codec::SealedWriter writer(frame, head.size() + 4 + payload.size());
+    codec::Writer writer(frame, head.size() + 4 + payload.size() +
+                                     codec::kTrailerBytes);
     writer.bytes(head);
     writer.le32(static_cast<std::uint32_t>(payload.size()));
     writer.bytes(payload);

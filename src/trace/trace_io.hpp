@@ -44,16 +44,17 @@ SyncComputation read_computation(std::istream& in);
 // independently:
 //
 //   header frame: "SYTR" ver=2 | payload_len u32le |
-//                 varint N, varint E, E × (varint u, varint v) | FNV trailer
+//                 varint N, varint E, E × (varint u, varint v) | trailer
 //   chunk frame:  'C' | payload_len u32le | varint count, count × record |
-//                 FNV trailer
+//                 trailer
 //     record:     0x00 varint sender varint receiver   (message)
 //                 0x01 varint process                  (internal event)
-//   end frame:    'E' | payload_len u32le | varint total_events | FNV trailer
+//   end frame:    'E' | payload_len u32le | varint total_events | trailer
 //
-// Every trailer seals the bytes of its own frame (common/codec.hpp), so a
-// flipped bit or a mid-chunk truncation is caught at the frame where it
-// happened, not at end of stream. payload_len is capped
+// Every trailer is the 4-byte CRC32C of the bytes of its own frame
+// (common/codec.hpp), so a flipped bit or a mid-chunk truncation is
+// caught at the frame where it happened, not at end of stream.
+// payload_len is capped
 // (kStreamFrameCap) so a hostile length field cannot drive allocation.
 
 inline constexpr std::uint8_t kStreamTraceVersion = 2;

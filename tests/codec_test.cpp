@@ -102,7 +102,7 @@ TEST(Codec, OverflowingWalLsnIsRejected) {
 
 TEST(Codec, SealedWriterAppendsAndFoldsTheTrailer) {
     std::vector<std::uint8_t> out{0xAA, 0xBB};  // kept: writers append
-    codec::SealedWriter writer(out, 1);          // too small: must grow
+    codec::Writer writer(out, 1);               // too small: must grow
     writer.byte(0x01);
     writer.le32(0x05040302);
     writer.le64(0x0D0C0B0A09080706);
@@ -111,11 +111,39 @@ TEST(Codec, SealedWriterAppendsAndFoldsTheTrailer) {
     const std::vector<std::uint8_t> body{0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
                                          0x07, 0x08, 0x09, 0x0A, 0x0B, 0x0C,
                                          0x0D, 0x02, 0x0E, 0x0F};
+    // The trailer is the little-endian CRC32C of this record's bytes only.
+    const std::uint32_t crc = codec::crc32c_portable(body);
     std::vector<std::uint8_t> expected{0xAA, 0xBB};
-    const std::vector<std::uint8_t> sealed = testing::sealed(body);
-    expected.insert(expected.end(), sealed.begin(), sealed.end());
+    expected.insert(expected.end(), body.begin(), body.end());
+    for (std::size_t i = 0; i < codec::kTrailerBytes; ++i) {
+        expected.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    }
     EXPECT_EQ(out, expected);
-    EXPECT_TRUE(codec::trailer_matches(sealed));
+    EXPECT_TRUE(codec::trailer_matches(std::span(out).subspan(2)));
+}
+
+TEST(Codec, BulkVarintsMatchOneAtATime) {
+    // Runs of one-byte values broken by longer ones, at every length up
+    // to past four blocks, into a buffer with room and one that must grow.
+    Rng rng(4242);
+    for (std::size_t length = 0; length <= 70; ++length) {
+        for (const std::size_t hint : {std::size_t{0}, 2 * length + 8}) {
+            std::vector<std::uint64_t> values(length);
+            for (std::uint64_t& value : values) {
+                value = rng.below(8) == 0 ? rng() >> rng.below(64)
+                                          : rng.below(0x80);
+            }
+            std::vector<std::uint8_t> bulk{0xEE};
+            codec::Writer writer(bulk, hint);
+            writer.varints(values);
+            writer.finish();
+            std::vector<std::uint8_t> single{0xEE};
+            codec::Writer one(single, 0);
+            for (const std::uint64_t value : values) one.varint(value);
+            one.finish();
+            ASSERT_EQ(bulk, single) << "length " << length << " hint " << hint;
+        }
+    }
 }
 
 TEST(Codec, ReaderStaysInBoundsAndRoutesEveryFault) {

@@ -4,11 +4,14 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clocks/clock_engine.hpp"
 #include "clocks/wire.hpp"
+#include "common/codec.hpp"
 #include "common/spill_store.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
@@ -135,9 +138,9 @@ std::string decode_full(const std::vector<std::uint8_t>& bytes) {
 TEST(FormatPins, WireV1) {
     std::vector<std::uint8_t> bytes;
     encode_epoch_frame_into(0, 5, 200, kStamp, bytes);
-    EXPECT_EQ(hex(bytes), "05c801040300ac02010701daad7412c801");
+    EXPECT_EQ(hex(bytes), "05c801040300ac02017a2b2976");
     EXPECT_EQ(decode_full(bytes), "0/5/200 (3,0,300,1)");
-    EXPECT_EQ(damage(bytes, 8, false,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, false,
                      decode_full),
               "flip=WireError/checksum_mismatch "
               "drop=WireError/checksum_mismatch "
@@ -147,9 +150,9 @@ TEST(FormatPins, WireV1) {
 TEST(FormatPins, WireV2) {
     std::vector<std::uint8_t> bytes;
     encode_epoch_frame_into(3, 129, 7, kStamp, bytes);
-    EXPECT_EQ(hex(bytes), "000203810107040300ac0201aba4cff4fda46564");
+    EXPECT_EQ(hex(bytes), "000203810107040300ac0201dbeaf2bd");
     EXPECT_EQ(decode_full(bytes), "3/129/7 (3,0,300,1)");
-    EXPECT_EQ(damage(bytes, 8, false,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, false,
                      decode_full),
               "flip=WireError/checksum_mismatch "
               "drop=WireError/checksum_mismatch "
@@ -167,9 +170,9 @@ std::string decode_delta(const std::vector<std::uint8_t>& bytes) {
 TEST(FormatPins, WireV3) {
     std::vector<std::uint8_t> bytes;
     ASSERT_TRUE(encode_delta_frame_into(2, 40, 9, kBase, kStamp, bytes));
-    EXPECT_EQ(hex(bytes), "00030228090102c801f5d15d9e3b243b7d");
+    EXPECT_EQ(hex(bytes), "00030228090102c8010658a251");
     EXPECT_EQ(decode_delta(bytes), "2/40/9 (3,0,300,1)");
-    EXPECT_EQ(damage(bytes, 8, false,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, false,
                      decode_delta),
               "flip=WireError/checksum_mismatch "
               "drop=WireError/checksum_mismatch "
@@ -202,17 +205,17 @@ TEST(FormatPins, WireV4) {
     std::vector<std::uint8_t> bytes;
     batch.encode_batch_into(bytes);
     EXPECT_EQ(hex(bytes),
-              "00040200071105c801040300ac02010701daad7412c80102091100030228"
-              "090102c801f5d15d9e3b243b7dad712edfd7e19586");
+              "00040200070d05c801040300ac02017a2b297602090d00030228090102c8"
+              "010658a25159d009e3");
     EXPECT_EQ(read_batch(bytes),
-              "intact 0:7:05c801040300ac02010701daad7412c801 "
-              "2:9:00030228090102c801f5d15d9e3b243b7d");
-    EXPECT_EQ(damage(bytes, 8, false, read_batch),
-              "flip=damaged 0:7:05c801040300ac02010701daad7412c801 "
-              "2:9:00030228090102c801f5d15d9e3b243b7c "
+              "intact 0:7:05c801040300ac02017a2b2976 "
+              "2:9:00030228090102c8010658a251");
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, false, read_batch),
+              "flip=damaged 0:7:05c801040300ac02017a2b2976 "
+              "2:9:00030228090102c8010658a250 "
               "drop=WireError/length_mismatch append=damaged "
-              "0:7:05c801040300ac02010701daad7412c801 "
-              "2:9:00030228090102c801f5d15d9e3b243b7d");
+              "0:7:05c801040300ac02017a2b2976 "
+              "2:9:00030228090102c8010658a251");
 }
 
 TEST(FormatPins, WalRecord) {
@@ -227,14 +230,14 @@ TEST(FormatPins, WalRecord) {
     record.aux = {0x7F};
     std::vector<std::uint8_t> bytes{0xEE};  // encoders append
     encode_wal_record_into(record, bytes);
-    EXPECT_EQ(hex(bytes), "eeac02030240e8070103102030017f49cd5c98f92da4fe");
+    EXPECT_EQ(hex(bytes), "eeac02030240e8070103102030017f90ae60e4");
     bytes.erase(bytes.begin());
     const WalRecord decoded = decode_wal_record(bytes);
     EXPECT_EQ(decoded.lsn, record.lsn);
     EXPECT_EQ(decoded.message, record.message);
     EXPECT_EQ(decoded.frame, record.frame);
     EXPECT_EQ(decoded.aux, record.aux);
-    EXPECT_EQ(damage(bytes, 8, false,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, false,
                      [](const auto& b) {
                          return std::to_string(decode_wal_record(b).lsn);
                      }),
@@ -265,12 +268,12 @@ TEST(FormatPins, Snapshot) {
     const std::vector<std::uint8_t> bytes = encode_snapshot(snapshot);
     EXPECT_EQ(hex(bytes),
               "5359534e010c010207be0103030083010102050902aabb01020602020401"
-              "01050202030100060300e59f3143d01a2305");
+              "010502020301000603009e5a6908");
     const Snapshot decoded = decode_snapshot(bytes);
     EXPECT_EQ(decoded.state.clock, state.clock);
     EXPECT_EQ(decoded.state.outstanding.frame, state.outstanding.frame);
     EXPECT_EQ(decoded.state.out.at(0).req_window.size(), 2u);
-    EXPECT_EQ(damage(bytes, 8, true,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, true,
                      [](const auto& b) {
                          return std::to_string(decode_snapshot(b).wal_lsn);
                      }),
@@ -289,12 +292,12 @@ TEST(FormatPins, ClockStateOnlineFamily) {
     (void)engine->timestamp_message(2, 1, arena);
     std::vector<std::uint8_t> bytes{0xEE};  // save_state appends
     engine->save_state(bytes);
-    EXPECT_EQ(hex(bytes), "ee5359434b0100000003010202ee754188a1bcfc3b");
+    EXPECT_EQ(hex(bytes), "ee5359434b0100000003010202a5732b4d");
     bytes.erase(bytes.begin());
     const auto fresh = make_clock_engine(ClockFamily::online, decomposition);
     fresh->restore_state(bytes);
     EXPECT_EQ(fresh->save_state(), bytes);
-    EXPECT_EQ(damage(bytes, 8, true,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, true,
                      [&](const auto& b) {
                          make_clock_engine(ClockFamily::online, decomposition)
                              ->restore_state(b);
@@ -341,10 +344,10 @@ TEST(FormatPins, Postmortem) {
               "00000000000000050000006279746573feffffffffffffff010000000000"
               "000007000000636f6d6d6974730800000000000000000000000000000001"
               "00000000000000e803000000000000000000000000000008070605040302"
-              "01000000000000000000000000040302010110651f50d0fe77d4");
+              "0100000000000000000000000004030201017c18c6ec");
     bytes.erase(bytes.begin());
     EXPECT_EQ(obs::decode_postmortem(bytes), post);
-    EXPECT_EQ(damage(bytes, 8, true,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, true,
                      [](const auto& b) {
                          return std::to_string(
                              obs::decode_postmortem(b).events.size());
@@ -362,7 +365,7 @@ TEST(FormatPins, TraceEventDump) {
     std::vector<std::uint8_t> bytes{0xEE};  // write_binary replaces
     sink.write_binary(bytes);
     EXPECT_EQ(hex(bytes),
-              "53595452010000000200000000000000e803000000000000000000000000"
+              "53594556010000000200000000000000e803000000000000000000000000"
               "000008070605040302010000000000000000000000000403020101e90300"
               "000000000001000000000000000807060504030201030000000000000001"
               "0000000403020102");
@@ -397,11 +400,10 @@ TEST(FormatPins, TraceStream) {
     const std::string text = out.str();
     const std::vector<std::uint8_t> bytes(text.begin(), text.end());
     EXPECT_EQ(hex(bytes),
-              "53595452020600000003020001010250570f2a1bef3c9343060000000200"
-              "000101024ec1bc5649ceb41a430400000001000201a2c1d561292ae36f45"
-              "0100000003768ca57de1f83cbb");
+              "535954520206000000030200010102bf3964b34306000000020000010102"
+              "1e7578594304000000010002013fc6fe5a45010000000357e7aa2f");
     EXPECT_EQ(read_stream(bytes), 3u);
-    EXPECT_EQ(damage(bytes, 8, true,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, true,
                      [](const auto& b) {
                          return std::to_string(read_stream(b));
                      }),
@@ -414,13 +416,13 @@ TEST(FormatPins, SpillChunk) {
     std::vector<std::uint8_t> bytes{0xEE};  // encode_chunk appends
     SpillStore::encode_chunk(300, payload, bytes);
     EXPECT_EQ(hex(bytes),
-              "ee53595350012c010000000000000500000000000000010203ff804e7dab"
-              "a6737ff0ae");
+              "ee53595350012c010000000000000500000000000000010203ff809fd828"
+              "0f");
     bytes.erase(bytes.begin());
     const auto decoded = SpillStore::decode_chunk(bytes, 300);
     EXPECT_EQ(std::vector<std::uint8_t>(decoded.begin(), decoded.end()),
               payload);
-    EXPECT_EQ(damage(bytes, 8, true,
+    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, true,
                      [](const auto& b) {
                          return hex(SpillStore::decode_chunk(b, 300));
                      }),
@@ -447,6 +449,207 @@ TEST(FormatPins, ClosureChunkPayload) {
     EXPECT_TRUE(closure.less(0, 1));
     EXPECT_TRUE(closure.less(0, 2));
     EXPECT_TRUE(closure.less(1, 2));
+}
+
+/// The single-bit flips of `bytes`, one at a time, whose outcome is not
+/// `expected`, each as " bit <i>=<outcome>"; empty when all are.
+template <typename Decode>
+std::string flips_other_than(const std::vector<std::uint8_t>& bytes,
+                             const std::string& expected, Decode&& decode) {
+    std::string other;
+    for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+        std::vector<std::uint8_t> flipped = bytes;
+        flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        const std::string got = outcome([&] { return decode(flipped); });
+        if (got != expected) other += " bit " + std::to_string(bit) + "=" + got;
+    }
+    return other;
+}
+
+TEST(FormatPins, EverySingleBitFlipIsAChecksumMismatch) {
+    // CRC32C catches every error burst of up to 32 bits, so one flipped
+    // bit anywhere, trailer included, fails the checksum by construction.
+    std::vector<std::uint64_t> stamp(128);
+    for (std::size_t i = 0; i < stamp.size(); ++i) stamp[i] = i * 37 % 300;
+    std::vector<std::uint8_t> frame;
+    encode_epoch_frame_into(0, 5, 200, stamp, frame);
+    ASSERT_GT(frame.size(), stamp.size());
+    EXPECT_EQ(flips_other_than(frame, "WireError/checksum_mismatch",
+                               [&](const auto& b) {
+                                   std::vector<std::uint64_t> out(128);
+                                   (void)decode_epoch_frame_into(b, out);
+                                   return std::string("decoded");
+                               }),
+              "");
+
+    WalRecord record;
+    record.type = WalRecordType::send;
+    record.lsn = 300;
+    record.peer = 2;
+    record.sequence = 5;
+    record.message = 200;
+    record.frame = frame;
+    std::vector<std::uint8_t> wal;
+    encode_wal_record_into(record, wal);
+    EXPECT_EQ(flips_other_than(wal, "RecoveryError/checksum_mismatch",
+                               [](const auto& b) {
+                                   (void)decode_wal_record(b);
+                                   return std::string("decoded");
+                               }),
+              "");
+
+    Snapshot snapshot;
+    snapshot.wal_lsn = 12;
+    snapshot.state.clock = stamp;
+    snapshot.state.outstanding.active = true;
+    snapshot.state.outstanding.receiver = 2;
+    snapshot.state.outstanding.sequence = 5;
+    snapshot.state.outstanding.message = 200;
+    snapshot.state.outstanding.frame = frame;
+    EXPECT_EQ(flips_other_than(encode_snapshot(snapshot),
+                               "RecoveryError/checksum_mismatch",
+                               [](const auto& b) {
+                                   (void)decode_snapshot(b);
+                                   return std::string("decoded");
+                               }),
+              "");
+}
+
+std::vector<std::uint8_t> unhex(std::string_view text) {
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
+        out.push_back(static_cast<std::uint8_t>(
+            std::stoi(std::string(text.substr(i, 2)), nullptr, 16)));
+    }
+    return out;
+}
+
+TEST(FormatPins, RecordsSealedBeforeCrc32cAreRejected) {
+    // The pins above as they read while every sealed record ended in the
+    // 8-byte hash trailer that CRC32C replaced, and the event dump's old
+    // magic "SYTR". No reader has a second path for them: each rejects
+    // them with its typed error (docs/FORMATS.md, Shared encoding).
+    const std::vector<std::uint8_t> v1 =
+        unhex("05c801040300ac02010701daad7412c801");
+    const std::vector<std::uint8_t> v3 =
+        unhex("00030228090102c801f5d15d9e3b243b7d");
+    EXPECT_EQ(outcome([&] { return decode_full(v1); }),
+              "WireError/checksum_mismatch");
+    EXPECT_EQ(outcome([] {
+                  return decode_full(
+                      unhex("000203810107040300ac0201aba4cff4fda46564"));
+              }),
+              "WireError/checksum_mismatch");
+    EXPECT_EQ(outcome([&] { return decode_delta(v3); }),
+              "WireError/checksum_mismatch");
+
+    // A v4 container fails its advisory checksum, and every entry frame
+    // fails its own.
+    const std::vector<std::uint8_t> v4 = unhex(
+        "00040200071105c801040300ac02010701daad7412c80102091100030228"
+        "090102c801f5d15d9e3b243b7dad712edfd7e19586");
+    BatchReader reader(v4);
+    EXPECT_FALSE(reader.intact());
+    BatchFrame::Entry entry;
+    std::size_t entries = 0;
+    while (reader.next(entry)) {
+        const std::vector<std::uint8_t> body(entry.body.begin(),
+                                             entry.body.end());
+        EXPECT_EQ(outcome([&] {
+                      return entry.kind == 0 ? decode_full(body)
+                                             : decode_delta(body);
+                  }),
+                  "WireError/checksum_mismatch");
+        ++entries;
+    }
+    EXPECT_EQ(entries, 2u);
+
+    EXPECT_EQ(outcome([] {
+                  return std::to_string(
+                      decode_wal_record(
+                          unhex("ac02030240e8070103102030017f49cd5c98f92da4fe"))
+                          .lsn);
+              }),
+              "RecoveryError/checksum_mismatch");
+    EXPECT_EQ(outcome([] {
+                  return std::to_string(
+                      decode_snapshot(
+                          unhex("5359534e010c010207be0103030083010102050902aabb"
+                                "0102060202040101050202030100060300e59f3143d0"
+                                "1a2305"))
+                          .wal_lsn);
+              }),
+              "RecoveryError/checksum_mismatch");
+    EXPECT_EQ(outcome([] {
+                  const auto decomposition =
+                      std::make_shared<const EdgeDecomposition>(
+                          default_decomposition(topology::path(3)));
+                  make_clock_engine(ClockFamily::online, decomposition)
+                      ->restore_state(
+                          unhex("5359434b0100000003010202ee754188a1bcfc3b"));
+                  return std::string("ok");
+              }),
+              "WireError/checksum_mismatch");
+    EXPECT_EQ(outcome([] {
+                  return std::to_string(
+                      obs::decode_postmortem(
+                          unhex("53594652010000000101000000090000000000000002"
+                                "0000000000000001000000000000004d000000000000"
+                                "00921000000000000003000000000000000100000000"
+                                "00000007000000636f6d6d6974731f00000000000000"
+                                "0100000000000000050000006279746573feffffffff"
+                                "ffffff010000000000000007000000636f6d6d697473"
+                                "08000000000000000000000000000000010000000000"
+                                "0000e803000000000000000000000000000008070605"
+                                "04030201000000000000000000000000040302010110"
+                                "651f50d0fe77d4"))
+                          .events.size());
+              }),
+              "PostmortemError/bad_checksum");
+    EXPECT_EQ(outcome([] {
+                  return std::to_string(read_stream(unhex(
+                      "53595452020600000003020001010250570f2a1bef3c93430600"
+                      "00000200000101024ec1bc5649ceb41a430400000001000201a2"
+                      "c1d561292ae36f450100000003768ca57de1f83cbb")));
+              }),
+              "invalid_argument");
+    EXPECT_EQ(outcome([] {
+                  return hex(SpillStore::decode_chunk(
+                      unhex("53595350012c010000000000000500000000000000010203"
+                            "ff804e7daba6737ff0ae"),
+                      300));
+              }),
+              "SpillError/format");
+    EXPECT_EQ(outcome([] {
+                  return std::to_string(
+                      obs::TraceSink::read_binary(
+                          unhex("53595452010000000200000000000000e80300000000"
+                                "00000000000000000000080706050403020100000000"
+                                "00000000000000000403020101e90300000000000001"
+                                "00000000000000080706050403020103000000000000"
+                                "00010000000403020102"))
+                          .size());
+              }),
+              "invalid_argument");
+}
+
+TEST(FormatPins, EventDumpAndTraceStreamRejectEachOther) {
+    obs::TraceSink sink(4);
+    sink.record(pin_event(0));
+    std::vector<std::uint8_t> dump;
+    sink.write_binary(dump);
+    std::istringstream dump_in(std::string(dump.begin(), dump.end()));
+    EXPECT_THROW((void)read_binary_computation(dump_in),
+                 std::invalid_argument);
+
+    std::ostringstream out;
+    StreamingTraceWriter writer(out, topology::path(3), 2);
+    writer.add_message(0, 1);
+    writer.finish();
+    const std::string text = out.str();
+    EXPECT_THROW((void)obs::TraceSink::read_binary(
+                     std::vector<std::uint8_t>(text.begin(), text.end())),
+                 std::invalid_argument);
 }
 
 }  // namespace

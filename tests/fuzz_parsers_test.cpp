@@ -454,7 +454,7 @@ Codec postmortem_codec() {
         });
 }
 
-/// The SYTR event dump has no checksum, so damage may decode: then it
+/// The SYEV event dump has no checksum, so damage may decode: then it
 /// yields every declared event, each with its kind in range.
 Codec event_dump_codec() {
     obs::TraceSink sink(16);
@@ -563,7 +563,7 @@ TEST(FuzzParsers, EveryCodecUnderEveryDamageClass) {
         {"SYSN", snapshot_codec(), true},
         {"SYCK", clock_state_codec(), true},
         {"SYFR", postmortem_codec(), true},
-        {"SYTR event dump", event_dump_codec(), true},
+        {"SYEV event dump", event_dump_codec(), true},
         {"SYTR v2", sytr_codec(4), false},
         {"SYSP", spill_codec(3, spill_payload(64, 0xA0, 1)), true},
     };
@@ -591,8 +591,8 @@ TEST(FuzzParsers, SyncFrameRandomBytes) {
     // The full-frame reader is the parser the synchronizer feeds with
     // anything the faulty network delivers: random soup must either
     // fail with a typed WireError or (checksum-collision odds aside)
-    // decode — never crash. An 8-byte checksum makes accidental
-    // acceptance of soup implausible.
+    // decode — never crash. A 4-byte CRC32C passes soup with
+    // probability 2^-32 per buffer.
     Rng rng(5008);
     const Codec frames = make_codec<WireError>(
         {}, [&](std::span<const std::uint8_t> bytes) {
@@ -818,8 +818,9 @@ TEST(FuzzParsers, SnapshotRandomSoupAndMutations) {
 // ---- SYFR post-mortems (obs/flight_recorder.hpp) -----------------------
 
 TEST(FuzzParsers, PostmortemRandomSoup) {
-    // A random buffer cannot carry a valid FNV-1a trailer; soup behind
-    // the valid magic + version header still has to clear the checksum.
+    // A random buffer carries a valid CRC32C trailer with probability
+    // 2^-32; soup behind the valid magic + version header still has to
+    // clear the checksum.
     Rng rng(5016);
     const Codec codec = postmortem_codec();
     EXPECT_EQ(rejected_soups(codec, rng, 2000, 256), 2000u);
@@ -870,7 +871,7 @@ TEST(FuzzParsers, SytrBitFlipSoup) {
 std::string sytr_frame(const std::vector<std::uint8_t>& head,
                        const std::vector<std::uint8_t>& payload) {
     std::vector<std::uint8_t> frame;
-    codec::SealedWriter writer(frame, 0);
+    codec::Writer writer(frame, 0);
     writer.bytes(head);
     writer.le32(static_cast<std::uint32_t>(payload.size()));
     writer.bytes(payload);

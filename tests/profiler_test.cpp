@@ -233,7 +233,7 @@ TEST(FlightRecorder, SyfrRejectsBitFlipsTruncationAndTrailingBytes) {
     }
     wrapped.push_back(0);
     wrapped = testing::sealed(wrapped);
-    ASSERT_EQ(wrapped.size(), 110u);
+    ASSERT_EQ(wrapped.size(), 106u);
     EXPECT_THROW((void)obs::decode_postmortem(wrapped), obs::PostmortemError);
 }
 

@@ -21,7 +21,7 @@ namespace syncts::testing {
 /// clears the checksum, so a decoder's structural checks are what meet it.
 inline std::vector<std::uint8_t> sealed(const std::vector<std::uint8_t>& body) {
     std::vector<std::uint8_t> out;
-    codec::SealedWriter writer(out, body.size());
+    codec::Writer writer(out, body.size());
     writer.bytes(body);
     writer.seal();
     return out;

@@ -121,10 +121,60 @@ TEST(TimestampWire, TypedErrorsCarryTheirKind) {
     }
 }
 
-TEST(Checksum, Fnv1a64KnownVectors) {
-    EXPECT_EQ(codec::fnv1a64({}), 0xCBF29CE484222325ull);
-    const std::vector<std::uint8_t> a{'a'};
-    EXPECT_EQ(codec::fnv1a64(a), 0xAF63DC4C8601EC8Cull);
+/// RFC 3720 §B.4's CRC32C vectors plus the standard check value, for one
+/// body.
+template <typename Body>
+void expect_crc32c_vectors(Body&& crc) {
+    std::vector<std::uint8_t> ascending(32);
+    for (std::size_t i = 0; i < ascending.size(); ++i) {
+        ascending[i] = static_cast<std::uint8_t>(i);
+    }
+    const std::vector<std::uint8_t> descending(ascending.rbegin(),
+                                               ascending.rend());
+    const std::vector<std::uint8_t> check{'1', '2', '3', '4', '5',
+                                          '6', '7', '8', '9'};
+    EXPECT_EQ(crc(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
+    EXPECT_EQ(crc(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending), 0x46DD794Eu);
+    EXPECT_EQ(crc(descending), 0x113FDB5Cu);
+    EXPECT_EQ(crc(check), 0xE3069283u);
+    EXPECT_EQ(crc(std::vector<std::uint8_t>{}), 0u);
+}
+
+TEST(Checksum, Crc32cKnownVectors) {
+    expect_crc32c_vectors([](std::span<const std::uint8_t> b) {
+        return codec::crc32c_portable(b);
+    });
+    expect_crc32c_vectors(
+        [](std::span<const std::uint8_t> b) { return codec::crc32c(b); });
+#if defined(SYNCTS_CRC32C_SSE42)
+    if (!codec::sse42_available()) GTEST_SKIP() << "host has no SSE4.2";
+    expect_crc32c_vectors(
+        [](std::span<const std::uint8_t> b) { return codec::crc32c_sse42(b); });
+#else
+    GTEST_SKIP() << "SSE4.2 body not built for this target";
+#endif
+}
+
+TEST(Checksum, Crc32cBodiesAgreeAtEveryLengthAndOffset) {
+#if defined(SYNCTS_CRC32C_SSE42)
+    if (!codec::sse42_available()) GTEST_SKIP() << "host has no SSE4.2";
+    Rng rng(7321);
+    std::vector<std::uint8_t> buffer(512 + 8);
+    for (std::uint8_t& byte : buffer) {
+        byte = static_cast<std::uint8_t>(rng.below(256));
+    }
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 512; ++length) {
+            const std::span<const std::uint8_t> bytes(buffer.data() + offset,
+                                                      length);
+            ASSERT_EQ(codec::crc32c_sse42(bytes), codec::crc32c_portable(bytes))
+                << "offset " << offset << " length " << length;
+        }
+    }
+#else
+    GTEST_SKIP() << "SSE4.2 body not built for this target";
+#endif
 }
 
 /// An epoch-0 frame — the v1 layout — as the tests below build and
@@ -240,11 +290,11 @@ TEST(SyncFrameWire, RealWorkloadFramesRoundTrip) {
 }
 
 // The single-pass encoders must emit exactly the bytes of the format
-// definition: varints written one after another, then the FNV-1a
-// trailer. The references here write the fields through the plain codec
-// writer and seal the result separately, so a change to the frame
-// encoders' layout or to the sealed writer's checksum fold still fails
-// this test (the bytes themselves are pinned in format_pins_test).
+// definition: varints written one after another, then the CRC32C
+// trailer. The references here write each field with its own varint call
+// and seal the result separately, so a change to the frame encoders'
+// layout or to the writer's bulk varint path still fails this test (the
+// bytes themselves are pinned in format_pins_test).
 namespace reference {
 
 void append(std::vector<std::uint8_t>& out,

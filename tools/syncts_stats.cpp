@@ -56,9 +56,9 @@
 // Exit status: 0 clean; 1 on any timestamp mismatch,
 // protocol stall, or undetected frame corruption; 2 on usage errors —
 // so the binary doubles as a CI smoke gate (see .github/workflows/ci.yml).
-// Counts take an optional k or m suffix ("2k" = 2000), probabilities lie
-// in [0, 1] and --latency needs 1 <= LO <= HI; a malformed value prints
-// "bad value ..." and exits 2.
+// Counts take an optional k or m suffix ("2k" = 2000), --threads lies in
+// [1, 256], probabilities lie in [0, 1] and --latency needs
+// 1 <= LO <= HI; a malformed value prints "bad value ..." and exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -146,7 +146,7 @@ struct Config {
         "[--jitter J]\n"
         "                    [--latency LO:HI] [--trace FILE.json]\n"
         "                    [--trace-binary FILE.bin] [--trace-capacity N]\n"
-        "                    [--threads T] [--queries K] "
+        "                    [--threads T (1..256)] [--queries K] "
         "[--reconfig SCHED] [--json]\n"
         "                    [--profile] [--crash P:STEP:DOWN] "
         "[--flight FILE.syfr]\n"
@@ -233,7 +233,8 @@ Config parse_args(int argc, char** argv) {
         } else if (flag == "--trace-capacity") {
             config.trace_capacity = next_positive("--trace-capacity");
         } else if (flag == "--threads") {
-            config.threads = next_positive("--threads");
+            config.threads = tools::parse_threads(
+                "--threads", next_value("--threads"));
             config.analysis = true;
         } else if (flag == "--queries") {
             config.queries = next_count("--queries");
@@ -956,11 +957,14 @@ int main(int argc, char** argv) {
                     ++mismatches;
                 }
             }
-            // FNV-1a catches every corruption the fault plan injects, so
-            // every corrupted packet that reaches a live process must be
-            // rejected at decode (docs/FAULTS.md). A gap here is a
-            // checksum hole. Corrupted packets lost at a crashed
-            // process's NIC never reach a decoder.
+            // Every corrupted packet that reaches a live process must be
+            // rejected at decode (docs/FAULTS.md): CRC32C catches every
+            // bit flip the fault plan injects by construction, and a cut
+            // or grown body (its other two damages) slips past the
+            // checksum and the frame's length checks only with
+            // probability 2^-32. A gap here is a checksum hole.
+            // Corrupted packets lost at a crashed process's NIC never
+            // reach a decoder.
             const std::uint64_t rejects =
                 registry.counter("sync_frames_corrupt_rejected").value() -
                 rejects_before;

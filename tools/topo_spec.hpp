@@ -18,7 +18,8 @@
 ///   star:<n> | ring:<n> | path:<n> | complete:<n> | tree:<n>:<arity> |
 ///   cs:<servers>:<clients> | grid:<w>:<h> | triangles:<t> |
 ///   gnp:<n>:<p%>:<seed> | fig2b | fig4
-/// and the strict flag values (counts, probabilities, LO:HI ranges).
+/// and the strict flag values (counts, thread counts, probabilities, LO:HI
+/// ranges).
 
 namespace syncts::tools {
 
@@ -134,6 +135,21 @@ inline std::uint64_t parse_positive(std::string_view flag,
                                     std::string_view text) {
     const std::uint64_t value = parse_count(flag, text);
     if (value == 0) reject_value(flag, text, "must be at least 1");
+    return value;
+}
+
+/// Most threads a tool's analysis pool may have: a typo such as
+/// "--threads 100k" is rejected instead of asking the host for that many.
+inline constexpr std::uint64_t kMaxThreads = 256;
+
+/// A thread count: a count in [1, kMaxThreads].
+inline std::uint64_t parse_threads(std::string_view flag,
+                                   std::string_view text) {
+    const std::uint64_t value = parse_positive(flag, text);
+    if (value > kMaxThreads) {
+        reject_value(flag, text,
+                     "must be at most " + std::to_string(kMaxThreads));
+    }
     return value;
 }
 
