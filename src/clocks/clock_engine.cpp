@@ -294,25 +294,6 @@ public:
         epoch_ = 0;
     }
 
-    /// Same process count ⇒ an O(N²) re-zero of the existing slab; a
-    /// different count rebuilds the clock arena.
-    void rebind(std::shared_ptr<const EdgeDecomposition> decomposition)
-        override {
-        SYNCTS_REQUIRE(decomposition != nullptr, "decomposition must be set");
-        const std::size_t n = decomposition->graph().num_vertices();
-        if (n == clocks_.size()) {
-            reset();
-            return;
-        }
-        TimestampArena next(n, n);
-        for (std::size_t p = 0; p < n; ++p) {
-            next.allocate();
-        }
-        clocks_ = std::move(next);
-        floor_.clear();
-        epoch_ = 0;
-    }
-
     /// FM vectors are indexed by process, so the floor migrates by the
     /// process rule; the per-process clock slab is rebuilt arena-to-arena
     /// at the new width, zeroed (the barrier model — per-epoch stamps are
@@ -459,14 +440,6 @@ public:
         epoch_ = 0;
     }
 
-    void rebind(std::shared_ptr<const EdgeDecomposition> decomposition)
-        override {
-        SYNCTS_REQUIRE(decomposition != nullptr, "decomposition must be set");
-        clocks_.assign(decomposition->graph().num_vertices(), 0);
-        floor_.clear();
-        epoch_ = 0;
-    }
-
     /// Scalar clocks have one component that always survives: the floor
     /// is the running maximum across every epoch so far.
     void on_epoch(const EpochTransition& transition) override {
@@ -567,15 +540,6 @@ public:
         epoch_ = 0;
     }
 
-    void rebind(std::shared_ptr<const EdgeDecomposition> decomposition)
-        override {
-        SYNCTS_REQUIRE(decomposition != nullptr, "decomposition must be set");
-        last_.assign(decomposition->graph().num_vertices(), kNone);
-        next_id_ = 0;
-        floor_.clear();
-        epoch_ = 0;
-    }
-
     /// Direct-dependency stamps are message *identifiers*, not counters —
     /// there is no meaningful floor to carry; ids restart per epoch, as a
     /// fresh engine's would.
@@ -662,15 +626,6 @@ public:
     bool online() const noexcept override { return false; }
 
     void reset() override {
-        width_ = 0;
-        floor_.clear();
-        epoch_ = 0;
-    }
-
-    void rebind(std::shared_ptr<const EdgeDecomposition> decomposition)
-        override {
-        SYNCTS_REQUIRE(decomposition != nullptr, "decomposition must be set");
-        num_processes_ = decomposition->graph().num_vertices();
         width_ = 0;
         floor_.clear();
         epoch_ = 0;

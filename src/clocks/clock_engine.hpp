@@ -89,16 +89,6 @@ public:
     /// behaves as if freshly constructed on its current topology).
     virtual void reset() = 0;
 
-    /// Re-targets the engine at `decomposition` as if freshly constructed
-    /// on it — zero clocks, empty floor, epoch 0 — while reusing existing
-    /// buffer capacity wherever the shapes allow. This is the EngineStock
-    /// recycling hook (docs/MEMORY.md): lease + rebind replaces a heap
-    /// construction per epoch/rejoin with an O(width) reset. Stamping
-    /// after rebind is bit-identical to a fresh
-    /// make_clock_engine(family(), decomposition) engine.
-    virtual void rebind(
-        std::shared_ptr<const EdgeDecomposition> decomposition) = 0;
-
     // ---- Epoch transitions (docs/TOPOLOGY.md) -------------------------
 
     /// Epoch this engine currently stamps in (0 until the first

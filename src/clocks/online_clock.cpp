@@ -126,25 +126,6 @@ void OnlineTimestamper::reset() {
     epoch_ = 0;
 }
 
-void OnlineTimestamper::rebind(
-    std::shared_ptr<const EdgeDecomposition> decomposition) {
-    SYNCTS_REQUIRE(decomposition != nullptr, "decomposition must be set");
-    decomposition_ = std::move(decomposition);
-    const std::size_t n = decomposition_->graph().num_vertices();
-    const std::size_t keep = std::min(n, clocks_.size());
-    for (ProcessId p = 0; p < keep; ++p) {
-        clocks_[p].rebind(p, decomposition_);
-    }
-    clocks_.erase(clocks_.begin() + static_cast<std::ptrdiff_t>(keep),
-                  clocks_.end());
-    clocks_.reserve(n);
-    for (ProcessId p = static_cast<ProcessId>(keep); p < n; ++p) {
-        clocks_.emplace_back(p, decomposition_);
-    }
-    floor_.clear();
-    epoch_ = 0;
-}
-
 void OnlineTimestamper::on_epoch(const EpochTransition& transition) {
     SYNCTS_REQUIRE(transition.to != nullptr && transition.from != nullptr,
                    "epoch transition must carry both decompositions");

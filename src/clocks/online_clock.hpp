@@ -47,8 +47,8 @@ public:
 
     /// Re-targets the clock at process `self` under `decomposition`, as
     /// if freshly constructed, reusing the vector and peer-table storage
-    /// when the shapes match — the EngineStock recycling hook
-    /// (docs/MEMORY.md).
+    /// when the shapes match. The protocol runtime rebinds each process's
+    /// clock in place at every epoch load (docs/MEMORY.md).
     void rebind(ProcessId self,
                 std::shared_ptr<const EdgeDecomposition> decomposition);
 
@@ -139,9 +139,6 @@ public:
     }
 
     void reset() override;
-
-    void rebind(
-        std::shared_ptr<const EdgeDecomposition> decomposition) override;
 
     /// Swaps in the new epoch's decomposition: the accumulated floor is
     /// migrated by the component rule (preserved groups carry, rebuilt

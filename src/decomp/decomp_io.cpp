@@ -71,6 +71,10 @@ std::string next_token(std::istream& in, const char* what) {
 std::size_t next_number(std::istream& in, const char* what) {
     const std::string token = next_token(in, what);
     try {
+        // std::stoull would read "-1" as 2^64 - 1.
+        if (token[0] < '0' || token[0] > '9') {
+            throw std::invalid_argument(token);
+        }
         std::size_t consumed = 0;
         const unsigned long long value = std::stoull(token, &consumed);
         if (consumed != token.size()) {
@@ -129,6 +133,10 @@ TaggedDecomposition read_tagged_decomposition(std::istream& in) {
     }
     expect_keyword(in, "processes");
     const std::size_t n = next_number(in, "process count");
+    if (n > std::numeric_limits<ProcessId>::max()) {
+        throw DecompIoError(Kind::out_of_range,
+                            "process count beyond the process id range");
+    }
     expect_keyword(in, "edges");
     const std::size_t m = next_number(in, "edge count");
 
@@ -159,6 +167,11 @@ TaggedDecomposition read_tagged_decomposition(std::istream& in) {
         if (kind == "s") {
             const ProcessId root = next_process(in, n, "star root");
             const std::size_t edge_count = next_number(in, "star edge count");
+            if (edge_count > decomposition.graph().num_edges()) {
+                throw DecompIoError(Kind::out_of_range,
+                                    "star edge count beyond the graph's "
+                                    "edge count");
+            }
             std::vector<Edge> edges;
             edges.reserve(edge_count);
             for (std::size_t k = 0; k < edge_count; ++k) {

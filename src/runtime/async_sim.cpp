@@ -19,19 +19,13 @@ void AsyncSimulator::set_down(ProcessId p, bool down) {
 
 void AsyncSimulator::set_fixed_latency(std::uint64_t latency) {
     SYNCTS_REQUIRE(latency > 0, "latency must be positive");
-    latency_ = [latency](const Packet&, Rng&) { return latency; };
+    latency_lo_ = latency_hi_ = latency;
 }
 
 void AsyncSimulator::set_uniform_latency(std::uint64_t lo, std::uint64_t hi) {
     SYNCTS_REQUIRE(lo > 0 && lo <= hi, "invalid latency range");
-    latency_ = [lo, hi](const Packet&, Rng& rng) {
-        return rng.between(lo, hi);
-    };
-}
-
-void AsyncSimulator::set_latency_model(LatencyModel model) {
-    SYNCTS_REQUIRE(model != nullptr, "latency model must be callable");
-    latency_ = std::move(model);
+    latency_lo_ = lo;
+    latency_hi_ = hi;
 }
 
 void AsyncSimulator::set_fault_plan(FaultPlan plan) {
@@ -41,6 +35,10 @@ void AsyncSimulator::set_fault_plan(FaultPlan plan) {
 void AsyncSimulator::on_deliver(ProcessId p, Handler handler) {
     SYNCTS_REQUIRE(p < handlers_.size(), "process out of range");
     handlers_[p] = std::move(handler);
+}
+
+void AsyncSimulator::on_timer(TimerHandler handler) {
+    timer_handler_ = std::move(handler);
 }
 
 void AsyncSimulator::send(std::uint64_t now, Packet packet) {
@@ -54,8 +52,10 @@ void AsyncSimulator::send(std::uint64_t now, Packet packet) {
     }
     for (std::size_t c = 0; c < fate.count; ++c) {
         const FaultInjector::Copy& copy = fate.copies[c];
-        const std::uint64_t latency = latency_(packet, rng_);
-        SYNCTS_REQUIRE(latency > 0, "latency model returned zero");
+        // The Rng feeds latencies only, so a fixed latency need not draw.
+        const std::uint64_t latency =
+            latency_lo_ == latency_hi_ ? latency_lo_
+                                       : rng_.between(latency_lo_, latency_hi_);
         Packet delivered;
         if (c + 1 < fate.count) {
             // An injected duplicate: the one copy a send makes.
@@ -69,7 +69,7 @@ void AsyncSimulator::send(std::uint64_t now, Packet packet) {
         ++queued_packets_;
         peak_queued_packets_ = std::max(peak_queued_packets_, queued_packets_);
         push({now + latency + copy.extra_delay, next_seq_++,
-              std::move(delivered), nullptr, copy.corrupt});
+              std::move(delivered), Timer{}, false, copy.corrupt});
     }
 }
 
@@ -94,9 +94,10 @@ void AsyncSimulator::push(Scheduled event) {
     std::push_heap(queue_.begin(), queue_.end(), later);
 }
 
-void AsyncSimulator::schedule(std::uint64_t when, TimerCallback callback) {
-    SYNCTS_REQUIRE(callback != nullptr, "timer callback must be callable");
-    push({when, next_seq_++, Packet{}, std::move(callback)});
+void AsyncSimulator::schedule(std::uint64_t when, const Timer& timer) {
+    SYNCTS_REQUIRE(timer_handler_ != nullptr,
+                   "register a timer handler before scheduling timers");
+    push({when, next_seq_++, Packet{}, timer, true, false});
 }
 
 std::uint64_t AsyncSimulator::run(std::uint64_t max_events) {
@@ -108,9 +109,9 @@ std::uint64_t AsyncSimulator::run(std::uint64_t max_events) {
         Scheduled next = std::move(queue_.back());
         queue_.pop_back();
         now = next.time;
-        if (next.timer != nullptr) {
+        if (next.is_timer) {
             ++timers_fired_;
-            next.timer(now);
+            timer_handler_(now, next.timer);
             continue;
         }
         --queued_packets_;

@@ -21,10 +21,13 @@
 ///
 /// The simulator optionally runs under a FaultPlan (drop / duplicate /
 /// corrupt / extra-delay, plus targeted drop rules) and supports timers so
-/// protocols can implement retransmission. Determinism: ties in delivery
-/// time break by schedule sequence number, latencies come from a seeded
-/// Rng, and faults from the plan's own seeded Rng, so a run is a pure
-/// function of (programs, seed, fault plan).
+/// protocols can implement retransmission. A timer is a plain Timer
+/// record, held by value in the event queue and handed back unchanged to
+/// the one timer handler when it fires: arming one allocates nothing.
+/// Determinism: ties in delivery and firing time break by schedule
+/// sequence number, latencies come from a seeded Rng, and faults from the
+/// plan's own seeded Rng, so a run is a pure function of (programs, seed,
+/// fault plan).
 ///
 /// Body ownership: send() moves the packet into the event queue (only an
 /// injected duplicate copies it), run() moves each event out of the queue,
@@ -45,32 +48,42 @@ struct Packet {
     std::vector<std::uint8_t> body;    // wire-encoded payload
 };
 
+/// One armed timer. The simulator reads none of its fields: the protocol
+/// names the process, the kind of timer, the incarnation it was armed in
+/// and two arguments, and gets the record back as it was when it fires.
+struct Timer {
+    ProcessId process = 0;
+    std::uint32_t kind = 0;
+    std::uint64_t incarnation = 0;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+};
+
 class AsyncSimulator {
 public:
-    /// Latency model: returns the packet's transit time (> 0).
-    using LatencyModel = std::function<std::uint64_t(const Packet&, Rng&)>;
-
     /// Handler invoked at delivery time on the destination process.
     using Handler = std::function<void(std::uint64_t now, const Packet&)>;
 
-    /// Timer callback invoked at its scheduled virtual time.
-    using TimerCallback = std::function<void(std::uint64_t now)>;
+    /// Handler invoked with each timer record at its scheduled time.
+    using TimerHandler = std::function<void(std::uint64_t now, const Timer&)>;
 
     AsyncSimulator(std::size_t num_processes, std::uint64_t seed);
 
-    /// Fixed latency for every packet.
+    /// Fixed latency for every packet; draws nothing from the Rng.
     void set_fixed_latency(std::uint64_t latency);
 
-    /// Uniform random latency in [lo, hi].
+    /// Uniform random latency in [lo, hi], one Rng draw per delivered
+    /// copy (none when lo == hi).
     void set_uniform_latency(std::uint64_t lo, std::uint64_t hi);
-
-    void set_latency_model(LatencyModel model);
 
     /// Runs every subsequent send through `plan`. Resets fault statistics.
     void set_fault_plan(FaultPlan plan);
 
     /// Registers the delivery handler for process p (one per process).
     void on_deliver(ProcessId p, Handler handler);
+
+    /// Registers the one handler every timer fires through.
+    void on_timer(TimerHandler handler);
 
     /// Marks process p down (crashed) or back up. Packets delivered to a
     /// down process are silently lost — exactly what a dead NIC does —
@@ -93,9 +106,10 @@ public:
     /// were ever queued at once.
     std::vector<std::uint8_t> take_body();
 
-    /// Schedules `callback` to fire at virtual time `when`. Timers cannot
-    /// be cancelled; protocols check their own state when one fires.
-    void schedule(std::uint64_t when, TimerCallback callback);
+    /// Schedules `timer` to fire at virtual time `when`, through the
+    /// handler on_timer() registered. Timers cannot be cancelled;
+    /// protocols check their own state when one fires.
+    void schedule(std::uint64_t when, const Timer& timer);
 
     /// Runs until the event queue drains; returns the final virtual time.
     /// `max_events` bounds deliveries + timer firings and guards against
@@ -118,8 +132,9 @@ private:
     struct Scheduled {
         std::uint64_t time;
         std::uint64_t seq;
-        Packet packet;         // delivery event when timer == nullptr
-        TimerCallback timer;   // timer event when set
+        Packet packet;           // a delivery event unless is_timer
+        Timer timer;             // a timer event when is_timer
+        bool is_timer = false;
         bool corrupted = false;  // the fault plan mutated the body
     };
 
@@ -133,13 +148,15 @@ private:
     void recycle(std::vector<std::uint8_t>&& body);
 
     std::vector<Handler> handlers_;
+    TimerHandler timer_handler_;
     std::vector<bool> down_;
     FaultStats crash_stats_;  ///< crash/down-drop counts only
     std::vector<Scheduled> queue_;  ///< binary heap under later()
     std::size_t queued_packets_ = 0;
     std::size_t peak_queued_packets_ = 0;
     std::vector<std::vector<std::uint8_t>> spare_bodies_;
-    LatencyModel latency_;
+    std::uint64_t latency_lo_ = 1;
+    std::uint64_t latency_hi_ = 1;
     Rng rng_;
     FaultInjector injector_;
     std::uint64_t next_seq_ = 0;

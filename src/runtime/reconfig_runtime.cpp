@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "clocks/engine_stock.hpp"
 #include "clocks/wire.hpp"
 #include "common/check.hpp"
 #include "common/region.hpp"
@@ -31,6 +30,15 @@ constexpr std::uint32_t kNack = 2;      ///< epoch-stale REQ rejected
 constexpr std::uint32_t kHello = 3;     ///< rejoin handshake (restarted peer)
 constexpr std::uint32_t kHelloAck = 4;  ///< rejoin handshake acknowledged
 constexpr std::uint32_t kBatch = 5;     ///< v4 container of REQ/ACK frames
+
+/// What a Timer record asks its process to do when it fires.
+enum class TimerKind : std::uint32_t {
+    flush,       ///< flush the TX queues
+    restart,     ///< restart after a crash
+    retransmit,  ///< resend the REQ (a = receiver, b = sequence)
+    hello,       ///< re-send rejoin HELLOs while still rejoining
+    watchdog,    ///< chase a replay gap (a = peer)
+};
 
 /// One side's memory of the last timestamp that crossed a directed
 /// channel — the base both ends of the delta codec agree on
@@ -161,7 +169,7 @@ struct OutChannel {
 /// Per-process protocol engine: walks the process's script for its
 /// current epoch, issuing REQs for sends and consuming buffered REQs for
 /// receives. Channel state persists across epochs; clock and scratch are
-/// rebuilt at each barrier. `epoch` is the engine's own epoch — equal to
+/// rebound at each barrier. `epoch` is the engine's own epoch — equal to
 /// the global barrier epoch except while the process is catching up
 /// after a crash.
 struct Engine {
@@ -169,7 +177,9 @@ struct Engine {
     EpochId epoch = 0;
     std::vector<ProcessEvent> script;  // current epoch's message events
     std::size_t cursor = 0;
-    std::unique_ptr<OnlineProcessClock> clock;
+    /// The process's Fig. 5 clock; empty while the process is down or
+    /// outside its epoch's graph.
+    std::optional<OnlineProcessClock> clock;
     std::optional<Outstanding> outstanding;
     /// The last completed send's frame buffer, reused by the next send.
     std::vector<std::uint8_t> spare_frame;
@@ -196,8 +206,9 @@ struct Engine {
     /// Next unfired crash rule for this process (harness state: survives
     /// the crash it triggers).
     std::size_t next_crash = 0;
-    /// Bumped at every crash; timers capture it and no-op on mismatch,
-    /// so a restarted incarnation never executes a dead one's timers.
+    /// Bumped at every crash; timer records carry it and fire() drops a
+    /// mismatch, so a restarted incarnation never executes a dead one's
+    /// timers.
     std::uint64_t incarnation = 0;
     bool down = false;
     bool rejoining = false;
@@ -300,8 +311,9 @@ void validate_run(const TopologyManager& topology,
 /// it. Every wire profile runs the same send path (send_req / receive)
 /// and the same receive path (deliver → deliver_frame); the
 /// ProtocolOptions knobs only decide whether packets pass through the TX
-/// queues and whether bodies are deltas. Timers and delivery handlers
-/// capture `this`, so the object never moves.
+/// queues and whether bodies are deltas. Timers are plain records that
+/// fire() dispatches. The timer and delivery handlers capture `this`, so
+/// the object never moves.
 class ProtocolRun {
 public:
     ProtocolRun(const TopologyManager& topology,
@@ -370,19 +382,8 @@ private:
     std::vector<DurableStore> stores_;
 
     // Epoch-region memory (docs/MEMORY.md): every epoch's committed
-    // stamps live in a region drawn from one slab pool, and per-process
-    // clocks are leased from one engine stock. A caller running many
-    // protocols in sequence can pass both in through the options so even
-    // cross-run churn reuses capacity; by default each gets a run-local
-    // instance. External pools/stocks are attached to a registry (or
-    // not) by their owner.
-    SlabPool local_pool_;
-    SlabPool& pool_ =
-        options_.slab_pool != nullptr ? *options_.slab_pool : local_pool_;
-    EngineStock local_stock_;
-    EngineStock& stock_ = options_.engine_stock != nullptr
-                              ? *options_.engine_stock
-                              : local_stock_;
+    // stamps live in a region drawn from one slab pool.
+    SlabPool pool_;
     RegionStore regions_{pool_};
 
     std::optional<BandwidthScheduler> bsched_;
@@ -533,16 +534,37 @@ private:
         post(now, std::move(hello));
     }
 
-    /// Arms a timer of process p that runs `fn(at)` only if p has not
-    /// crashed since. Timers cannot be cancelled; the incarnation check
-    /// keeps a dead incarnation's timers from touching the restarted
-    /// process (a timer armed before a crash never sees it down).
-    template <typename Fn>
-    void arm(std::uint64_t when, ProcessId p, Fn fn) {
-        network_.schedule(when, [this, p, incarnation = engines_[p].incarnation,
-                                 fn](std::uint64_t at) {
-            if (engines_[p].incarnation == incarnation) fn(at);
-        });
+    /// Arms a timer of process p, stamped with p's current incarnation.
+    void arm(std::uint64_t when, ProcessId p, TimerKind kind,
+             std::uint64_t a = 0, std::uint64_t b = 0) {
+        network_.schedule(when, Timer{p, static_cast<std::uint32_t>(kind),
+                                      engines_[p].incarnation, a, b});
+    }
+
+    /// Every timer fires here. Timers cannot be cancelled; the
+    /// incarnation check keeps a dead incarnation's timers from touching
+    /// the restarted process (a timer armed before a crash never sees it
+    /// down), and each handler checks that its own state still wants it.
+    void fire(std::uint64_t now, const Timer& timer) {
+        const ProcessId p = timer.process;
+        if (engines_[p].incarnation != timer.incarnation) return;
+        switch (static_cast<TimerKind>(timer.kind)) {
+            case TimerKind::flush:
+                tx_flush(now, p);
+                return;
+            case TimerKind::restart:
+                restart_process(now, p);
+                return;
+            case TimerKind::retransmit:
+                retransmit(now, p, static_cast<ProcessId>(timer.a), timer.b);
+                return;
+            case TimerKind::hello:
+                if (engines_[p].rejoining) send_hellos(now, p);
+                return;
+            case TimerKind::watchdog:
+                replay_watchdog(now, p, static_cast<ProcessId>(timer.a));
+                return;
+        }
     }
 
     /// Flushes every due queue of `src` in deficit-round-robin order: a
@@ -580,9 +602,7 @@ private:
                 ++tally_.wire.bsched_deferrals;
                 trace(obs::TraceEventKind::bsched_defer, when, src, dst,
                       frames, ready - when, 0);
-                arm(ready, src, [this, src](std::uint64_t at) {
-                    tx_flush(at, src);
-                });
+                arm(ready, src, TimerKind::flush);
                 continue;
             }
             if (frames > 1) {
@@ -628,10 +648,7 @@ private:
         if (was_empty || deadline < q.deadline) q.deadline = deadline;
         // One flush timer per enqueue; stale ones find an empty or
         // not-yet-due queue.
-        const ProcessId src = packet.source;
-        arm(q.deadline, src, [this, src](std::uint64_t at) {
-            tx_flush(at, src);
-        });
+        arm(q.deadline, packet.source, TimerKind::flush);
     }
 
     /// Whether `shadow` is the base the delta codec needs for the next
@@ -748,10 +765,9 @@ private:
     }
 
     /// (Re)loads per-process state for epoch `e`: the epoch's script
-    /// slice, a clock leased from the stock (a recycled one rebound to
-    /// the epoch's decomposition when available — bit-identical to a
-    /// fresh construction), and width-d scratch. Channel maps are
-    /// deliberately left alone.
+    /// slice, the clock rebound in place to the epoch's decomposition
+    /// (reusing its buffers; bit-identical to a fresh construction), and
+    /// width-d scratch. Channel maps are deliberately left alone.
     void load_engine(ProcessId p, EpochId e) {
         Engine& engine = engines_[p];
         const std::shared_ptr<const EdgeDecomposition> decomposition =
@@ -762,9 +778,7 @@ private:
         engine.script.clear();
         engine.cursor = 0;
         if (p >= n) {
-            // Not a member of this epoch: park the clock for whoever
-            // loads next.
-            stock_.restock_clock(std::move(engine.clock));
+            engine.clock.reset();  // not a member of this epoch
             return;
         }
         for (const ProcessEvent& event : scripts_[e].process_events(p)) {
@@ -772,8 +786,11 @@ private:
                 engine.script.push_back(event);
             }
         }
-        stock_.restock_clock(std::move(engine.clock));
-        engine.clock = stock_.lease_clock(p, decomposition);
+        if (engine.clock) {
+            engine.clock->rebind(p, decomposition);
+        } else {
+            engine.clock.emplace(p, decomposition);
+        }
         engine.rx_stamp.resize(d);
         engine.ack_scratch.resize(d);
         engine.stamp_scratch.resize(d);
@@ -829,7 +846,7 @@ private:
     void take_snapshot(ProcessId p) {
         if (!recovery_active_) return;
         Engine& engine = engines_[p];
-        if (engine.clock == nullptr) return;  // not part of this epoch
+        if (!engine.clock) return;  // not part of this epoch
         DurableStore& store = stores_[p];
         store.wal.flush();
         Snapshot snapshot;
@@ -894,9 +911,7 @@ private:
                             engine.epoch, stores_[p].wal.next_lsn(), now,
                             options_.metrics);
         }
-        // The crash wipes the clock's *state*; its buffers are reusable,
-        // so park it for the next lease (rebind() resets it in full).
-        stock_.restock_clock(std::move(engine.clock));
+        engine.clock.reset();
         engine.outstanding.reset();
         engine.in.clear();
         engine.out.clear();
@@ -915,7 +930,7 @@ private:
         engine.down = true;
         network_.set_down(p, true);
         arm(now + std::max<std::uint64_t>(rule.downtime, 1), p,
-            [this, p](std::uint64_t at) { restart_process(at, p); });
+            TimerKind::restart);
     }
 
     /// Bookkeeping after one protocol step (a commit or an accepted
@@ -968,11 +983,8 @@ private:
     /// earlier epoch.
     void arm_retransmit(std::uint64_t now, ProcessId p) {
         const Outstanding& out = *engines_[p].outstanding;
-        arm(now + out.rto, p,
-            [this, p, receiver = out.receiver,
-             sequence = out.sequence](std::uint64_t at) {
-                retransmit(at, p, receiver, sequence);
-            });
+        arm(now + out.rto, p, TimerKind::retransmit, out.receiver,
+            out.sequence);
     }
 
     void retransmit(std::uint64_t now, ProcessId p, ProcessId receiver,
@@ -1313,9 +1325,7 @@ private:
             trace(obs::TraceEventKind::hello, now, p, q, engine.hello_attempts,
                   last, logical(p));
         }
-        arm(now + base_rto_, p, [this, p](std::uint64_t at) {
-            if (engines_[p].rejoining) send_hellos(at, p);
-        });
+        arm(now + base_rto_, p, TimerKind::hello);
     }
 
     /// Chases a replay gap: while `last_committed` on the channel from
@@ -1332,9 +1342,7 @@ private:
                              std::uint32_t attempts) {
         const std::uint64_t wait = std::min(
             base_rto_ << std::min(attempts, kMaxBackoffExponent), max_rto_);
-        arm(now + wait, p, [this, p, peer](std::uint64_t at) {
-            replay_watchdog(at, p, peer);
-        });
+        arm(now + wait, p, TimerKind::watchdog, peer);
     }
 
     void replay_watchdog(std::uint64_t now, ProcessId p, ProcessId peer) {
@@ -1388,7 +1396,7 @@ private:
         SYNCTS_ENSURE(outcome.wal_next_lsn == stores_[p].wal.next_lsn(),
                       "recovery replay disagrees with the WAL position");
         load_engine(p, state.epoch);
-        SYNCTS_ENSURE(engine.clock != nullptr &&
+        SYNCTS_ENSURE(engine.clock &&
                           state.clock.size() == engine.clock->width(),
                       "recovered clock does not match the epoch topology");
         engine.clock->restore_from(state.clock);
@@ -1519,8 +1527,8 @@ private:
     /// checksum and parses the header; the kind is then validated
     /// *semantically* (a batch entry's kind/tag varints sit outside the
     /// inner frame checksum, so a flipped kind bit could present an ACK
-    /// as a REQ — message ids are globally unique, so the script is the
-    /// authority). Only a fresh REQ or an ACK has its stamp decoded,
+    /// as a REQ or a REQ as an ACK — message ids are globally unique, so
+    /// the script is the authority). Only a fresh REQ or an ACK has its stamp decoded,
     /// into rx_stamp, without a second checksum pass: full as it is, or
     /// a delta against the channel shadow. Returns false when the frame
     /// is damaged; the caller counts the reject.
@@ -1538,26 +1546,22 @@ private:
             handle_nack(now, p, packet, header);
             return true;
         }
-        if (packet.kind == kReq) {
-            // The scripted message must exist and run source -> p; a
-            // mislabeled ACK always fails this (its message's sender is
-            // p itself), as does any corrupted kind/tag.
-            if (header.epoch >= num_epochs_ ||
-                header.message >= scripts_[header.epoch].num_messages()) {
-                return false;
-            }
-            const SyncMessage& m = scripts_[header.epoch].message(
-                static_cast<MessageId>(header.message));
-            if (m.sender != packet.source || m.receiver != p) return false;
-        } else if (packet.kind != kAck) {
+        if (packet.kind != kReq && packet.kind != kAck) {
             return false;  // damaged batch-entry kind
-        } else if (engine.outstanding &&
-                   engine.outstanding->receiver == packet.source &&
-                   engine.outstanding->sequence == header.sequence &&
-                   engine.outstanding->mid != header.message) {
-            // A mislabeled REQ could match the outstanding (receiver,
-            // sequence) by coincidence — the sequence spaces of the two
-            // directions are independent — but never its message id.
+        }
+        // The scripted message must exist and run source -> p for a REQ,
+        // p -> source for an ACK. A mislabeled frame always fails this,
+        // before it can touch a delta shadow: an ACK's message has p as
+        // its sender, a REQ's has the source.
+        if (header.epoch >= num_epochs_ ||
+            header.message >= scripts_[header.epoch].num_messages()) {
+            return false;
+        }
+        const SyncMessage& m = scripts_[header.epoch].message(
+            static_cast<MessageId>(header.message));
+        const bool req = packet.kind == kReq;
+        if (m.sender != (req ? packet.source : p) ||
+            m.receiver != (req ? p : packet.source)) {
             return false;
         }
         if (header.epoch != engine.epoch) {
@@ -1944,8 +1948,7 @@ ProtocolRun::ProtocolRun(const TopologyManager& topology,
             snapshot_bytes_hist_ = &m.histogram("recover_snapshot_bytes");
             replay_hist_ = &m.histogram("recover_replay_records");
         }
-        if (options_.slab_pool == nullptr) local_pool_.attach_metrics(m);
-        if (options_.engine_stock == nullptr) local_stock_.attach_metrics(m);
+        pool_.attach_metrics(m);
         regions_.attach_metrics(m);
     }
     network_.set_uniform_latency(options_.latency_lo, options_.latency_hi);
@@ -1966,6 +1969,8 @@ ProtocolRun::ProtocolRun(const TopologyManager& topology,
             deliver(now, p, packet);
         });
     }
+    network_.on_timer(
+        [this](std::uint64_t now, const Timer& timer) { fire(now, timer); });
 }
 
 ReconfigurableRunResult ProtocolRun::run() {
@@ -2018,11 +2023,6 @@ ReconfigurableRunResult ProtocolRun::run() {
     }
     SYNCTS_ENSURE(regions_.live_regions() == 0,
                   "run finished with live regions");
-    // Park every live process clock so a caller-owned stock carries the
-    // engines into the next run (a run-local stock dies here anyway).
-    for (Engine& engine : engines_) {
-        stock_.restock_clock(std::move(engine.clock));
-    }
     result.segments = std::move(flushed_);
     return result;
 }

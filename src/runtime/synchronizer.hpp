@@ -54,9 +54,6 @@
 
 namespace syncts {
 
-class SlabPool;
-class EngineStock;
-
 namespace obs {
 class FlightRecorder;
 }
@@ -198,19 +195,6 @@ struct SynchronizerOptions {
     /// black box stays on when full tracing is off. Must outlive the
     /// call.
     obs::FlightRecorder* recorder = nullptr;
-
-    /// When set, the run's per-epoch timestamp regions draw their slabs
-    /// from this pool instead of a run-local one, so slab capacity is
-    /// recycled *across* runs too (docs/MEMORY.md). Must outlive the
-    /// call. Not thread-safe: one pool per concurrent run. The caller
-    /// owns its metrics attachment.
-    SlabPool* slab_pool = nullptr;
-
-    /// When set, per-process online clocks are leased from / restocked
-    /// into this stock across epoch loads and crash rejoins instead of
-    /// a run-local one. Same lifetime and threading rules as
-    /// `slab_pool`.
-    EngineStock* engine_stock = nullptr;
 };
 
 /// Wire-level accounting for one run: what the batched path saved (or

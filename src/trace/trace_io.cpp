@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -68,6 +69,9 @@ std::string next_token(std::istream& in, const char* what) {
 std::size_t next_number(std::istream& in, const char* what) {
     const std::string token = next_token(in, what);
     try {
+        // std::stoull would read "-1" as 2^64 - 1.
+        SYNCTS_REQUIRE(token[0] >= '0' && token[0] <= '9',
+                       "a number starts with a digit");
         std::size_t consumed = 0;
         const unsigned long long value = std::stoull(token, &consumed);
         SYNCTS_REQUIRE(consumed == token.size(), "trailing garbage in number");
@@ -88,6 +92,8 @@ SyncComputation read_computation(std::istream& in) {
     SYNCTS_REQUIRE(next_token(in, "processes keyword") == "processes",
                    "expected 'processes'");
     const std::size_t n = next_number(in, "process count");
+    SYNCTS_REQUIRE(n <= std::numeric_limits<ProcessId>::max(),
+                   "process count beyond the process id range");
     SYNCTS_REQUIRE(next_token(in, "edges keyword") == "edges",
                    "expected 'edges'");
     const std::size_t m = next_number(in, "edge count");

@@ -6,7 +6,6 @@
 
 #include "clocks/clock_engine.hpp"
 #include "clocks/direct_dependency.hpp"
-#include "clocks/engine_stock.hpp"
 #include "clocks/fm_event_clock.hpp"
 #include "clocks/fm_sync_clock.hpp"
 #include "clocks/lamport_clock.hpp"
@@ -276,112 +275,47 @@ TEST(ClockEngine, MaterializeMessagesMatchesArenaRows) {
     }
 }
 
-// ---- Stock/lease recycling (docs/MEMORY.md) ---------------------------
+// ---- In-place rebind (docs/MEMORY.md) ---------------------------------
 
-constexpr ClockFamily kAllFamilies[] = {
-    ClockFamily::online,   ClockFamily::fm_sync,
-    ClockFamily::fm_event, ClockFamily::lamport,
-    ClockFamily::direct_dependency, ClockFamily::offline};
-
-TEST(EngineStock, RebindBehavesLikeFreshConstruction) {
-    // The rebind contract directly: stamp on one decomposition, rebind
-    // onto a different one (different width, process count, groups), and
-    // the recycled engine must match a fresh engine bit for bit.
-    const Scenario a = make_scenario(31);
-    const Scenario b = make_scenario(132);
-    for (const ClockFamily family : kAllFamilies) {
-        const auto engine = make_clock_engine(family, a.decomposition);
-        (void)engine->stamp_computation(a.computation);
-        engine->rebind(b.decomposition);
-        const EngineStamps got = engine->stamp_computation(b.computation);
-        const auto fresh = make_clock_engine(family, b.decomposition);
-        const EngineStamps want = fresh->stamp_computation(b.computation);
-        ASSERT_EQ(got.arena, want.arena) << to_string(family);
-        ASSERT_EQ(got.message_stamps, want.message_stamps)
-            << to_string(family);
-        ASSERT_EQ(got.internal_stamps, want.internal_stamps)
-            << to_string(family);
-    }
-}
-
-TEST(EngineStock, LeasedEnginesStampBitIdenticalToFresh) {
-    EngineStock stock;
-    for (std::uint64_t seed = 40; seed < 60; ++seed) {
-        const Scenario dirty = make_scenario(seed);
-        const Scenario target = make_scenario(seed + 500);
-        for (const ClockFamily family : kAllFamilies) {
-            // Dirty an engine on one topology, park it, lease it back for
-            // another.
-            auto first = stock.lease(family, dirty.decomposition);
-            (void)first->stamp_computation(dirty.computation);
-            stock.restock(std::move(first));
-
-            const std::uint64_t reuses_before = stock.reuses();
-            auto second = stock.lease(family, target.decomposition);
-            ASSERT_EQ(stock.reuses(), reuses_before + 1)
-                << to_string(family) << ": lease did not recycle";
-            const EngineStamps got =
-                second->stamp_computation(target.computation);
-
-            const auto fresh = make_clock_engine(family,
-                                                 target.decomposition);
-            const EngineStamps want =
-                fresh->stamp_computation(target.computation);
-            ASSERT_EQ(got.arena, want.arena)
-                << to_string(family) << " seed " << seed;
-            ASSERT_EQ(got.message_stamps, want.message_stamps)
-                << to_string(family) << " seed " << seed;
-            ASSERT_EQ(got.internal_stamps, want.internal_stamps)
-                << to_string(family) << " seed " << seed;
-            stock.restock(std::move(second));
-        }
-    }
-    EXPECT_EQ(stock.stocked_engines(), 6u);
-    stock.trim();
-    EXPECT_EQ(stock.stocked_engines(), 0u);
-}
-
-TEST(EngineStock, LeasedProcessClocksMatchFreshOnes) {
+TEST(OnlineClock, RebindMatchesFreshConstruction) {
     const Scenario dirty = make_scenario(47);
     const Scenario target = make_scenario(151);
     const std::size_t n = target.computation.num_processes();
 
-    EngineStock stock;
     // Dirty a clock with real Fig. 5 traffic so its vector and peer
     // tables are far from the initial state.
+    OnlineProcessClock dirtied(0, dirty.decomposition);
     {
-        auto clock = stock.lease_clock(0, dirty.decomposition);
         OnlineProcessClock peer(1, dirty.decomposition);
-        const auto exchange = peer.on_receive(0, clock->prepare_send());
-        (void)clock->on_acknowledgement(1, exchange.acknowledgement);
-        stock.restock_clock(std::move(clock));
+        const auto exchange = peer.on_receive(0, dirtied.prepare_send());
+        (void)dirtied.on_acknowledgement(1, exchange.acknowledgement);
     }
 
-    // Recycled clocks must replay a whole computation identically to
-    // fresh ones: run the same script through a leased fleet and a fresh
-    // fleet, comparing every message stamp.
-    std::vector<std::unique_ptr<OnlineProcessClock>> leased;
-    std::vector<std::unique_ptr<OnlineProcessClock>> fresh;
+    // Rebound clocks must replay a whole computation identically to
+    // fresh ones: every process of one fleet starts as a copy of the
+    // dirtied clock and is rebound onto the target; the other fleet is
+    // freshly constructed. Every message stamp must match.
+    std::vector<OnlineProcessClock> rebound;
+    std::vector<OnlineProcessClock> fresh;
     for (ProcessId p = 0; p < n; ++p) {
-        leased.push_back(stock.lease_clock(p, target.decomposition));
-        fresh.push_back(
-            std::make_unique<OnlineProcessClock>(p, target.decomposition));
+        rebound.push_back(dirtied);
+        rebound.back().rebind(p, target.decomposition);
+        fresh.emplace_back(p, target.decomposition);
     }
-    EXPECT_GT(stock.reuses(), 0u);
     for (const SyncMessage& m : target.computation.messages()) {
-        const auto run = [&](auto& fleet) {
-            const auto exchange = fleet[m.receiver]->on_receive(
-                m.sender, fleet[m.sender]->prepare_send());
-            return fleet[m.sender]->on_acknowledgement(
+        const auto run = [&](std::vector<OnlineProcessClock>& fleet) {
+            const auto exchange = fleet[m.receiver].on_receive(
+                m.sender, fleet[m.sender].prepare_send());
+            return fleet[m.sender].on_acknowledgement(
                 m.receiver, exchange.acknowledgement);
         };
-        const VectorTimestamp a = run(leased);
+        const VectorTimestamp a = run(rebound);
         const VectorTimestamp b = run(fresh);
         ASSERT_EQ(a, b) << "message " << m.id;
     }
     for (ProcessId p = 0; p < n; ++p) {
-        ASSERT_EQ(VectorTimestamp(leased[p]->current_span()),
-                  VectorTimestamp(fresh[p]->current_span()))
+        ASSERT_EQ(VectorTimestamp(rebound[p].current_span()),
+                  VectorTimestamp(fresh[p].current_span()))
             << "process " << p;
     }
 }

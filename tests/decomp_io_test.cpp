@@ -121,6 +121,13 @@ TEST(DecompIo, ErrorsCarryTypedKinds) {
     EXPECT_EQ(kind_of("syncts-decomp 9\n"), DecompIoError::Kind::bad_version);
     EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses two\n"),
               DecompIoError::Kind::bad_number);
+    EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses -1\nedges 0\n"),
+              DecompIoError::Kind::bad_number);
+    // A star claiming more edges than the graph has is refused before
+    // any storage is reserved for them.
+    EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses 2\nedges 1\ne 0 1\n"
+                      "groups 1\ns 0 18446744073709551615\n"),
+              DecompIoError::Kind::out_of_range);
     EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses 2\nedges 1\ne 0 5\n"),
               DecompIoError::Kind::out_of_range);
     EXPECT_EQ(kind_of("syncts-decomp 2\nepoch 0\nprocesses 1\nedges 0\n"

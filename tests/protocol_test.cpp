@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -665,37 +666,48 @@ TEST(ProtocolChaos, OptionsAreValidated) {
                  std::invalid_argument);
 }
 
-// Regression for the rejoin replay watchdog. With a 4 B/tick shaper on
-// a lossy network, a window replay can take longer than one base RTO to
-// arrive; a watchdog re-HELLOing at a fixed RTO then spent its whole
-// max_retransmits budget (64) before the replay landed and threw
-// SynchronizerStalled on this schedule. With the REQ timer's backoff it
-// completes, bit-identical to the Fig. 5 oracle.
-TEST(ProtocolChaos, ReplayWatchdogBacksOffOnAShapedLossyLink) {
-    constexpr std::uint64_t seed = 1155;
+/// Round `round` (< 8) of the benchmark's rdv_hostile recipe at set-up
+/// seed `seed`: grid 8x8 over four epochs, 3,000 messages per epoch,
+/// every protocol knob on, a lossy 4 B/tick shaped network and two
+/// crashes. Input set `round` is the round-th drawn from one set-up Rng,
+/// and the round runs at seed + round. The run must complete with every
+/// stamp bit-identical to the Fig. 5 oracle.
+void expect_hostile_round_matches_oracle(std::uint64_t seed,
+                                         std::uint64_t round) {
     const Graph grid = topology::grid(8, 8);
-    TopologyManager manager{Graph(grid)};
     Rng rng(seed ^ 0x5C417);
-    for (const ReconfigOp& op : random_reconfig_schedule(grid, 3, rng())) {
-        apply(manager, op);
-    }
+    std::optional<TopologyManager> manager;
     std::vector<SyncComputation> scripts;
     std::vector<std::vector<VectorTimestamp>> expected;
     std::size_t messages = 0;
     std::size_t processes = 0;
-    for (EpochId e = 0; e < manager.num_epochs(); ++e) {
-        const Graph& graph = manager.epoch(e).graph();
-        WorkloadOptions workload;
-        workload.num_messages = 3000;
-        scripts.push_back(random_computation(graph, workload, rng));
-        OnlineTimestamper direct(manager.decomposition(e));
-        expected.push_back(direct.timestamp_computation(scripts.back()));
-        messages += scripts.back().num_messages();
-        processes = std::max(processes, graph.num_vertices());
+    for (std::uint64_t variant = 0; variant <= round; ++variant) {
+        manager.emplace(Graph(grid));
+        for (const ReconfigOp& op :
+             random_reconfig_schedule(grid, 3, rng())) {
+            apply(*manager, op);
+        }
+        scripts.clear();
+        expected.clear();
+        messages = 0;
+        processes = 0;
+        for (EpochId e = 0; e < manager->num_epochs(); ++e) {
+            const Graph& graph = manager->epoch(e).graph();
+            WorkloadOptions workload;
+            workload.num_messages = 3000;
+            scripts.push_back(random_computation(graph, workload, rng));
+            messages += scripts.back().num_messages();
+            processes = std::max(processes, graph.num_vertices());
+        }
+    }
+    for (EpochId e = 0; e < manager->num_epochs(); ++e) {
+        OnlineTimestamper direct(manager->decomposition(e));
+        expected.push_back(direct.timestamp_computation(scripts[e]));
     }
 
+    const std::uint64_t round_seed = seed + round;
     SynchronizerOptions options;
-    options.seed = seed;
+    options.seed = round_seed;
     options.latency_lo = 1;
     options.latency_hi = 4;
     options.protocol.batching = true;
@@ -705,14 +717,14 @@ TEST(ProtocolChaos, ReplayWatchdogBacksOffOnAShapedLossyLink) {
     options.protocol.bandwidth.bytes_per_tick = 4;
     options.protocol.bandwidth.burst = 128;
     options.protocol.bandwidth.quantum = 64;
-    options.faults.seed = seed * 0x9E3779B9ull + 0xFA17;
+    options.faults.seed = round_seed * 0x9E3779B9ull + 0xFA17;
     options.faults.drop_probability = 0.04;
     options.faults.duplicate_probability = 0.04;
     options.faults.corrupt_probability = 0.01;
     options.faults.delay_probability = 0.2;
     options.faults.max_extra_delay = 15;
     options.recovery.enabled = true;
-    Rng crash_rng(seed ^ 0xC2A5C2A5ull);
+    Rng crash_rng(round_seed ^ 0xC2A5C2A5ull);
     const std::uint64_t max_step = 1 + 2 * messages / processes;
     for (int i = 0; i < 2; ++i) {
         options.faults.crashes.push_back(CrashRule{
@@ -722,10 +734,10 @@ TEST(ProtocolChaos, ReplayWatchdogBacksOffOnAShapedLossyLink) {
     ASSERT_EQ(options.max_retransmits, 64u);
 
     const ReconfigurableRunResult run =
-        run_reconfigurable_protocol(manager, scripts, options);
+        run_reconfigurable_protocol(*manager, scripts, options);
     EXPECT_EQ(run.network_faults.crashes, 2u);
-    ASSERT_EQ(run.segments.size(), manager.num_epochs());
-    for (EpochId e = 0; e < manager.num_epochs(); ++e) {
+    ASSERT_EQ(run.segments.size(), manager->num_epochs());
+    for (EpochId e = 0; e < manager->num_epochs(); ++e) {
         const EpochSegmentResult& segment = run.segments[e];
         ASSERT_EQ(segment.message_stamps.size(), expected[e].size());
         for (std::size_t i = 0; i < segment.message_stamps.size(); ++i) {
@@ -734,6 +746,28 @@ TEST(ProtocolChaos, ReplayWatchdogBacksOffOnAShapedLossyLink) {
                 << "epoch " << e << " message " << i;
         }
     }
+}
+
+// Regression for the rejoin replay watchdog. With a 4 B/tick shaper on
+// a lossy network, a window replay can take longer than one base RTO to
+// arrive; a watchdog re-HELLOing at a fixed RTO then spent its whole
+// max_retransmits budget (64) before the replay landed and threw
+// SynchronizerStalled on this schedule. With the REQ timer's backoff it
+// completes, bit-identical to the Fig. 5 oracle.
+TEST(ProtocolChaos, ReplayWatchdogBacksOffOnAShapedLossyLink) {
+    expect_hostile_round_matches_oracle(1155, 0);
+}
+
+// Regression for a batch entry whose kind was corrupted from REQ to ACK.
+// A batch entry's kind sits outside its frame's checksum. In this round
+// a damaged container presents P48's REQ (sequence 15) to P49 as an ACK;
+// P49 used to decode it into its shadow of the last ACK received from
+// P48, so the next delta ACK on that channel decoded against the wrong
+// base and the run threw "sender and receiver disagree on a timestamp".
+// Checking the frame's direction against the script rejects the entry
+// before it reaches the shadow.
+TEST(ProtocolChaos, MislabeledBatchEntryLeavesTheAckShadowAlone) {
+    expect_hostile_round_matches_oracle(21000, 1);
 }
 
 }  // namespace

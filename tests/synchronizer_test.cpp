@@ -15,25 +15,65 @@ namespace {
 
 TEST(AsyncSimulator, DeliversInTimeOrder) {
     AsyncSimulator sim(2, 1);
-    sim.set_latency_model([](const Packet& p, Rng&) {
-        return p.tag;  // latency encoded in the tag for the test
-    });
+    sim.set_fixed_latency(10);
     std::vector<std::uint64_t> delivered;
-    sim.on_deliver(1, [&](std::uint64_t, const Packet& p) {
-        delivered.push_back(p.tag);
+    sim.on_deliver(1, [&](std::uint64_t now, const Packet&) {
+        delivered.push_back(now);
     });
     sim.on_deliver(0, [](std::uint64_t, const Packet&) {});
-    for (const std::uint64_t latency : {30u, 10u, 20u}) {
+    // Queued out of time order: sent at 20, 0 and 10.
+    for (const std::uint64_t sent : {20u, 0u, 10u}) {
         Packet p;
         p.source = 0;
         p.destination = 1;
-        p.tag = latency;
-        sim.send(0, std::move(p));
+        sim.send(sent, std::move(p));
     }
     const std::uint64_t end = sim.run();
     EXPECT_EQ(delivered, (std::vector<std::uint64_t>{10, 20, 30}));
     EXPECT_EQ(end, 30u);
     EXPECT_EQ(sim.packets_delivered(), 3u);
+}
+
+TEST(AsyncSimulator, TimersAndPacketsShareOneOrder) {
+    // Two timers around one packet, all due at tick 5: they fire in the
+    // order they were scheduled, whatever their kind.
+    const Timer first{1, 7, 3, 0, ~std::uint64_t{0}};
+    const Timer second{0, 2, ~std::uint64_t{0}, 9, 42};
+    std::vector<std::uint64_t> order;  // timer a, or 100 + packet tag
+    std::vector<Timer> fired;
+    const auto run = [&](std::uint64_t max_events) {
+        order.clear();
+        fired.clear();
+        AsyncSimulator sim(2, 1);
+        sim.set_fixed_latency(5);
+        sim.on_deliver(1, [&](std::uint64_t now, const Packet& p) {
+            EXPECT_EQ(now, 5u);
+            order.push_back(100 + p.tag);
+        });
+        sim.on_timer([&](std::uint64_t now, const Timer& timer) {
+            EXPECT_EQ(now, 5u);
+            order.push_back(timer.a);
+            fired.push_back(timer);
+        });
+        sim.schedule(5, first);
+        Packet p;
+        p.destination = 1;
+        p.tag = 1;
+        sim.send(0, std::move(p));
+        sim.schedule(5, second);
+        return sim.run(max_events);
+    };
+    EXPECT_EQ(run(3), 5u);
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 101, 9}));
+    ASSERT_EQ(fired.size(), 2u);
+    const auto same = [](const Timer& a, const Timer& b) {
+        return a.process == b.process && a.kind == b.kind &&
+               a.incarnation == b.incarnation && a.a == b.a && a.b == b.b;
+    };
+    EXPECT_TRUE(same(fired[0], first));
+    EXPECT_TRUE(same(fired[1], second));
+    // Three events need a budget of three: the timers count toward it.
+    EXPECT_THROW(run(2), std::invalid_argument);
 }
 
 TEST(AsyncSimulator, TiesBreakBySendOrder) {

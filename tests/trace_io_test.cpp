@@ -88,6 +88,10 @@ TEST(TraceIo, RejectsMalformedInput) {
                  std::invalid_argument);
     EXPECT_THROW(parse_computation("syncts-trace 1\nprocesses banana\n"),
                  std::invalid_argument);
+    // std::stoull alone would read -1 as 2^64 - 1 processes.
+    EXPECT_THROW(parse_computation("syncts-trace 1\nprocesses -1\nedges 0\n"
+                                   "events 0\n"),
+                 std::invalid_argument);
     // Message on a non-edge.
     EXPECT_THROW(parse_computation("syncts-trace 1\nprocesses 3\nedges 1\n"
                                    "e 0 1\nevents 1\nm 0 2\n"),

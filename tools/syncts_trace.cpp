@@ -11,11 +11,13 @@
 //   syncts_trace --generate cs:2:6 100 7 | syncts_trace --diagram
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clocks/offline_timestamper.hpp"
@@ -31,6 +33,62 @@
 #include "topo_spec.hpp"
 
 using namespace syncts;
+
+namespace {
+
+/// Reads the trace at `path` (stdin when empty), then prints its analysis
+/// and answers `queries`. Throws on a malformed trace.
+void report(const std::string& path, bool want_stamps, bool want_diagram,
+            const std::vector<std::pair<MessageId, MessageId>>& queries) {
+    SyncComputation computation = [&] {
+        if (path.empty()) return read_computation(std::cin);
+        std::ifstream file(path);
+        if (!file) throw std::runtime_error("cannot open '" + path + "'");
+        return read_computation(file);
+    }();
+
+    const SyncSystem system(computation.topology());
+    const TimestampedTrace trace = system.analyze(computation);
+    const Poset truth = message_poset(computation);
+
+    std::printf("processes: %zu, channels: %zu, messages: %zu, internal "
+                "events: %zu\n",
+                computation.num_processes(),
+                computation.topology().num_edges(),
+                computation.num_messages(),
+                computation.num_internal_events());
+    std::printf("online width d = %zu (FM would use %zu)\n", system.width(),
+                computation.num_processes());
+    std::printf("concurrent pairs: %zu of %zu\n",
+                trace.concurrent_pair_count(),
+                computation.num_messages() *
+                    (computation.num_messages() - 1) / 2);
+    const OfflineResult offline =
+        offline_timestamps(truth, computation.num_processes());
+    std::printf("offline width: %zu (Theorem 8 bound %zu)\n", offline.width,
+                offline.theorem8_bound);
+    std::printf("encoding check: %zu mismatches\n",
+                trace.verify_against_ground_truth());
+
+    if (want_stamps) std::printf("\n%s", trace.to_string().c_str());
+    if (want_diagram) {
+        std::printf("\n%s",
+                    to_diagram(computation, {}).c_str());
+    }
+
+    for (const auto& [a, b] : queries) {
+        if (a >= computation.num_messages() ||
+            b >= computation.num_messages()) {
+            std::printf("query m%u vs m%u: out of range\n", a + 1, b + 1);
+            continue;
+        }
+        std::printf("query m%u vs m%u: %s\n", a + 1, b + 1,
+                    to_string(compare(trace.timestamp(a),
+                                      trace.timestamp(b))));
+    }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     if (argc >= 2 && std::string(argv[1]) == "--generate") {
@@ -80,54 +138,13 @@ int main(int argc, char** argv) {
         }
     }
 
-    SyncComputation computation = [&] {
-        if (path.empty()) return read_computation(std::cin);
-        std::ifstream file(path);
-        if (!file) {
-            std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-            std::exit(2);
-        }
-        return read_computation(file);
-    }();
-
-    const SyncSystem system(computation.topology());
-    const TimestampedTrace trace = system.analyze(computation);
-    const Poset truth = message_poset(computation);
-
-    std::printf("processes: %zu, channels: %zu, messages: %zu, internal "
-                "events: %zu\n",
-                computation.num_processes(),
-                computation.topology().num_edges(),
-                computation.num_messages(),
-                computation.num_internal_events());
-    std::printf("online width d = %zu (FM would use %zu)\n", system.width(),
-                computation.num_processes());
-    std::printf("concurrent pairs: %zu of %zu\n",
-                trace.concurrent_pair_count(),
-                computation.num_messages() *
-                    (computation.num_messages() - 1) / 2);
-    const OfflineResult offline =
-        offline_timestamps(truth, computation.num_processes());
-    std::printf("offline width: %zu (Theorem 8 bound %zu)\n", offline.width,
-                offline.theorem8_bound);
-    std::printf("encoding check: %zu mismatches\n",
-                trace.verify_against_ground_truth());
-
-    if (want_stamps) std::printf("\n%s", trace.to_string().c_str());
-    if (want_diagram) {
-        std::printf("\n%s",
-                    to_diagram(computation, {}).c_str());
-    }
-
-    for (const auto& [a, b] : queries) {
-        if (a >= computation.num_messages() ||
-            b >= computation.num_messages()) {
-            std::printf("query m%u vs m%u: out of range\n", a + 1, b + 1);
-            continue;
-        }
-        std::printf("query m%u vs m%u: %s\n", a + 1, b + 1,
-                    to_string(compare(trace.timestamp(a),
-                                      trace.timestamp(b))));
+    try {
+        report(path, want_stamps, want_diagram, queries);
+    } catch (const std::exception& error) {
+        // A malformed trace or one the analysis rejects is a usage error,
+        // never an abort.
+        std::fprintf(stderr, "syncts_trace: %s\n", error.what());
+        return 2;
     }
     return 0;
 }
