@@ -152,12 +152,6 @@ void ClockEngine::attach_metrics(obs::MetricsRegistry& registry) {
     metric_width_->set(static_cast<std::int64_t>(width()));
 }
 
-void ClockEngine::detach_metrics() noexcept {
-    metric_stamps_ = nullptr;
-    metric_internal_ = nullptr;
-    metric_width_ = nullptr;
-}
-
 TsHandle ClockEngine::timestamp_message(ProcessId sender, ProcessId receiver,
                                         TimestampArena& arena) {
     const std::size_t w = width();

@@ -145,9 +145,6 @@ public:
     /// registry must outlive the engine.
     void attach_metrics(obs::MetricsRegistry& registry);
 
-    /// Reverts to uninstrumented operation.
-    void detach_metrics() noexcept;
-
     // ---- Non-allocating protocol hooks -------------------------------
     // All spans must hold exactly width() words unless stated otherwise.
 

@@ -85,6 +85,27 @@ void OnlineProcessClock::on_ack_into(
     ts::copy(stamp_out, vector_.components());
 }
 
+void OnlineProcessClock::rendezvous_into(OnlineProcessClock& receiver,
+                                         std::span<std::uint64_t> out) {
+    const ProcessId peer = receiver.self_;
+    SYNCTS_REQUIRE(peer < group_by_peer_.size() &&
+                       group_by_peer_[peer] != kNoGroup,
+                   "no channel between these processes in the topology");
+    const GroupId group = group_by_peer_[peer];
+    SYNCTS_REQUIRE(self_ < receiver.group_by_peer_.size() &&
+                       receiver.group_by_peer_[self_] == group,
+                   "sender and receiver map the channel to different groups");
+    SYNCTS_REQUIRE(receiver.vector_.width() == vector_.width() &&
+                       out.size() == vector_.width(),
+                   "output span width does not match the clock width");
+    const std::span<std::uint64_t> mine = vector_.mutable_components();
+    const std::span<std::uint64_t> theirs =
+        receiver.vector_.mutable_components();
+    ts::rendezvous(mine, theirs, group, out);
+    SYNCTS_ENSURE(ts::equal(mine, theirs),
+                  "sender and receiver disagree on the message timestamp");
+}
+
 OnlineProcessClock::ReceiveResult OnlineProcessClock::on_receive(
     ProcessId sender, const VectorTimestamp& piggybacked) {
     ReceiveResult result{VectorTimestamp(vector_.width()),
@@ -172,6 +193,15 @@ void OnlineTimestamper::on_ack(ProcessId sender, ProcessId receiver,
                    "process id out of range");
     SYNCTS_REQUIRE(sender != receiver, "no self-messages");
     clocks_[sender].on_ack_into(receiver, acknowledgement, stamp_out);
+}
+
+void OnlineTimestamper::stamp_into(ProcessId sender, ProcessId receiver,
+                                   std::span<std::uint64_t> out) {
+    SYNCTS_REQUIRE(sender < clocks_.size() && receiver < clocks_.size(),
+                   "process id out of range");
+    SYNCTS_REQUIRE(sender != receiver, "no self-messages");
+    clocks_[sender].rendezvous_into(clocks_[receiver], out);
+    if (metric_stamps_ != nullptr) metric_stamps_->inc();
 }
 
 VectorTimestamp OnlineTimestamper::timestamp_message(ProcessId sender,

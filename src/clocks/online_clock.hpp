@@ -84,6 +84,15 @@ public:
                      std::span<const std::uint64_t> acknowledgement,
                      std::span<std::uint64_t> stamp_out);
 
+    /// Both sides of one rendezvous in one pass, for a caller that holds
+    /// both clocks (an in-process replay): this clock sends to
+    /// `receiver`, and both vectors and `out` (width() words) end equal
+    /// to max(sender, receiver) + e_g — what the three hooks above leave.
+    /// Every check runs before any write, so a rejected call changes
+    /// nothing.
+    void rendezvous_into(OnlineProcessClock& receiver,
+                         std::span<std::uint64_t> out);
+
     // ---- Value-returning compat shims ---------------------------------
 
     /// Fig. 5 line (02): the vector to piggyback on an outgoing message.
@@ -160,6 +169,14 @@ public:
     void on_ack(ProcessId sender, ProcessId receiver,
                 std::span<const std::uint64_t> acknowledgement,
                 std::span<std::uint64_t> stamp_out) override;
+
+    /// One rendezvous through OnlineProcessClock::rendezvous_into: both
+    /// clocks advance and the message timestamp lands in `out` (width()
+    /// words), bit-identical to the three-hook drivers. Counts toward
+    /// clock_online_stamps when metrics are attached. A rejected call
+    /// changes nothing.
+    void stamp_into(ProcessId sender, ProcessId receiver,
+                    std::span<std::uint64_t> out);
 
     /// Arena-slot rendezvous driver from the base class.
     using ClockEngine::timestamp_message;

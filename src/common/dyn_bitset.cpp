@@ -38,8 +38,7 @@ std::size_t DynBitset::count_and(const DynBitset& other) const noexcept {
                               : other.words_.size();
     std::size_t total = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        total += static_cast<std::size_t>(
-            __builtin_popcountll(words_[i] & other.words_[i]));
+        total += popcount64(words_[i] & other.words_[i]);
     }
     return total;
 }
@@ -72,7 +71,7 @@ bool DynBitset::intersects(const DynBitset& other) const noexcept {
 std::size_t DynBitset::count() const noexcept {
     std::size_t total = 0;
     for (const auto w : words_) {
-        total += static_cast<std::size_t>(__builtin_popcountll(w));
+        total += popcount64(w);
     }
     return total;
 }

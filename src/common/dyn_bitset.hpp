@@ -12,6 +12,17 @@
 
 namespace syncts {
 
+/// Set bits in one word, branch-free (SWAR). Every bitset popcount in
+/// the library goes through it: the portable build has no popcnt
+/// instruction, and there std::popcount and __builtin_popcountll are a
+/// libgcc call per word.
+inline unsigned popcount64(std::uint64_t x) noexcept {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<unsigned>((x * 0x0101010101010101ULL) >> 56);
+}
+
 class DynBitset {
 public:
     DynBitset() = default;

@@ -341,6 +341,10 @@ private:
 /// exactly the region-retirement discipline, one ring step at a time.
 /// Logical ids never wrap and never alias: a read outside
 /// [frontier, next) throws `RetiredStampError`.
+///
+/// A producer may write the next stamp in place: next_slot() hands out
+/// the slot, commit() publishes it. push() is a copy into next_slot()
+/// followed by a commit().
 class WindowedTimestampArena {
 public:
     /// `first_id` seeds the logical id stream — tests use it to cross
@@ -356,6 +360,7 @@ public:
         SYNCTS_REQUIRE(window <= kNoTimestamp,
                        "window cannot exceed the 32-bit slot space");
         for (std::size_t i = 0; i < window; ++i) arena_.allocate();
+        cursor_ = slot_of(first_id);
     }
 
     std::size_t width() const noexcept { return arena_.width(); }
@@ -379,11 +384,24 @@ public:
     std::uint64_t push(std::span<const std::uint64_t> components) {
         SYNCTS_REQUIRE(components.size() == arena_.width(),
                        "component count must equal arena width");
+        ts::copy(next_slot(), components);
+        return commit();
+    }
+
+    /// The slot that the next commit() publishes as id next(), width()
+    /// words, for an in-place write. When the window is full it is the
+    /// slot of the oldest resident stamp, which stays readable until the
+    /// commit: write it only once the stamp is certain.
+    std::span<std::uint64_t> next_slot() { return arena_.span(cursor_); }
+
+    /// Publishes next_slot() as stamp next(), retiring the oldest
+    /// resident one when the window is full. Returns the stamp's logical
+    /// id.
+    std::uint64_t commit() noexcept {
         const std::uint64_t id = next_;
         if (resident() == window_) ++frontier_;  // wholesale ring retire
         ++next_;
-        auto dst = arena_.span(slot_of(id));
-        std::copy(components.begin(), components.end(), dst.begin());
+        if (++cursor_ == window_) cursor_ = 0;
         return id;
     }
 
@@ -420,6 +438,8 @@ private:
     std::size_t window_;
     std::uint64_t frontier_;
     std::uint64_t next_;
+    /// slot_of(next_), advanced by commit() without a division.
+    TsHandle cursor_ = 0;
     obs::Gauge* metric_resident_ = nullptr;
 };
 

@@ -71,6 +71,35 @@ inline void increment(std::span<std::uint64_t> v, std::size_t k) noexcept {
     ++v[k];
 }
 
+/// Both sides of one Fig. 5 rendezvous on channel group g in one pass:
+/// a = b = out = max(a, b) + e_g. Bit-identical to the three hooks
+/// (prepare_send → on_receive → on_ack), where each side ends with that
+/// same vector. The three spans are disjoint and of one width.
+inline void rendezvous(std::span<std::uint64_t> a, std::span<std::uint64_t> b,
+                       std::size_t g, std::span<std::uint64_t> out) noexcept {
+    const std::size_t n = a.size();
+    std::size_t k = 0;
+    for (; k + kUnroll <= n; k += kUnroll) {
+        // Load the whole block before any store, so the lanes do not
+        // wait on possible aliasing between the three spans.
+        const std::uint64_t m0 = a[k] > b[k] ? a[k] : b[k];
+        const std::uint64_t m1 = a[k + 1] > b[k + 1] ? a[k + 1] : b[k + 1];
+        const std::uint64_t m2 = a[k + 2] > b[k + 2] ? a[k + 2] : b[k + 2];
+        const std::uint64_t m3 = a[k + 3] > b[k + 3] ? a[k + 3] : b[k + 3];
+        a[k] = b[k] = out[k] = m0;
+        a[k + 1] = b[k + 1] = out[k + 1] = m1;
+        a[k + 2] = b[k + 2] = out[k + 2] = m2;
+        a[k + 3] = b[k + 3] = out[k + 3] = m3;
+    }
+    for (; k < n; ++k) {
+        const std::uint64_t m = a[k] > b[k] ? a[k] : b[k];
+        a[k] = b[k] = out[k] = m;
+    }
+    ++a[g];
+    ++b[g];
+    ++out[g];
+}
+
 inline bool equal(std::span<const std::uint64_t> u,
                   std::span<const std::uint64_t> v) noexcept {
     const std::size_t n = u.size();

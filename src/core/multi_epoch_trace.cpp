@@ -172,9 +172,4 @@ void MultiEpochPrecedenceIndex::attach_metrics(obs::MetricsRegistry& registry,
         &registry.counter(std::string(prefix) + "_cross_epoch");
 }
 
-void MultiEpochPrecedenceIndex::detach_metrics() noexcept {
-    for (const auto& index : indexes_) index->detach_metrics();
-    metric_cross_epoch_ = nullptr;
-}
-
 }  // namespace syncts

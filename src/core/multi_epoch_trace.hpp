@@ -135,7 +135,6 @@ public:
     /// must outlive the index.
     void attach_metrics(obs::MetricsRegistry& registry,
                         std::string_view prefix = "query");
-    void detach_metrics() noexcept;
 
 private:
     const MultiEpochTrace* trace_;

@@ -64,10 +64,6 @@ public:
     /// index.
     void attach_metrics(obs::MetricsRegistry& registry,
                         std::string_view prefix = "query");
-    void detach_metrics() noexcept {
-        metric_hits_ = nullptr;
-        metric_misses_ = nullptr;
-    }
 
 private:
     struct Shard {

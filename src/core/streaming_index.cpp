@@ -9,7 +9,6 @@ IncrementalPrecedenceIndex::IncrementalPrecedenceIndex(
     std::shared_ptr<const EdgeDecomposition> decomposition,
     StreamingIndexOptions options)
     : engine_(decomposition),
-      scratch_(engine_.width(), 1),
       window_(engine_.width(), options.window == 0 ? 1 : options.window,
               options.pool),
       closure_(options.closure) {
@@ -32,9 +31,8 @@ void IncrementalPrecedenceIndex::attach_metrics(
 MessageId IncrementalPrecedenceIndex::ingest_message(ProcessId sender,
                                                      ProcessId receiver) {
     SYNCTS_REQUIRE(ingested_ < kNoMessage, "MessageId space exhausted");
-    scratch_.clear();
-    const TsHandle h = engine_.timestamp_message(sender, receiver, scratch_);
-    const std::uint64_t id = window_.push(scratch_.span(h));
+    engine_.stamp_into(sender, receiver, window_.next_slot());
+    const std::uint64_t id = window_.commit();
     SYNCTS_ENSURE(id == ingested_, "window ids must track message ids");
     if (closure_ != nullptr) {
         const MessageId closure_id = closure_->ingest(sender, receiver);

@@ -19,12 +19,13 @@
 /// `IncrementalPrecedenceIndex` is its streaming refactor: events arrive
 /// one at a time (from a `StreamingTraceReader`, a live protocol, or a
 /// generator), each message is stamped on arrival by the online Fig. 5
-/// engine into a `WindowedTimestampArena`, and queries are answered
-/// mid-ingestion:
+/// engine (`OnlineTimestamper::stamp_into`, one fused pass over both
+/// endpoints' vectors) straight into the next slot of a
+/// `WindowedTimestampArena`, and queries are answered mid-ingestion:
 ///
 ///  - both stamps resident in the window → the O(width) `ts::less`
 ///    vector fast path, bit-identical to `TimestampedTrace::precedes`
-///    (same engine, same replay order, same slots);
+///    (same stamps, same replay order);
 ///  - either stamp retired → fall back to the spilled closure chunks of
 ///    an attached `StreamingClosure`, which never forgets a row;
 ///  - no closure attached → a typed `RetiredStampError`, never a wrong
@@ -59,7 +60,10 @@ public:
     explicit IncrementalPrecedenceIndex(const SyncSystem& system,
                                         StreamingIndexOptions options = {});
 
-    /// Stamps the next message (commit order) and returns its id.
+    /// Stamps the next message (commit order) straight into the
+    /// window's next slot and returns its id. A rejected message (ids out
+    /// of range, a self-message, no such channel) throws
+    /// std::invalid_argument and leaves the index unchanged.
     MessageId ingest_message(ProcessId sender, ProcessId receiver);
 
     /// Replays an internal event (keeps engine replay parity with the
@@ -101,10 +105,6 @@ public:
 
 private:
     OnlineTimestamper engine_;
-    /// One-slot scratch arena the engine stamps into; the slot is then
-    /// pushed into the window (the engine API allocates arena slots, the
-    /// window recycles them).
-    TimestampArena scratch_;
     WindowedTimestampArena window_;
     StreamingClosure* closure_ = nullptr;
     std::size_t ingested_ = 0;

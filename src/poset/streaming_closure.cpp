@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/codec.hpp"
+#include "common/dyn_bitset.hpp"
 
 namespace syncts {
 
@@ -19,14 +20,23 @@ constexpr std::size_t kChunkPayloadHeaderBytes = 16;  // row_begin, row_count
     throw std::logic_error(std::string("spill payload: ") + what);
 }
 
+/// W(m) = Σ_{r<m} row_words(r), the words of all ragged rows before m,
+/// in closed form: rows 64(j−1)+1 .. 64j hold j words each, so with
+/// q = ⌊(m+63)/64⌋ the q−1 full blocks give 32·q·(q−1) words and the
+/// (m+63) mod 64 rows of block q give q words each (at m = 0, q − 1
+/// wraps but is multiplied by q = 0). Row m of a chunk starting at
+/// row_begin sits W(m) − W(row_begin) words into it.
+std::size_t words_before(std::uint64_t m) noexcept {
+    const std::uint64_t q = (m + 63) / 64;
+    return static_cast<std::size_t>(32 * q * (q - 1) + q * ((m + 63) % 64));
+}
+
 }  // namespace
 
 StreamingClosure::StreamingClosure(std::size_t num_processes,
                                    std::size_t capacity_hint,
                                    StreamingClosureOptions options)
-    : options_(options),
-      reach_(num_processes),
-      has_reach_(num_processes, false) {
+    : options_(options), reach_(num_processes) {
     SYNCTS_REQUIRE(num_processes > 0, "need at least one process");
     SYNCTS_REQUIRE(options_.chunk_rows > 0, "chunk_rows must be positive");
     if (options_.cached_chunks == 0) options_.cached_chunks = 1;
@@ -61,32 +71,33 @@ MessageId StreamingClosure::ingest(ProcessId sender, ProcessId receiver) {
     const MessageId id = static_cast<MessageId>(ingested_);
     const std::size_t words = row_words(id);
 
-    // row(id) = reach[sender] | reach[receiver], built in the chunk
-    // buffer directly — no scratch row.
+    // Reach rows hold only bits < id, so zero-extending both to cover
+    // bit id changes no set; an endpoint that never took part reads as
+    // an empty row.
+    reach_[sender].resize(id / 64 + 1, 0);
+    reach_[receiver].resize(id / 64 + 1, 0);
+    std::uint64_t* a = reach_[sender].data();
+    std::uint64_t* b = reach_[receiver].data();
+
+    // One pass: row(id) = reach[sender] | reach[receiver], written into
+    // the chunk buffer and back into both reach rows, counted as it goes.
     const std::size_t offset = chunk_words_.size();
     chunk_row_offsets_.push_back(offset);
     chunk_words_.resize(offset + words, 0);
     std::uint64_t* row = chunk_words_.data() + offset;
-    if (has_reach_[sender]) {
-        const auto& src = reach_[sender];
-        for (std::size_t w = 0; w < src.size(); ++w) row[w] |= src[w];
-    }
-    if (has_reach_[receiver]) {
-        const auto& src = reach_[receiver];
-        for (std::size_t w = 0; w < src.size(); ++w) row[w] |= src[w];
-    }
+    std::uint64_t count = 0;
     for (std::size_t w = 0; w < words; ++w) {
-        relation_count_ += static_cast<std::uint64_t>(std::popcount(row[w]));
+        const std::uint64_t x = a[w] | b[w];
+        row[w] = a[w] = b[w] = x;
+        count += popcount64(x);
     }
+    relation_count_ += count;
 
     // Advance the frontier: both endpoints' reach becomes row | {id}.
-    auto& dst = reach_[sender];
-    dst.assign(row, row + words);
-    dst.resize(id / 64 + 1, 0);
-    dst[id / 64] |= std::uint64_t{1} << (id % 64);
-    reach_[receiver] = dst;
-    has_reach_[sender] = true;
-    has_reach_[receiver] = true;
+    // Word id/64 past the row is zero in both when id is a multiple of 64.
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    a[id / 64] |= bit;
+    b[id / 64] |= bit;
 
     ++ingested_;
     if (metric_rows_ != nullptr) metric_rows_->inc();
@@ -154,10 +165,7 @@ std::span<const std::uint64_t> StreamingClosure::row_in_payload(
     const std::uint64_t row_count = in.le64();
     SYNCTS_ENSURE(m >= row_begin && m < row_begin + row_count,
                   "row not in this chunk");
-    std::size_t word_offset = 0;
-    for (std::uint64_t r = row_begin; r < m; ++r) {
-        word_offset += row_words(static_cast<MessageId>(r));
-    }
+    const std::size_t word_offset = words_before(m) - words_before(row_begin);
     const std::size_t words = row_words(m);
     SYNCTS_ENSURE(kChunkPayloadHeaderBytes + (word_offset + words) * 8 <=
                       payload.size(),
@@ -210,10 +218,8 @@ void StreamingClosure::for_each_row(
         if (chunk != loaded_chunk) {
             payload = chunk_payload(chunk);
             loaded_chunk = chunk;
-            word_offset = 0;
-            for (std::uint64_t r = chunk * options_.chunk_rows; r < m; ++r) {
-                word_offset += row_words(static_cast<MessageId>(r));
-            }
+            word_offset =
+                words_before(m) - words_before(chunk * options_.chunk_rows);
         }
         const std::size_t words = row_words(m);
         SYNCTS_ENSURE(kChunkPayloadHeaderBytes + (word_offset + words) * 8 <=

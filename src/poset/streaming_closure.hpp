@@ -128,7 +128,6 @@ private:
     /// reach_[p] = below(last message of p) | {that message}; empty until
     /// p participates. Ragged growth: only words covering ingested ids.
     std::vector<std::vector<std::uint64_t>> reach_;
-    std::vector<bool> has_reach_;
 
     /// Current (unretired) chunk: ragged rows back to back, plus the
     /// word offset of each row within the buffer.

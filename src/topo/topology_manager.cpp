@@ -198,18 +198,6 @@ void TopologyManager::attach_metrics(obs::MetricsRegistry& registry) {
     publish_gauges();
 }
 
-void TopologyManager::detach_metrics() noexcept {
-    epochs_counter_ = nullptr;
-    channels_added_ = nullptr;
-    channels_removed_ = nullptr;
-    processes_added_ = nullptr;
-    groups_preserved_ = nullptr;
-    groups_rebuilt_ = nullptr;
-    full_rebuilds_ = nullptr;
-    width_gauge_ = nullptr;
-    processes_gauge_ = nullptr;
-}
-
 void TopologyManager::publish_gauges() noexcept {
     if (width_gauge_ != nullptr) {
         width_gauge_->set(static_cast<std::int64_t>(current().width()));

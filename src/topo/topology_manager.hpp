@@ -84,10 +84,9 @@ public:
     /// Registers topo_* counters and gauges (topo_epochs,
     /// topo_channels_added, topo_channels_removed, topo_processes_added,
     /// topo_groups_preserved, topo_groups_rebuilt, topo_full_rebuilds,
-    /// topo_width, topo_processes). The registry must outlive the manager
-    /// or a detach_metrics() call.
+    /// topo_width, topo_processes). The registry must outlive the
+    /// manager.
     void attach_metrics(obs::MetricsRegistry& registry);
-    void detach_metrics() noexcept;
 
 private:
     const EpochTransition& advance(Graph next, std::span<const Edge> changed,

@@ -291,6 +291,72 @@ TEST_F(StreamingEquivalence, ClosureExactAtBenchScale) {
     }
 }
 
+// Random access and row sweeps against the batch closure at rows of up
+// to 24 words, across chunk sizes that do and do not divide 64 (each
+// retired row's offset is computed, not summed), with one size spilled
+// through a real store: every ordered pair's less() and every row of
+// for_each_row, whole and from mid-chunk starts, must match bit for bit.
+TEST_F(StreamingEquivalence, ClosureRandomAccessMatchesBatchAcrossChunkSizes) {
+    constexpr std::size_t kMessages = 1500;
+    const Graph g = topology::complete(16);
+    Rng rng(31337);
+    WorkloadOptions workload;
+    workload.num_messages = kMessages;
+    const SyncComputation c = random_computation(g, workload, rng);
+    const Poset truth = message_poset(c);
+    const auto n = static_cast<MessageId>(kMessages);
+
+    const auto expected_row = [&](MessageId b) {
+        std::vector<std::uint64_t> words(StreamingClosure::row_words(b), 0);
+        for (MessageId a = 0; a < b; ++a) {
+            if (truth.less(a, b)) words[a / 64] |= std::uint64_t{1} << (a % 64);
+        }
+        return words;
+    };
+
+    const std::string dir = spill_dir("chunk_sizes");
+    for (const std::size_t chunk_rows : {1, 7, 64, 100, 419, 512}) {
+        std::optional<SpillStore> store;
+        StreamingClosureOptions options;
+        options.chunk_rows = chunk_rows;
+        if (chunk_rows == 419) {
+            store.emplace(dir);
+            options.spill = &*store;
+            options.cached_chunks = 1;
+        }
+        StreamingClosure closure(g.num_vertices(), kMessages, options);
+        for (const SyncMessage& m : c.messages()) {
+            closure.ingest(m.sender, m.receiver);
+        }
+        closure.finish();
+        ASSERT_EQ(closure.relation_count(), truth.relation_count())
+            << "chunk_rows " << chunk_rows;
+
+        for (MessageId b = 0; b < n; ++b) {
+            for (MessageId a = 0; a < n; ++a) {
+                ASSERT_EQ(closure.less(a, b), truth.less(a, b))
+                    << "chunk_rows " << chunk_rows << " pair (" << a << ", "
+                    << b << ")";
+            }
+        }
+
+        const MessageId starts[] = {0, 1, 63, 64, 65, 418, 420, 777, n - 1};
+        for (const MessageId begin : starts) {
+            MessageId next = begin;
+            closure.for_each_row(
+                begin, n, [&](MessageId b, std::span<const std::uint64_t> row) {
+                    ASSERT_EQ(b, next++);
+                    const std::vector<std::uint64_t> want = expected_row(b);
+                    ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(),
+                                           want.end()))
+                        << "chunk_rows " << chunk_rows << " row " << b
+                        << " from " << begin;
+                });
+            ASSERT_EQ(next, n) << "chunk_rows " << chunk_rows;
+        }
+    }
+}
+
 // The incremental index must answer every query exactly as the batch
 // TimestampedTrace: the vector fast path while both stamps are resident,
 // the spilled-closure fallback after retirement.
@@ -333,6 +399,109 @@ TEST_F(StreamingEquivalence, IndexMatchesBatchTraceOver500Seeds) {
             }
         }
     }
+}
+
+// The index stamps through the fused rendezvous, the batch replay
+// through the three hooks: every stamp must be word-for-word the same,
+// checked right after its ingest, with a window that never retires and
+// with one that wraps. complete(16) adds the benchmark's width (d = 14,
+// a 2-word tail after the 4-lane blocks) to the sweep's shapes.
+TEST_F(StreamingEquivalence, IndexStampsMatchThreeHookDriverOver500Seeds) {
+    std::vector<SyncComputation> computations;
+    for (std::uint64_t seed = 0; seed < 500; ++seed) {
+        computations.push_back(sweep_computation(seed));
+    }
+    {
+        Rng rng(14014);
+        WorkloadOptions workload;
+        workload.num_messages = 2000;
+        computations.push_back(
+            random_computation(topology::complete(16), workload, rng));
+    }
+    for (std::size_t i = 0; i < computations.size(); ++i) {
+        const SyncComputation& c = computations[i];
+        const std::size_t n = c.num_messages();
+        const SyncSystem system{Graph(c.topology())};
+        const EngineStamps reference =
+            make_clock_engine(ClockFamily::online, system.decomposition_ptr())
+                ->stamp_computation(c);
+        ASSERT_EQ(reference.message_stamps.size(), n);
+
+        for (const std::size_t window : {n, std::size_t{16}}) {
+            StreamingIndexOptions options;
+            options.window = window;
+            IncrementalPrecedenceIndex index(system, options);
+            ASSERT_EQ(index.width(), reference.arena.width());
+            for (const SyncMessage& m : c.messages()) {
+                const MessageId id = index.ingest_message(m.sender, m.receiver);
+                ASSERT_EQ(id, m.id);
+                const auto got = index.stamp_span(id);
+                const auto want =
+                    reference.arena.span(reference.message_stamps[id]);
+                ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                                       want.end()))
+                    << "computation " << i << " window " << window
+                    << " message " << id;
+            }
+        }
+    }
+}
+
+// Every check of an ingest runs before the fused pass writes, so a
+// rejected message leaves the clocks, the window and its ids as they
+// were, even with the ring full and the next slot holding the oldest
+// resident stamp.
+TEST(StreamingIndex, RejectedIngestLeavesIndexUnchanged) {
+    const Graph g = topology::ring(5);
+    const SyncSystem system{Graph(g)};
+    StreamingIndexOptions options;
+    options.window = 8;
+    IncrementalPrecedenceIndex index(system, options);
+    OnlineTimestamper reference(system.decomposition_ptr());
+    TimestampArena slot(reference.width(), 1);
+    const auto reference_stamp = [&](ProcessId sender, ProcessId receiver) {
+        slot.clear();
+        const TsHandle h = reference.timestamp_message(sender, receiver, slot);
+        const auto words = slot.span(h);
+        return std::vector<std::uint64_t>(words.begin(), words.end());
+    };
+
+    for (ProcessId k = 0; k < 11; ++k) {
+        const ProcessId p = k % 5;
+        const auto q = static_cast<ProcessId>((p + 1 + 3 * (k % 2)) % 5);
+        index.ingest_message(p, q);
+        (void)reference_stamp(p, q);
+    }
+    ASSERT_EQ(index.size() - index.resident_frontier(), options.window);
+
+    const std::size_t size = index.size();
+    const std::uint64_t frontier = index.resident_frontier();
+    std::vector<std::vector<std::uint64_t>> resident;
+    for (std::uint64_t id = frontier; id < size; ++id) {
+        const auto words = index.stamp_span(static_cast<MessageId>(id));
+        resident.emplace_back(words.begin(), words.end());
+    }
+
+    EXPECT_THROW(index.ingest_message(0, 2), std::invalid_argument);
+    EXPECT_THROW(index.ingest_message(3, 3), std::invalid_argument);
+    EXPECT_THROW(index.ingest_message(1, 5), std::invalid_argument);
+    EXPECT_THROW(index.ingest_message(9, 0), std::invalid_argument);
+
+    EXPECT_EQ(index.size(), size);
+    EXPECT_EQ(index.resident_frontier(), frontier);
+    for (std::uint64_t id = frontier; id < size; ++id) {
+        const auto words = index.stamp_span(static_cast<MessageId>(id));
+        EXPECT_TRUE(std::equal(words.begin(), words.end(),
+                               resident[id - frontier].begin(),
+                               resident[id - frontier].end()))
+            << "stamp " << id;
+    }
+
+    const MessageId next = index.ingest_message(2, 3);
+    EXPECT_EQ(next, size);
+    const std::vector<std::uint64_t> want = reference_stamp(2, 3);
+    const auto got = index.stamp_span(next);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
 }
 
 // Without a closure attached, a query against a retired stamp must be a
