@@ -257,11 +257,6 @@ EngineStamps ClockEngine::stamp_computation(
     return result;
 }
 
-std::vector<VectorTimestamp> ClockEngine::timestamp_computation_legacy(
-    const SyncComputation& computation) {
-    return stamp_computation(computation).materialize_messages();
-}
-
 namespace {
 
 /// Shared rendezvous math of the two Fidge–Mattern adaptations: merge

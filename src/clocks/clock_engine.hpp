@@ -191,10 +191,6 @@ public:
     /// internal events for the families that do.
     virtual EngineStamps stamp_computation(const SyncComputation& computation);
 
-    /// Compat shim: materialized owning timestamps, one per message.
-    std::vector<VectorTimestamp> timestamp_computation_legacy(
-        const SyncComputation& computation);
-
 protected:
     /// Shared replay loop: walks the computation in instant order, calling
     /// on_internal at each internal event and the three rendezvous hooks

@@ -28,8 +28,15 @@ void OnlineProcessClock::rebind(
     } else {
         vector_ = VectorTimestamp(decomposition_->size());
     }
-    group_by_peer_.assign(graph.num_vertices(), kNoGroup);
-    for (const ProcessId peer : graph.neighbors(self_)) {
+    // Sized by the largest neighbour id, not by N: a peer past the end
+    // reads as "no channel", exactly as a kNoGroup entry does.
+    const auto neighbors = graph.neighbors(self_);
+    const std::size_t table_size =
+        neighbors.empty()
+            ? 0
+            : 1 + std::size_t{*std::ranges::max_element(neighbors)};
+    group_by_peer_.assign(table_size, kNoGroup);
+    for (const ProcessId peer : neighbors) {
         group_by_peer_[peer] = decomposition_->group_of(self_, peer);
     }
 }
@@ -104,24 +111,6 @@ void OnlineProcessClock::rendezvous_into(OnlineProcessClock& receiver,
     ts::rendezvous(mine, theirs, group, out);
     SYNCTS_ENSURE(ts::equal(mine, theirs),
                   "sender and receiver disagree on the message timestamp");
-}
-
-OnlineProcessClock::ReceiveResult OnlineProcessClock::on_receive(
-    ProcessId sender, const VectorTimestamp& piggybacked) {
-    ReceiveResult result{VectorTimestamp(vector_.width()),
-                         VectorTimestamp(vector_.width())};
-    on_receive_into(sender, piggybacked.components(),
-                    result.acknowledgement.mutable_components(),
-                    result.timestamp.mutable_components());
-    return result;
-}
-
-VectorTimestamp OnlineProcessClock::on_acknowledgement(
-    ProcessId receiver, const VectorTimestamp& acknowledgement) {
-    VectorTimestamp stamp(vector_.width());
-    on_ack_into(receiver, acknowledgement.components(),
-                stamp.mutable_components());
-    return stamp;
 }
 
 OnlineTimestamper::OnlineTimestamper(
@@ -211,11 +200,17 @@ VectorTimestamp OnlineTimestamper::timestamp_message(ProcessId sender,
     SYNCTS_REQUIRE(sender != receiver, "no self-messages");
     OnlineProcessClock& snd = clocks_[sender];
     OnlineProcessClock& rcv = clocks_[receiver];
-    const VectorTimestamp piggybacked = snd.prepare_send();
-    const auto [acknowledgement, receiver_stamp] =
-        rcv.on_receive(sender, piggybacked);
-    const VectorTimestamp sender_stamp =
-        snd.on_acknowledgement(receiver, acknowledgement);
+    const std::size_t d = width();
+    VectorTimestamp piggyback(d);
+    VectorTimestamp acknowledgement(d);
+    VectorTimestamp receiver_stamp(d);
+    VectorTimestamp sender_stamp(d);
+    snd.prepare_send_into(piggyback.mutable_components());
+    rcv.on_receive_into(sender, piggyback.components(),
+                        acknowledgement.mutable_components(),
+                        receiver_stamp.mutable_components());
+    snd.on_ack_into(receiver, acknowledgement.components(),
+                    sender_stamp.mutable_components());
     SYNCTS_ENSURE(sender_stamp == receiver_stamp,
                   "sender and receiver disagree on the message timestamp");
     return sender_stamp;

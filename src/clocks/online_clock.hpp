@@ -22,11 +22,11 @@
 ///     m1 ↦ m2 ⟺ v(m1) < v(m2).
 ///
 /// OnlineProcessClock exposes the three protocol hooks exactly as a real
-/// transport would drive them. The `*_into` span forms are the hot path:
-/// they write into caller-provided width-d slots (arena rows, packet
-/// buffers) and never allocate. The value-returning forms are compat
-/// shims over them. OnlineTimestamper drives all N clocks from a recorded
-/// SyncComputation and is the ClockFamily::online engine.
+/// transport would drive them, as span forms that write into
+/// caller-provided width-d slots (arena rows, packet buffers, a blocked
+/// sender's acknowledgement buffer) and never allocate. Both runtimes
+/// stamp through them. OnlineTimestamper drives all N clocks from a
+/// recorded SyncComputation and is the ClockFamily::online engine.
 
 namespace syncts {
 
@@ -93,25 +93,6 @@ public:
     void rendezvous_into(OnlineProcessClock& receiver,
                          std::span<std::uint64_t> out);
 
-    // ---- Value-returning compat shims ---------------------------------
-
-    /// Fig. 5 line (02): the vector to piggyback on an outgoing message.
-    const VectorTimestamp& prepare_send() const noexcept { return vector_; }
-
-    /// Receiver side; the return value's second element is the message
-    /// timestamp.
-    struct ReceiveResult {
-        VectorTimestamp acknowledgement;
-        VectorTimestamp timestamp;
-    };
-    ReceiveResult on_receive(ProcessId sender,
-                             const VectorTimestamp& piggybacked);
-
-    /// Sender side: merges the acknowledgement and increments; returns the
-    /// message timestamp (identical to the receiver's).
-    VectorTimestamp on_acknowledgement(ProcessId receiver,
-                                       const VectorTimestamp& acknowledgement);
-
     /// Current local vector (the timestamp of this process's latest
     /// message, or zero before any).
     const VectorTimestamp& current() const noexcept { return vector_; }
@@ -122,9 +103,11 @@ private:
 
     ProcessId self_;
     std::shared_ptr<const EdgeDecomposition> decomposition_;
-    /// group_by_peer_[p] — edge group of channel (self, p); kNoGroup when
-    /// no such channel. Precomputed so the per-message hot path is one
-    /// array load instead of a hash lookup in the decomposition.
+    /// group_by_peer_[p] — edge group of channel (self, p). It holds
+    /// 1 + the largest neighbour id entries (none for an isolated
+    /// process); a peer past the end or a kNoGroup entry has no channel.
+    /// Precomputed so the per-message hot path is one array load instead
+    /// of a hash lookup in the decomposition.
     std::vector<GroupId> group_by_peer_;
     VectorTimestamp vector_;
 };
@@ -181,12 +164,14 @@ public:
     /// Arena-slot rendezvous driver from the base class.
     using ClockEngine::timestamp_message;
 
-    /// Legacy allocating rendezvous: executes one rendezvous and returns
-    /// the message timestamp as an owning value.
+    /// Allocating rendezvous: executes one rendezvous through the three
+    /// span hooks (never the fused rendezvous_into, so it stays an
+    /// independent reference for it) and returns the message timestamp
+    /// as an owning value. Counts nothing.
     VectorTimestamp timestamp_message(ProcessId sender, ProcessId receiver);
 
-    /// Legacy allocating batch driver; result[id] is message id's
-    /// timestamp. The computation's topology must match the
+    /// Allocating batch driver over timestamp_message; result[id] is
+    /// message id's timestamp. The computation's topology must match the
     /// decomposition's.
     std::vector<VectorTimestamp> timestamp_computation(
         const SyncComputation& computation);

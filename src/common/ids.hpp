@@ -40,6 +40,14 @@ using EpochId = std::uint32_t;
 /// Sentinel for "no process".
 inline constexpr ProcessId kNoProcess = std::numeric_limits<ProcessId>::max();
 
+/// Largest process count a reader accepts from a declared header: the
+/// text trace and decomposition formats and the SYTR stream header. The
+/// readers size per-process state from that count before any record can
+/// justify it, so without a bound a few bytes of input can exhaust
+/// memory. 2^14 leaves room above the largest topology the repo builds
+/// (cs:4:10000, 10,004 processes).
+inline constexpr std::size_t kMaxDeclaredProcesses = std::size_t{1} << 14;
+
 /// Sentinel for "no message" (e.g. "no message precedes this event").
 inline constexpr MessageId kNoMessage = std::numeric_limits<MessageId>::max();
 

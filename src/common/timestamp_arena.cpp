@@ -90,86 +90,4 @@ std::vector<TsHandle> dominators_of(const TimestampArena& arena,
     return result;
 }
 
-// ---- SoaStripes ------------------------------------------------------
-
-SoaStripes::SoaStripes(const TimestampArena& arena, SlabPool* pool)
-    : width_(arena.width()), rows_(arena.size()), pool_(pool) {
-    const std::size_t stripes =
-        (rows_ + kSoaLane - 1) / kSoaLane;
-    stripe_words_ = stripes * width_ * kSoaLane;
-    if (stripe_words_ == 0) return;
-    slab_ = pool_ != nullptr
-                ? pool_->acquire(stripe_words_)
-                : Slab{std::make_unique<std::uint64_t[]>(stripe_words_),
-                       stripe_words_};
-    // Transpose rows into component-major stripes; pad lanes stay zero
-    // so the vector loads of a partial tail stripe are well-defined.
-    std::fill_n(slab_.words.get(), stripe_words_, 0);
-    const std::span<const std::uint64_t> rows = arena.slab();
-    for (std::size_t i = 0; i < rows_; ++i) {
-        const std::size_t stripe = i / kSoaLane;
-        const std::size_t lane = i % kSoaLane;
-        std::uint64_t* base =
-            slab_.words.get() + stripe * width_ * kSoaLane + lane;
-        const std::uint64_t* row = rows.data() + i * width_;
-        for (std::size_t k = 0; k < width_; ++k) {
-            base[k * kSoaLane] = row[k];
-        }
-    }
-}
-
-SoaStripes::~SoaStripes() {
-    if (slab_ && pool_ != nullptr) {
-        pool_->release(std::move(slab_));
-    }
-}
-
-void SoaStripes::leq_many(std::span<const std::uint64_t> probe,
-                          std::span<std::uint8_t> out) const {
-    SYNCTS_REQUIRE(probe.size() == width_,
-                   "probe width does not match the stripe width");
-    SYNCTS_REQUIRE(out.size() == rows_,
-                   "output size does not match the row count");
-    if (width_ == 0) {
-        std::fill(out.begin(), out.end(), std::uint8_t{1});
-        return;
-    }
-    simd::leq_many_stripes(slab_.words.get(), rows_, width_, probe.data(),
-                           out.data());
-}
-
-void SoaStripes::relate_many(std::span<const std::uint64_t> probe,
-                             std::span<std::uint8_t> out) const {
-    SYNCTS_REQUIRE(probe.size() == width_,
-                   "probe width does not match the stripe width");
-    SYNCTS_REQUIRE(out.size() == rows_,
-                   "output size does not match the row count");
-    if (width_ == 0) {
-        std::fill(out.begin(), out.end(),
-                  static_cast<std::uint8_t>(ts::kRowLeq | ts::kProbeLeq));
-        return;
-    }
-    simd::relate_many_stripes(slab_.words.get(), rows_, width_, probe.data(),
-                              out.data());
-}
-
-std::vector<TsHandle> SoaStripes::dominators_of(
-    std::span<const std::uint64_t> probe) const {
-    SYNCTS_REQUIRE(probe.size() == width_,
-                   "probe width does not match the stripe width");
-    std::vector<TsHandle> result;
-    if (rows_ == 0 || width_ == 0) return result;
-    // relate over the stripes, then filter: probe < row ⟺ the kProbeLeq
-    // bit alone (probe ≤ row and row ≰ probe).
-    std::vector<std::uint8_t> flags(rows_);
-    simd::relate_many_stripes(slab_.words.get(), rows_, width_, probe.data(),
-                              flags.data());
-    for (std::size_t i = 0; i < rows_; ++i) {
-        if (flags[i] == ts::kProbeLeq) {
-            result.push_back(static_cast<TsHandle>(i));
-        }
-    }
-    return result;
-}
-
 }  // namespace syncts

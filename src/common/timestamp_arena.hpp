@@ -30,8 +30,7 @@
 /// pointer chase — into a single slab with zero per-timestamp overhead,
 /// so the batch precedence kernels (leq_many, relate_many, dominators_of)
 /// stream rows at memory bandwidth, with AVX2 paths dispatched at runtime
-/// (ts_simd.hpp) and a component-major SoA mirror (SoaStripes) for the
-/// narrow-width scans.
+/// (ts_simd.hpp).
 ///
 /// Since the epoch-region refactor (docs/MEMORY.md) the slab is an
 /// explicit `Slab` that may be leased from a `SlabPool` (region.hpp):
@@ -477,68 +476,5 @@ void relate_many(const TimestampArena& arena,
 /// probe", the building block of frontier/orphan queries.
 std::vector<TsHandle> dominators_of(const TimestampArena& arena,
                                     std::span<const std::uint64_t> probe);
-
-/// Lanes per SoA stripe (rows interleaved per component group); one
-/// 256-bit register covers one component of kSoaLane slots.
-inline constexpr std::size_t kSoaLane = 4;
-
-/// Component-major (SoA) mirror of an arena for the narrow-width batch
-/// scans: rows are grouped into stripes of kSoaLane slots and each
-/// stripe stores component k of its lanes contiguously, so one vector
-/// load covers component k of four slots at any width. Built from a
-/// frozen arena (allocate() on the source invalidates the mirror); the
-/// stripe slab follows the same pool discipline as the arena's.
-class SoaStripes {
-public:
-    /// Snapshot of `arena` in stripe layout; `pool` backs the stripe
-    /// slab (nullptr = heap).
-    explicit SoaStripes(const TimestampArena& arena,
-                        SlabPool* pool = nullptr);
-
-    SoaStripes(SoaStripes&& other) noexcept
-        : width_(other.width_),
-          rows_(other.rows_),
-          stripe_words_(other.stripe_words_),
-          slab_(std::move(other.slab_)),
-          pool_(other.pool_) {
-        other.slab_ = Slab{};
-        other.stripe_words_ = 0;
-        other.rows_ = 0;
-    }
-    SoaStripes(const SoaStripes&) = delete;
-    SoaStripes& operator=(const SoaStripes&) = delete;
-    SoaStripes& operator=(SoaStripes&&) = delete;
-    ~SoaStripes();
-
-    std::size_t width() const noexcept { return width_; }
-    std::size_t rows() const noexcept { return rows_; }
-
-    /// Stripe slab: stripe s, component k, lane l at
-    /// [s*width*kSoaLane + k*kSoaLane + l]; pad lanes are zero.
-    std::span<const std::uint64_t> stripes() const noexcept {
-        return {slab_.words.get(), stripe_words_};
-    }
-
-    /// out[i] = (probe ≤ row i); bit-identical to the arena kernel.
-    void leq_many(std::span<const std::uint64_t> probe,
-                  std::span<std::uint8_t> out) const;
-
-    /// out[i] = ts::relate(row i, probe); bit-identical to the arena
-    /// kernel.
-    void relate_many(std::span<const std::uint64_t> probe,
-                     std::span<std::uint8_t> out) const;
-
-    /// Handles of rows strictly dominating probe; bit-identical to the
-    /// arena kernel.
-    std::vector<TsHandle> dominators_of(
-        std::span<const std::uint64_t> probe) const;
-
-private:
-    std::size_t width_ = 0;
-    std::size_t rows_ = 0;
-    std::size_t stripe_words_ = 0;
-    Slab slab_;
-    SlabPool* pool_ = nullptr;
-};
 
 }  // namespace syncts

@@ -58,43 +58,6 @@ void dominators_of_scalar(const std::uint64_t* slab, std::size_t rows,
     }
 }
 
-void leq_many_stripes_scalar(const std::uint64_t* stripes, std::size_t rows,
-                             std::size_t width, const std::uint64_t* probe,
-                             std::uint8_t* out) noexcept {
-    constexpr std::size_t kLane = 4;
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t stripe = i / kLane;
-        const std::size_t lane = i % kLane;
-        const std::uint64_t* base = stripes + stripe * width * kLane + lane;
-        bool ok = true;
-        for (std::size_t k = 0; k < width; ++k) {
-            ok = ok && probe[k] <= base[k * kLane];
-        }
-        out[i] = ok ? 1 : 0;
-    }
-}
-
-void relate_many_stripes_scalar(const std::uint64_t* stripes,
-                                std::size_t rows, std::size_t width,
-                                const std::uint64_t* probe,
-                                std::uint8_t* out) noexcept {
-    constexpr std::size_t kLane = 4;
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t stripe = i / kLane;
-        const std::size_t lane = i % kLane;
-        const std::uint64_t* base = stripes + stripe * width * kLane + lane;
-        bool row_above = false;
-        bool probe_above = false;
-        for (std::size_t k = 0; k < width; ++k) {
-            const std::uint64_t row = base[k * kLane];
-            row_above |= row > probe[k];
-            probe_above |= probe[k] > row;
-        }
-        out[i] = static_cast<std::uint8_t>((row_above ? 0 : ts::kRowLeq) |
-                                           (probe_above ? 0 : ts::kProbeLeq));
-    }
-}
-
 // ---- AVX2 backends ---------------------------------------------------
 
 #if defined(SYNCTS_X86) && (defined(__GNUC__) || defined(__clang__))
@@ -283,71 +246,6 @@ __attribute__((target("avx2"))) void dominators_of_avx2(
     }
 }
 
-__attribute__((target("avx2"))) void leq_many_stripes_avx2(
-    const std::uint64_t* stripes, std::size_t rows, std::size_t width,
-    const std::uint64_t* probe, std::uint8_t* out) noexcept {
-    constexpr std::size_t kLane = 4;
-    const std::size_t num_stripes = (rows + kLane - 1) / kLane;
-    for (std::size_t s = 0; s < num_stripes; ++s) {
-        const std::uint64_t* base = stripes + s * width * kLane;
-        __m256i violation = _mm256_setzero_si256();
-        for (std::size_t k = 0; k < width; ++k) {
-            const __m256i vp =
-                _mm256_set1_epi64x(static_cast<long long>(probe[k]));
-            const __m256i vr = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(base + k * kLane));
-            violation = _mm256_or_si256(violation, cmpgt_u64(vp, vr));
-            // All four lanes violated — every row in the stripe is
-            // resolved (pad lanes violating only strengthens this).
-            if (_mm256_movemask_epi8(violation) == -1) break;
-        }
-        alignas(32) std::uint64_t lanes[kLane];
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), violation);
-        const std::size_t row0 = s * kLane;
-        const std::size_t live = rows - row0 < kLane ? rows - row0 : kLane;
-        for (std::size_t l = 0; l < live; ++l) {
-            out[row0 + l] = lanes[l] == 0 ? 1 : 0;
-        }
-    }
-}
-
-__attribute__((target("avx2"))) void relate_many_stripes_avx2(
-    const std::uint64_t* stripes, std::size_t rows, std::size_t width,
-    const std::uint64_t* probe, std::uint8_t* out) noexcept {
-    constexpr std::size_t kLane = 4;
-    const std::size_t num_stripes = (rows + kLane - 1) / kLane;
-    for (std::size_t s = 0; s < num_stripes; ++s) {
-        const std::uint64_t* base = stripes + s * width * kLane;
-        __m256i row_gt = _mm256_setzero_si256();
-        __m256i probe_gt = _mm256_setzero_si256();
-        for (std::size_t k = 0; k < width; ++k) {
-            const __m256i vp =
-                _mm256_set1_epi64x(static_cast<long long>(probe[k]));
-            const __m256i vr = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(base + k * kLane));
-            row_gt = _mm256_or_si256(row_gt, cmpgt_u64(vr, vp));
-            probe_gt = _mm256_or_si256(probe_gt, cmpgt_u64(vp, vr));
-            // Every lane concurrent in both directions — resolved.
-            if (_mm256_movemask_epi8(_mm256_and_si256(row_gt, probe_gt)) ==
-                -1) {
-                break;
-            }
-        }
-        alignas(32) std::uint64_t row_lanes[kLane];
-        alignas(32) std::uint64_t probe_lanes[kLane];
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row_lanes), row_gt);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(probe_lanes),
-                            probe_gt);
-        const std::size_t row0 = s * kLane;
-        const std::size_t live = rows - row0 < kLane ? rows - row0 : kLane;
-        for (std::size_t l = 0; l < live; ++l) {
-            out[row0 + l] = static_cast<std::uint8_t>(
-                (row_lanes[l] != 0 ? 0 : ts::kRowLeq) |
-                (probe_lanes[l] != 0 ? 0 : ts::kProbeLeq));
-        }
-    }
-}
-
 #else  // non-x86 hosts: the AVX2 names resolve to the scalar bodies.
 
 void leq_many_avx2(const std::uint64_t* slab, std::size_t rows,
@@ -366,19 +264,6 @@ void dominators_of_avx2(const std::uint64_t* slab, std::size_t rows,
                         std::size_t width, const std::uint64_t* probe,
                         std::vector<std::uint32_t>& out) {
     dominators_of_scalar(slab, rows, width, probe, out);
-}
-
-void leq_many_stripes_avx2(const std::uint64_t* stripes, std::size_t rows,
-                           std::size_t width, const std::uint64_t* probe,
-                           std::uint8_t* out) noexcept {
-    leq_many_stripes_scalar(stripes, rows, width, probe, out);
-}
-
-void relate_many_stripes_avx2(const std::uint64_t* stripes,
-                              std::size_t rows, std::size_t width,
-                              const std::uint64_t* probe,
-                              std::uint8_t* out) noexcept {
-    relate_many_stripes_scalar(stripes, rows, width, probe, out);
 }
 
 #endif

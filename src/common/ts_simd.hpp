@@ -8,21 +8,15 @@
 /// Runtime-dispatched SIMD backends for the batch timestamp kernels.
 ///
 /// The public arena kernels (timestamp_arena.hpp leq_many/relate_many/
-/// dominators_of and the SoaStripes scans) call through here: on hosts
-/// with AVX2 the `*_avx2` bodies run (compiled with a per-function
-/// target attribute, so the rest of the library keeps the portable
-/// baseline ISA); everywhere else the `*_scalar` bodies — the PR 4
-/// 4-way-unrolled kernels — run. Both backends are exposed by name so
+/// dominators_of) call through here: on hosts with AVX2 the `*_avx2`
+/// bodies run (compiled with a per-function target attribute, so the
+/// rest of the library keeps the portable baseline ISA); everywhere else
+/// the `*_scalar` bodies — the 4-way-unrolled portable kernels — run. Both backends are exposed by name so
 /// the differential tests can pin them against each other on the same
 /// host: every output is a small integer (0/1 or relate flags), so
 /// "bit-identical" is an exact contract, not a tolerance.
 ///
-/// Layout contracts:
-///  - Row-major: `slab` is rows*width words, row i at slab[i*width].
-///  - Stripes (SoA): blocks of kSoaLane=4 rows; stripe s stores
-///    component k of its four lanes at stripes[(s*width + k)*4 .. +4);
-///    pad lanes of the last partial stripe are zero and their outputs
-///    are not written.
+/// Layout contract: `slab` is rows*width words, row i at slab[i*width].
 ///
 /// The unsigned 64-bit vector compare uses the classic sign-flip trick:
 /// x >u y  ⟺  (x ^ 2^63) >s (y ^ 2^63), since AVX2 only has a signed
@@ -35,7 +29,7 @@ namespace syncts::simd {
 /// per row.
 bool avx2_available() noexcept;
 
-// ---- Row-major backends ----------------------------------------------
+// ---- Backends --------------------------------------------------------
 
 void leq_many_scalar(const std::uint64_t* slab, std::size_t rows,
                      std::size_t width, const std::uint64_t* probe,
@@ -58,24 +52,6 @@ void relate_many_avx2(const std::uint64_t* slab, std::size_t rows,
 void dominators_of_avx2(const std::uint64_t* slab, std::size_t rows,
                         std::size_t width, const std::uint64_t* probe,
                         std::vector<std::uint32_t>& out);
-
-// ---- Stripe (SoA) backends -------------------------------------------
-
-void leq_many_stripes_scalar(const std::uint64_t* stripes, std::size_t rows,
-                             std::size_t width, const std::uint64_t* probe,
-                             std::uint8_t* out) noexcept;
-void relate_many_stripes_scalar(const std::uint64_t* stripes,
-                                std::size_t rows, std::size_t width,
-                                const std::uint64_t* probe,
-                                std::uint8_t* out) noexcept;
-
-void leq_many_stripes_avx2(const std::uint64_t* stripes, std::size_t rows,
-                           std::size_t width, const std::uint64_t* probe,
-                           std::uint8_t* out) noexcept;
-void relate_many_stripes_avx2(const std::uint64_t* stripes,
-                              std::size_t rows, std::size_t width,
-                              const std::uint64_t* probe,
-                              std::uint8_t* out) noexcept;
 
 // ---- Dispatched entry points -----------------------------------------
 
@@ -106,27 +82,6 @@ inline void dominators_of(const std::uint64_t* slab, std::size_t rows,
         dominators_of_avx2(slab, rows, width, probe, out);
     } else {
         dominators_of_scalar(slab, rows, width, probe, out);
-    }
-}
-
-inline void leq_many_stripes(const std::uint64_t* stripes, std::size_t rows,
-                             std::size_t width, const std::uint64_t* probe,
-                             std::uint8_t* out) noexcept {
-    if (avx2_available()) {
-        leq_many_stripes_avx2(stripes, rows, width, probe, out);
-    } else {
-        leq_many_stripes_scalar(stripes, rows, width, probe, out);
-    }
-}
-
-inline void relate_many_stripes(const std::uint64_t* stripes,
-                                std::size_t rows, std::size_t width,
-                                const std::uint64_t* probe,
-                                std::uint8_t* out) noexcept {
-    if (avx2_available()) {
-        relate_many_stripes_avx2(stripes, rows, width, probe, out);
-    } else {
-        relate_many_stripes_scalar(stripes, rows, width, probe, out);
     }
 }
 

@@ -52,9 +52,11 @@ EdgeDecomposition default_decomposition(const Graph& g);
 /// complete graphs where the trivial N−2 construction wins outright),
 /// `decomp_groups` (the chosen size d — the timestamp width),
 /// `decomp_lower_bound` (decomposition_lower_bound: the maximum matching
-/// on 2-colourable graphs, a greedy maximal one otherwise), and
+/// on 2-colourable graphs, N − 2 on complete ones, a greedy maximal
+/// matching otherwise), and
 /// `decomp_gap` (chosen − lower bound: how far the choice might be from
-/// optimal; 0 proves it optimal, as on every 2-colourable graph).
+/// optimal; 0 proves it optimal, as on every 2-colourable or complete
+/// graph).
 EdgeDecomposition default_decomposition(const Graph& g,
                                         obs::MetricsRegistry* registry);
 

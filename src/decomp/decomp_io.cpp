@@ -133,9 +133,11 @@ TaggedDecomposition read_tagged_decomposition(std::istream& in) {
     }
     expect_keyword(in, "processes");
     const std::size_t n = next_number(in, "process count");
-    if (n > std::numeric_limits<ProcessId>::max()) {
+    if (n > kMaxDeclaredProcesses) {
         throw DecompIoError(Kind::out_of_range,
-                            "process count beyond the process id range");
+                            "process count " + std::to_string(n) +
+                                " exceeds the reader bound of " +
+                                std::to_string(kMaxDeclaredProcesses));
     }
     expect_keyword(in, "edges");
     const std::size_t m = next_number(in, "edge count");

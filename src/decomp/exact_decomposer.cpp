@@ -13,6 +13,12 @@ namespace syncts {
 std::size_t decomposition_lower_bound(const Graph& g) {
     // König: a minimum cover of a bipartite graph is as large as ν(G).
     if (const auto cover = bipartite_vertex_cover(g)) return cover->size();
+    // K_n, n >= 3: if s distinct processes root the stars, the other
+    // m = n - s span a clique whose edges only triangles can hold, at
+    // most 3 each, so d >= s + ceil(m(m - 1)/6) >= n - 2, because
+    // (m - 3)(m - 4) >= 0.
+    const std::size_t n = g.num_vertices();
+    if (n >= 3 && g.num_edges() == n * (n - 1) / 2) return n - 2;
     std::vector<char> used(g.num_vertices(), 0);
     std::size_t matched = 0;
     for (const Edge& e : g.edges()) {

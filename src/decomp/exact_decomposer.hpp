@@ -32,8 +32,10 @@ std::optional<EdgeDecomposition> exact_edge_decomposition(
 /// Lower bound on α(G): the size of a matching. Edges of a matching
 /// pairwise share no vertex, so no two fit in one star/triangle. On a
 /// 2-colourable graph it is the maximum matching ν(G), and there the bound
-/// is exact: α(G) = β(G) = ν(G) (no triangles, then König). Other graphs
-/// get a greedy maximal matching.
+/// is exact: α(G) = β(G) = ν(G) (no triangles, then König). A complete
+/// graph K_n with n >= 3 gets n − 2, which is exact too (the stars of
+/// n − 3 processes plus one triangle reach it). Other graphs get a greedy
+/// maximal matching.
 std::size_t decomposition_lower_bound(const Graph& g);
 
 }  // namespace syncts

@@ -6,8 +6,7 @@
 
 namespace syncts {
 
-void Mailbox::Accepted::complete(VectorTimestamp acknowledgement,
-                                 std::uint64_t seq) {
+void Mailbox::Accepted::complete(std::uint64_t seq) {
     SYNCTS_REQUIRE(offer_ != nullptr, "offer already completed or moved-from");
     Offer* offer = std::exchange(offer_, nullptr);
     // Notify *while holding* the mutex: the waiting sender owns the Offer
@@ -15,7 +14,7 @@ void Mailbox::Accepted::complete(VectorTimestamp acknowledgement,
     // before the waiter can re-acquire the lock and leave wait().
     const std::lock_guard lock(offer->done_mutex);
     offer->seq = seq;
-    offer->acknowledgement = std::move(acknowledgement);
+    offer->completed = true;
     offer->done_cv.notify_one();
 }
 
@@ -38,12 +37,15 @@ Mailbox::Accepted& Mailbox::Accepted::operator=(Accepted&& other) noexcept {
 
 Mailbox::Accepted::~Accepted() { abandon(); }
 
-std::pair<VectorTimestamp, std::uint64_t> Mailbox::offer_and_wait(
-    ProcessId sender, std::string payload, const VectorTimestamp& piggyback) {
+std::optional<std::uint64_t> Mailbox::offer_and_wait(
+    ProcessId sender, std::string payload,
+    std::span<const std::uint64_t> piggyback, std::span<std::uint64_t> ack,
+    std::chrono::milliseconds timeout) {
     Offer offer;
     offer.sender = sender;
     offer.payload = std::move(payload);
     offer.piggyback = piggyback;
+    offer.ack = ack;
     {
         const std::lock_guard lock(mutex_);
         if (closed_) throw MailboxClosed();
@@ -51,34 +53,11 @@ std::pair<VectorTimestamp, std::uint64_t> Mailbox::offer_and_wait(
     }
     offer_cv_.notify_all();
 
+    const auto ready = [&] { return offer.completed || offer.aborted; };
     std::unique_lock done_lock(offer.done_mutex);
-    offer.done_cv.wait(done_lock, [&] {
-        return offer.acknowledgement.has_value() || offer.aborted;
-    });
-    if (offer.aborted) throw MailboxClosed();
-    return {std::move(*offer.acknowledgement), offer.seq};
-}
-
-std::optional<std::pair<VectorTimestamp, std::uint64_t>>
-Mailbox::offer_and_wait_for(ProcessId sender, std::string payload,
-                            const VectorTimestamp& piggyback,
-                            std::chrono::milliseconds timeout) {
-    Offer offer;
-    offer.sender = sender;
-    offer.payload = std::move(payload);
-    offer.piggyback = piggyback;
-    {
-        const std::lock_guard lock(mutex_);
-        if (closed_) throw MailboxClosed();
-        queue_.push_back(&offer);
-    }
-    offer_cv_.notify_all();
-
-    const auto ready = [&] {
-        return offer.acknowledgement.has_value() || offer.aborted;
-    };
-    std::unique_lock done_lock(offer.done_mutex);
-    if (!offer.done_cv.wait_for(done_lock, timeout, ready)) {
+    if (timeout.count() <= 0) {
+        offer.done_cv.wait(done_lock, ready);
+    } else if (!offer.done_cv.wait_for(done_lock, timeout, ready)) {
         // Timed out: withdraw the offer if it is still queued, so the
         // receiver can never accept a rendezvous the sender abandoned.
         // The queue and the completion slot use different mutexes —
@@ -99,26 +78,10 @@ Mailbox::offer_and_wait_for(ProcessId sender, std::string payload,
         offer.done_cv.wait(done_lock, ready);
     }
     if (offer.aborted) throw MailboxClosed();
-    return std::make_pair(std::move(*offer.acknowledgement), offer.seq);
+    return offer.seq;
 }
 
-Mailbox::Accepted Mailbox::accept(std::optional<ProcessId> from) {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-        const auto it = std::ranges::find_if(queue_, [&](Offer* o) {
-            return !from.has_value() || o->sender == *from;
-        });
-        if (it != queue_.end()) {
-            Offer* offer = *it;
-            queue_.erase(it);
-            return Accepted(offer);
-        }
-        if (closed_) throw MailboxClosed();
-        offer_cv_.wait(lock);
-    }
-}
-
-std::optional<Mailbox::Accepted> Mailbox::accept_for(
+std::optional<Mailbox::Accepted> Mailbox::accept(
     std::optional<ProcessId> from, std::chrono::milliseconds timeout) {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     std::unique_lock lock(mutex_);
@@ -127,6 +90,7 @@ std::optional<Mailbox::Accepted> Mailbox::accept_for(
             return !from.has_value() || o->sender == *from;
         });
     };
+    const auto woken = [&] { return closed_ || match() != queue_.end(); };
     for (;;) {
         const auto it = match();
         if (it != queue_.end()) {
@@ -135,9 +99,9 @@ std::optional<Mailbox::Accepted> Mailbox::accept_for(
             return Accepted(offer);
         }
         if (closed_) throw MailboxClosed();
-        if (!offer_cv_.wait_until(lock, deadline, [&] {
-                return closed_ || match() != queue_.end();
-            })) {
+        if (timeout.count() <= 0) {
+            offer_cv_.wait(lock, woken);
+        } else if (!offer_cv_.wait_until(lock, deadline, woken)) {
             return std::nullopt;
         }
     }

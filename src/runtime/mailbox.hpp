@@ -6,11 +6,11 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "clocks/vector_timestamp.hpp"
 #include "common/ids.hpp"
 
 /// \file mailbox.hpp
@@ -18,11 +18,17 @@
 ///
 /// A synchronous send is an offer posted to the receiver's mailbox; the
 /// sender then blocks until the receiver accepts the offer and completes it
-/// with an acknowledgement vector (Fig. 5's acknowledgement message) plus
-/// the rendezvous' global sequence number. The receiver blocks in `accept`
-/// until a matching offer arrives. This is the blocking-send semantics of
-/// CSP / Ada rendezvous / synchronous RPC that the paper assumes,
-/// implemented with a mutex + condition variables.
+/// with the rendezvous' global sequence number. The receiver blocks in
+/// `accept` until a matching offer arrives. This is the blocking-send
+/// semantics of CSP / Ada rendezvous / synchronous RPC that the paper
+/// assumes, implemented with a mutex + condition variables.
+///
+/// Fig. 5's two vectors cross as spans into the blocked sender's own
+/// storage: the receiver reads the piggyback and writes the
+/// acknowledgement in place before complete(). Both spans stay valid for
+/// the offer's whole life, because the sender is blocked until completion,
+/// abandonment, withdrawal or close, and the completion slot's mutex
+/// orders the receiver's writes before the sender's reads.
 
 namespace syncts {
 
@@ -39,13 +45,14 @@ public:
     struct Offer {
         ProcessId sender = 0;
         std::string payload;
-        VectorTimestamp piggyback;
+        std::span<const std::uint64_t> piggyback;
+        std::span<std::uint64_t> ack;
 
         // Completion slot.
         std::mutex done_mutex;
         std::condition_variable done_cv;
-        std::optional<VectorTimestamp> acknowledgement;
         std::uint64_t seq = 0;
+        bool completed = false;
         bool aborted = false;
     };
 
@@ -53,7 +60,8 @@ public:
     /// receiver should call complete() exactly once to release the sender;
     /// if the handle is destroyed without completing (receiver unwound by
     /// an exception), the sender is released with MailboxClosed instead of
-    /// hanging. payload()/piggyback() must not be touched after complete().
+    /// hanging. payload()/piggyback()/ack() must not be touched after
+    /// complete().
     class Accepted {
     public:
         explicit Accepted(Offer* offer) : offer_(offer) {}
@@ -66,13 +74,19 @@ public:
 
         ProcessId sender() const noexcept { return offer_->sender; }
         const std::string& payload() const noexcept { return offer_->payload; }
-        const VectorTimestamp& piggyback() const noexcept {
+
+        /// The sender's piggybacked vector.
+        std::span<const std::uint64_t> piggyback() const noexcept {
             return offer_->piggyback;
         }
 
-        /// Sends the acknowledgement (and the rendezvous' global sequence
-        /// number) back, unblocking the sender.
-        void complete(VectorTimestamp acknowledgement, std::uint64_t seq);
+        /// The sender's acknowledgement buffer: the receiver writes its
+        /// acknowledgement vector here before complete().
+        std::span<std::uint64_t> ack() const noexcept { return offer_->ack; }
+
+        /// Hands the rendezvous' global sequence number back, unblocking
+        /// the sender.
+        void complete(std::uint64_t seq);
 
     private:
         void abandon() noexcept;
@@ -81,32 +95,24 @@ public:
     };
 
     /// Sender side: posts the offer and blocks until the receiver completes
-    /// it. Returns (acknowledgement vector, global sequence number). Throws
-    /// MailboxClosed when the mailbox shuts down while waiting.
-    std::pair<VectorTimestamp, std::uint64_t> offer_and_wait(
+    /// it, having written its acknowledgement into `ack`. Returns the
+    /// rendezvous' global sequence number. A positive `timeout` bounds the
+    /// wait: when it expires the offer is *withdrawn*, so a receiver cannot
+    /// accept it afterwards, and the call returns nullopt; if the receiver
+    /// accepted within the race window the rendezvous is honoured — the
+    /// call blocks until the in-progress completion and returns it. A zero
+    /// timeout waits forever. Throws MailboxClosed on shutdown.
+    std::optional<std::uint64_t> offer_and_wait(
         ProcessId sender, std::string payload,
-        const VectorTimestamp& piggyback);
-
-    /// Timed variant of offer_and_wait: gives up after `timeout` and
-    /// returns nullopt, *withdrawing* the offer so a receiver cannot
-    /// accept it afterwards. If the receiver accepted within the race
-    /// window the rendezvous is honoured — the call blocks until the
-    /// in-progress completion and returns it. Throws MailboxClosed on
-    /// shutdown.
-    std::optional<std::pair<VectorTimestamp, std::uint64_t>>
-    offer_and_wait_for(ProcessId sender, std::string payload,
-                       const VectorTimestamp& piggyback,
-                       std::chrono::milliseconds timeout);
+        std::span<const std::uint64_t> piggyback, std::span<std::uint64_t> ack,
+        std::chrono::milliseconds timeout = {});
 
     /// Receiver side: blocks until an offer (from `from`, or from anyone
     /// when nullopt) is available, removes it from the queue and returns
-    /// it. Throws MailboxClosed on shutdown.
-    Accepted accept(std::optional<ProcessId> from);
-
-    /// Timed variant of accept: nullopt when no matching offer arrives
-    /// within `timeout`.
-    std::optional<Accepted> accept_for(std::optional<ProcessId> from,
-                                       std::chrono::milliseconds timeout);
+    /// it; nullopt when a positive `timeout` expires first. A zero timeout
+    /// waits forever. Throws MailboxClosed on shutdown.
+    std::optional<Accepted> accept(std::optional<ProcessId> from,
+                                   std::chrono::milliseconds timeout = {});
 
     /// Non-blocking probe: true when a matching offer is queued.
     bool has_offer(std::optional<ProcessId> from);

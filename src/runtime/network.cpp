@@ -83,9 +83,9 @@ std::chrono::milliseconds TimestampedNetwork::channel_timeout(
     return timeout;
 }
 
-std::pair<VectorTimestamp, std::uint64_t> TimestampedNetwork::rendezvous_send(
+std::uint64_t TimestampedNetwork::rendezvous_send(
     ProcessId from, ProcessId to, std::string payload,
-    const VectorTimestamp& piggyback) {
+    std::span<const std::uint64_t> piggyback, std::span<std::uint64_t> ack) {
     SYNCTS_REQUIRE(decomposition_->graph().has_edge(from, to),
                    "no channel between sender and receiver in the topology");
     const std::chrono::milliseconds timeout = channel_timeout(from, to);
@@ -97,15 +97,9 @@ std::pair<VectorTimestamp, std::uint64_t> TimestampedNetwork::rendezvous_send(
             .count();
     };
     const ScopedCount blocked(blocked_);
-    if (timeout.count() <= 0) {
-        auto result =
-            mailbox(to).offer_and_wait(from, std::move(payload), piggyback);
-        if (detector != nullptr) detector->record_success(to, elapsed_ms());
-        return result;
-    }
-    auto result = mailbox(to).offer_and_wait_for(from, std::move(payload),
-                                                 piggyback, timeout);
-    if (!result.has_value()) {
+    const std::optional<std::uint64_t> seq = mailbox(to).offer_and_wait(
+        from, std::move(payload), piggyback, ack, timeout);
+    if (!seq.has_value()) {
         if (timeout_counter_ != nullptr) timeout_counter_->inc();
         if (detector != nullptr) {
             detector->record_timeout(to, elapsed_ms());
@@ -116,13 +110,13 @@ std::pair<VectorTimestamp, std::uint64_t> TimestampedNetwork::rendezvous_send(
         throw ChannelTimeoutError(from, to, timeout);
     }
     if (detector != nullptr) detector->record_success(to, elapsed_ms());
-    return *std::move(result);
+    return *seq;
 }
 
 Mailbox::Accepted TimestampedNetwork::accept_for(
     ProcessId self, std::optional<ProcessId> from) {
     const ScopedCount blocked(blocked_);
-    return mailbox(self).accept(from);
+    return *mailbox(self).accept(from);
 }
 
 void TimestampedNetwork::trace_event(obs::TraceEventKind kind,

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "clocks/event_timestamp.hpp"
@@ -166,10 +167,14 @@ public:
 private:
     friend class ProcessContext;
 
-    /// Sender-side rendezvous (blocking): returns (ack vector, seq).
-    std::pair<VectorTimestamp, std::uint64_t> rendezvous_send(
-        ProcessId from, ProcessId to, std::string payload,
-        const VectorTimestamp& piggyback);
+    /// Sender-side rendezvous (blocking): offers `piggyback`, waits up to
+    /// the channel's send watchdog for the receiver to write its
+    /// acknowledgement into `ack`, and returns the global sequence number.
+    /// Throws ChannelTimeoutError when the watchdog expires.
+    std::uint64_t rendezvous_send(ProcessId from, ProcessId to,
+                                  std::string payload,
+                                  std::span<const std::uint64_t> piggyback,
+                                  std::span<std::uint64_t> ack);
 
     /// Receiver-side accept (blocking), with blocked-state tracking.
     Mailbox::Accepted accept_for(ProcessId self,

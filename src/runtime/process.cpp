@@ -1,7 +1,9 @@
 #include "runtime/process.hpp"
 
+#include <span>
 #include <utility>
 
+#include "common/ts_kernels.hpp"
 #include "runtime/network.hpp"
 
 namespace syncts {
@@ -9,21 +11,26 @@ namespace syncts {
 ProcessContext::ProcessContext(
     ProcessId self, TimestampedNetwork& network,
     std::shared_ptr<const EdgeDecomposition> decomposition)
-    : network_(network), clock_(self, std::move(decomposition)) {}
+    : network_(network),
+      clock_(self, std::move(decomposition)),
+      ack_(clock_.width()) {}
 
 std::size_t ProcessContext::num_processes() const noexcept {
     return network_.num_processes();
 }
 
 VectorTimestamp ProcessContext::send(ProcessId to, std::string payload) {
-    const VectorTimestamp piggyback = clock_.prepare_send();
+    // The live vector is the piggyback: this thread is blocked, and so
+    // cannot tick it, until the receiver has read it and completed.
+    const std::span<const std::uint64_t> piggyback = clock_.current_span();
     // The global sequence is assigned at commit, so the send event
     // carries 0 — the profiler pairs it with the ACK by channel order.
     network_.trace_event(obs::TraceEventKind::send, self(), to, 0, 0,
-                         piggyback.total());
-    const auto [ack, seq] = network_.rendezvous_send(
-        self(), to, std::move(payload), piggyback);
-    VectorTimestamp timestamp = clock_.on_acknowledgement(to, ack);
+                         ts::total(piggyback));
+    const std::uint64_t seq = network_.rendezvous_send(
+        self(), to, std::move(payload), piggyback, ack_);
+    VectorTimestamp timestamp(width());
+    clock_.on_ack_into(to, ack_, timestamp.mutable_components());
     network_.trace_event(obs::TraceEventKind::ack, self(), to, seq, seq,
                          timestamp.total());
     journal_.push_back({JournalEntry::Kind::send, to, seq, {}, timestamp});
@@ -34,14 +41,16 @@ ReceivedMessage ProcessContext::receive_impl(std::optional<ProcessId> from) {
     Mailbox::Accepted accepted = network_.accept_for(self(), from);
     const ProcessId sender = accepted.sender();
     std::string payload = accepted.payload();
-    auto [acknowledgement, timestamp] =
-        clock_.on_receive(sender, accepted.piggyback());
+    VectorTimestamp timestamp(width());
+    // The acknowledgement lands straight in the blocked sender's buffer.
+    clock_.on_receive_into(sender, accepted.piggyback(), accepted.ack(),
+                           timestamp.mutable_components());
     const std::uint64_t seq = network_.next_seq();
     // Trace the commit before complete() unblocks the sender, so the
     // sender's ack event can never precede its commit in the ring.
     network_.trace_event(obs::TraceEventKind::commit, self(), sender, seq,
                          seq, timestamp.total());
-    accepted.complete(std::move(acknowledgement), seq);
+    accepted.complete(seq);
 
     journal_.push_back(
         {JournalEntry::Kind::receive, sender, seq, {}, timestamp});

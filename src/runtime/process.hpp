@@ -15,10 +15,12 @@
 /// The per-process face of the threaded runtime. Each process runs user
 /// code on its own thread against a ProcessContext, which provides the
 /// blocking synchronous send/receive operations and transparently runs the
-/// Fig. 5 clock protocol (piggybacking vectors on messages and
-/// acknowledgements). The clock is strictly thread-local — synchronization
-/// happens only through mailbox rendezvous — so the protocol needs no
-/// locks of its own.
+/// Fig. 5 clock protocol through OnlineProcessClock's span hooks
+/// (piggybacking vectors on messages and acknowledgements). The clock is
+/// owned by its process's thread — the receiver of a send reads the
+/// blocked sender's vector and writes the acknowledgement into the
+/// sender's buffer only inside the mailbox rendezvous — so the protocol
+/// needs no locks of its own.
 
 namespace syncts {
 
@@ -98,6 +100,9 @@ private:
 
     TimestampedNetwork& network_;
     OnlineProcessClock clock_;
+    /// Width-d buffer the receiver of each send writes its
+    /// acknowledgement into.
+    std::vector<std::uint64_t> ack_;
     std::vector<JournalEntry> journal_;
     std::vector<MessageRecord> received_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <initializer_list>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -92,8 +91,10 @@ SyncComputation read_computation(std::istream& in) {
     SYNCTS_REQUIRE(next_token(in, "processes keyword") == "processes",
                    "expected 'processes'");
     const std::size_t n = next_number(in, "process count");
-    SYNCTS_REQUIRE(n <= std::numeric_limits<ProcessId>::max(),
-                   "process count beyond the process id range");
+    SYNCTS_REQUIRE(n <= kMaxDeclaredProcesses,
+                   "process count " + std::to_string(n) +
+                       " exceeds the reader bound of " +
+                       std::to_string(kMaxDeclaredProcesses));
     SYNCTS_REQUIRE(next_token(in, "edges keyword") == "edges",
                    "expected 'edges'");
     const std::size_t m = next_number(in, "edge count");
@@ -289,7 +290,8 @@ StreamingTraceReader::StreamingTraceReader(std::istream& in) : in_(in) {
 
     const std::uint64_t n = payload.varint();
     const std::uint64_t e = payload.varint();
-    SYNCTS_REQUIRE(n <= kNoProcess, "hostile process count");
+    SYNCTS_REQUIRE(n <= kMaxDeclaredProcesses,
+                   "hostile process count " + std::to_string(n));
     // Each edge costs at least two payload bytes — reject counts the
     // payload cannot possibly hold before allocating for them.
     SYNCTS_REQUIRE(e <= payload.remaining() / 2 + 1,

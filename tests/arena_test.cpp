@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -19,7 +20,9 @@
 // ---- Counting allocator -----------------------------------------------
 // Global operator new/delete replacements let the steady-state tests
 // assert "zero heap allocations" directly instead of inferring it from
-// capacity bookkeeping.
+// capacity bookkeeping, and the footprint tests read live heap bytes.
+// Every block carries its size in a header, so the live count does not
+// depend on sized delete being called.
 //
 // GCC pairs the replacement operator new (which delegates to malloc) with
 // the free() in the replacement delete and reports a mismatched-new-delete
@@ -32,25 +35,34 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_live_bytes{0};
+
+constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+
+void* counted_new(std::size_t size) {
+    ++g_allocations;
+    void* const base = std::malloc(kSizeHeader + size);
+    if (base == nullptr) throw std::bad_alloc();
+    *static_cast<std::size_t*>(base) = size;
+    g_live_bytes += size;
+    return static_cast<char*>(base) + kSizeHeader;
+}
+
+void counted_delete(void* p) noexcept {
+    if (p == nullptr) return;
+    void* const base = static_cast<char*>(p) - kSizeHeader;
+    g_live_bytes -= *static_cast<std::size_t*>(base);
+    std::free(base);
+}
 
 }  // namespace
 
-void* operator new(std::size_t size) {
-    ++g_allocations;
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-    ++g_allocations;
-    if (void* p = std::malloc(size ? size : 1)) return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void operator delete(void* p) noexcept { counted_delete(p); }
+void operator delete[](void* p) noexcept { counted_delete(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
 
 namespace syncts {
 namespace {
@@ -652,6 +664,25 @@ TEST(TimestampArena, MetricsHotPathIsAllocationFreeInSteadyState) {
     EXPECT_EQ(probes.value(), 16u * 16u * 5u);
     EXPECT_EQ(latency.count(), 16u * 16u * 5u);
     EXPECT_EQ(registry.counter("arena_kernel_calls").value(), 16u);
+}
+
+// Clock state grows with the topology, not with N²: each process's peer
+// table spans its neighbour ids only. On the client–server example (4
+// servers, 10,000 clients, d = 4) an N-entry table per process held
+// about 400 MB; the servers' tables span N, the clients' span 4.
+TEST(OnlineClock, ClientServerTimestamperHeapStaysLinear) {
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(topology::client_server(4, 10000)));
+    ASSERT_EQ(decomposition->size(), 4u);
+    const std::size_t before = g_live_bytes.load();
+    std::size_t held = 0;
+    {
+        const OnlineTimestamper timestamper(decomposition);
+        held = g_live_bytes.load() - before;
+    }
+    EXPECT_LE(held, std::size_t{4} << 20)
+        << "one OnlineTimestamper over cs:4:10000 holds " << held
+        << " live heap bytes";
 }
 
 // The rendezvous path through the whole simulated protocol — frame

@@ -225,7 +225,7 @@ TEST(ClockEngine, StampMessagesFillsCallerArena) {
     ASSERT_EQ(arena.size(), s.computation.num_messages());
     engine->reset();
     const std::vector<VectorTimestamp> expected =
-        engine->timestamp_computation_legacy(s.computation);
+        engine->stamp_computation(s.computation).materialize_messages();
     for (std::size_t m = 0; m < handles.size(); ++m) {
         ASSERT_EQ(VectorTimestamp(arena.span(handles[m])), expected[m]);
     }
@@ -282,13 +282,25 @@ TEST(OnlineClock, RebindMatchesFreshConstruction) {
     const Scenario target = make_scenario(151);
     const std::size_t n = target.computation.num_processes();
 
+    // One Fig. 5 rendezvous from `from` to `to` through the span hooks;
+    // returns the sender's copy of the message timestamp.
+    const auto rendezvous = [](OnlineProcessClock& from,
+                               OnlineProcessClock& to) {
+        const std::size_t d = from.width();
+        std::vector<std::uint64_t> piggyback(d), ack(d), received(d);
+        VectorTimestamp stamp(d);
+        from.prepare_send_into(piggyback);
+        to.on_receive_into(from.self(), piggyback, ack, received);
+        from.on_ack_into(to.self(), ack, stamp.mutable_components());
+        return stamp;
+    };
+
     // Dirty a clock with real Fig. 5 traffic so its vector and peer
     // tables are far from the initial state.
     OnlineProcessClock dirtied(0, dirty.decomposition);
     {
         OnlineProcessClock peer(1, dirty.decomposition);
-        const auto exchange = peer.on_receive(0, dirtied.prepare_send());
-        (void)dirtied.on_acknowledgement(1, exchange.acknowledgement);
+        (void)rendezvous(dirtied, peer);
     }
 
     // Rebound clocks must replay a whole computation identically to
@@ -304,10 +316,7 @@ TEST(OnlineClock, RebindMatchesFreshConstruction) {
     }
     for (const SyncMessage& m : target.computation.messages()) {
         const auto run = [&](std::vector<OnlineProcessClock>& fleet) {
-            const auto exchange = fleet[m.receiver].on_receive(
-                m.sender, fleet[m.sender].prepare_send());
-            return fleet[m.sender].on_acknowledgement(
-                m.receiver, exchange.acknowledgement);
+            return rendezvous(fleet[m.sender], fleet[m.receiver]);
         };
         const VectorTimestamp a = run(rebound);
         const VectorTimestamp b = run(fresh);

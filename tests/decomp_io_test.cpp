@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "decomp/cover_decomposer.hpp"
 #include "decomp/decomp_io.hpp"
@@ -123,6 +124,10 @@ TEST(DecompIo, ErrorsCarryTypedKinds) {
               DecompIoError::Kind::bad_number);
     EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses -1\nedges 0\n"),
               DecompIoError::Kind::bad_number);
+    EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses " +
+                      std::to_string(kMaxDeclaredProcesses + 1) +
+                      "\nedges 0\ngroups 0\n"),
+              DecompIoError::Kind::out_of_range);
     // A star claiming more edges than the graph has is refused before
     // any storage is reserved for them.
     EXPECT_EQ(kind_of("syncts-decomp 1\nprocesses 2\nedges 1\ne 0 1\n"

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "decomp/cover_decomposer.hpp"
 #include "decomp/exact_decomposer.hpp"
 #include "decomp/greedy_decomposer.hpp"
 #include "graph/generators.hpp"
@@ -63,6 +64,16 @@ TEST(ExactDecomposition, MatchingLowerBoundHolds) {
         const auto exact = exact_edge_decomposition(graph);
         ASSERT_TRUE(exact.has_value()) << name;
         EXPECT_GE(exact->size(), decomposition_lower_bound(graph)) << name;
+    }
+}
+
+TEST(ExactDecomposition, CliqueLowerBoundIsTight) {
+    // On K_n the bound is n − 2, and the library default reaches it, so
+    // every complete topology reads gap 0.
+    for (std::size_t n = 3; n <= 16; ++n) {
+        const Graph g = topology::complete(n);
+        EXPECT_EQ(decomposition_lower_bound(g), n - 2) << "K" << n;
+        EXPECT_EQ(default_decomposition(g).size(), n - 2) << "K" << n;
     }
 }
 

@@ -77,8 +77,9 @@ TEST(FailureDetector, RejectsNonPositiveThreshold) {
 
 TEST(MailboxTimeout, OfferWithdrawnWhenNobodyAccepts) {
     Mailbox box;
-    const auto result =
-        box.offer_and_wait_for(0, "ping", VectorTimestamp(1), 20ms);
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack(1);
+    const auto result = box.offer_and_wait(0, "ping", piggyback, ack, 20ms);
     EXPECT_FALSE(result.has_value());
     // The withdrawn offer must not linger for a late receiver.
     EXPECT_FALSE(box.has_offer(std::nullopt));
@@ -86,34 +87,39 @@ TEST(MailboxTimeout, OfferWithdrawnWhenNobodyAccepts) {
 
 TEST(MailboxTimeout, CompletesNormallyWhenAcceptedInTime) {
     Mailbox box;
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack(1, 0);
     std::thread receiver([&] {
-        Mailbox::Accepted accepted = box.accept(std::nullopt);
-        accepted.complete(VectorTimestamp(std::vector<std::uint64_t>{9}), 4);
+        Mailbox::Accepted accepted = *box.accept(std::nullopt);
+        accepted.ack()[0] = 9;
+        accepted.complete(4);
     });
     const auto result =
-        box.offer_and_wait_for(1, "ping", VectorTimestamp(1), 5000ms);
+        box.offer_and_wait(1, "ping", piggyback, ack, 5000ms);
     receiver.join();
     ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->first[0], 9u);
-    EXPECT_EQ(result->second, 4u);
+    EXPECT_EQ(ack[0], 9u);
+    EXPECT_EQ(*result, 4u);
 }
 
 TEST(MailboxTimeout, AcceptForTimesOutWithoutOffer) {
     Mailbox box;
-    EXPECT_FALSE(box.accept_for(std::nullopt, 20ms).has_value());
+    EXPECT_FALSE(box.accept(std::nullopt, 20ms).has_value());
 }
 
 TEST(MailboxTimeout, AcceptForReturnsQueuedOffer) {
     Mailbox box;
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack(1);
     std::thread sender([&] {
-        const auto ack = box.offer_and_wait(5, "x", VectorTimestamp(1));
-        EXPECT_EQ(ack.second, 11u);
+        const auto seq = box.offer_and_wait(5, "x", piggyback, ack);
+        EXPECT_EQ(seq, 11u);
     });
     std::optional<Mailbox::Accepted> accepted;
     while (!accepted.has_value()) {
-        accepted = box.accept_for(5, 100ms);
+        accepted = box.accept(5, 100ms);
     }
-    accepted->complete(VectorTimestamp(1), 11);
+    accepted->complete(11);
     sender.join();
 }
 

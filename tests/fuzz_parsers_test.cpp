@@ -889,6 +889,8 @@ TEST(FuzzParsers, SytrHostileCountsBehindValidChecksums) {
 
     const std::vector<std::pair<std::string, std::string>> cases = {
         {"hostile process count", hostile_header({UINT64_MAX, 0})},
+        {"process count above the reader bound",
+         hostile_header({kMaxDeclaredProcesses + 1, 0})},
         {"hostile edge count", hostile_header({3, UINT64_MAX})},
         {"edge endpoint out of range", hostile_header({2, 1, 5, 1})},
         {"trailing payload garbage", hostile_header({2, 1, 0, 1, 99})},

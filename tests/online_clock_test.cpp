@@ -63,9 +63,14 @@ TEST(OnlineClock, SenderAndReceiverAgree) {
         default_decomposition(topology::path(3)));
     OnlineProcessClock p0(0, decomposition);
     OnlineProcessClock p1(1, decomposition);
-    const VectorTimestamp piggyback = p0.prepare_send();
-    const auto [ack, receiver_stamp] = p1.on_receive(0, piggyback);
-    const VectorTimestamp sender_stamp = p0.on_acknowledgement(1, ack);
+    const std::size_t d = p0.width();
+    std::vector<std::uint64_t> piggyback(d);
+    std::vector<std::uint64_t> ack(d);
+    VectorTimestamp receiver_stamp(d);
+    VectorTimestamp sender_stamp(d);
+    p0.prepare_send_into(piggyback);
+    p1.on_receive_into(0, piggyback, ack, receiver_stamp.mutable_components());
+    p0.on_ack_into(1, ack, sender_stamp.mutable_components());
     EXPECT_EQ(sender_stamp, receiver_stamp);
     EXPECT_EQ(p0.current(), p1.current());
 }

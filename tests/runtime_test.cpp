@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,16 +20,18 @@ namespace {
 
 TEST(Mailbox, RendezvousRoundTrip) {
     Mailbox box;
-    VectorTimestamp piggyback(std::vector<std::uint64_t>{1, 2});
+    const std::vector<std::uint64_t> piggyback{1, 2};
+    std::vector<std::uint64_t> ack(2, 0);
     std::thread receiver([&] {
-        Mailbox::Accepted accepted = box.accept(std::nullopt);
+        Mailbox::Accepted accepted = *box.accept(std::nullopt);
         EXPECT_EQ(accepted.sender(), 3u);
         EXPECT_EQ(accepted.payload(), "hello");
         EXPECT_EQ(accepted.piggyback()[1], 2u);
-        accepted.complete(VectorTimestamp(std::vector<std::uint64_t>{5, 5}),
-                          17);
+        std::ranges::fill(accepted.ack(), 5);
+        accepted.complete(17);
     });
-    const auto [ack, seq] = box.offer_and_wait(3, "hello", piggyback);
+    const std::optional<std::uint64_t> seq =
+        box.offer_and_wait(3, "hello", piggyback, ack);
     receiver.join();
     EXPECT_EQ(ack[0], 5u);
     EXPECT_EQ(seq, 17u);
@@ -35,25 +39,28 @@ TEST(Mailbox, RendezvousRoundTrip) {
 
 TEST(Mailbox, AcceptFromSpecificSenderSkipsOthers) {
     Mailbox box;
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack_a(1);
+    std::vector<std::uint64_t> ack_b(1);
     std::atomic<int> acked{0};
     std::thread sender_a([&] {
-        box.offer_and_wait(1, "from1", VectorTimestamp(1));
+        box.offer_and_wait(1, "from1", piggyback, ack_a);
         ++acked;
     });
     // Ensure sender 1's offer is queued first.
     while (!box.has_offer(1)) std::this_thread::yield();
     std::thread sender_b([&] {
-        box.offer_and_wait(2, "from2", VectorTimestamp(1));
+        box.offer_and_wait(2, "from2", piggyback, ack_b);
         ++acked;
     });
     while (!box.has_offer(2)) std::this_thread::yield();
 
-    Mailbox::Accepted from2 = box.accept(2);
+    Mailbox::Accepted from2 = *box.accept(2);
     EXPECT_EQ(from2.sender(), 2u);
-    from2.complete(VectorTimestamp(1), 1);
-    Mailbox::Accepted from1 = box.accept(std::nullopt);
+    from2.complete(1);
+    Mailbox::Accepted from1 = *box.accept(std::nullopt);
     EXPECT_EQ(from1.sender(), 1u);
-    from1.complete(VectorTimestamp(1), 2);
+    from1.complete(2);
     sender_a.join();
     sender_b.join();
     EXPECT_EQ(acked.load(), 2);
@@ -64,11 +71,13 @@ TEST(Mailbox, CloseUnblocksEveryone) {
     // accept the sender's offer instead of staying blocked.
     Mailbox no_senders;
     Mailbox no_receivers;
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack(1);
     std::thread blocked_receiver([&] {
         EXPECT_THROW(no_senders.accept(std::nullopt), MailboxClosed);
     });
     std::thread blocked_sender([&] {
-        EXPECT_THROW(no_receivers.offer_and_wait(0, "x", VectorTimestamp(1)),
+        EXPECT_THROW(no_receivers.offer_and_wait(0, "x", piggyback, ack),
                      MailboxClosed);
     });
     // Give both a moment to block, then close.
@@ -77,7 +86,7 @@ TEST(Mailbox, CloseUnblocksEveryone) {
     no_receivers.close();
     blocked_receiver.join();
     blocked_sender.join();
-    EXPECT_THROW(no_receivers.offer_and_wait(0, "y", VectorTimestamp(1)),
+    EXPECT_THROW(no_receivers.offer_and_wait(0, "y", piggyback, ack),
                  MailboxClosed);
 }
 
@@ -85,12 +94,14 @@ TEST(Mailbox, DroppedAcceptReleasesSenderWithError) {
     // RAII guarantee: a receiver that unwinds between accept() and
     // complete() must not strand the sender.
     Mailbox box;
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack(1);
     std::thread sender([&] {
-        EXPECT_THROW(box.offer_and_wait(1, "x", VectorTimestamp(1)),
+        EXPECT_THROW(box.offer_and_wait(1, "x", piggyback, ack),
                      MailboxClosed);
     });
     {
-        Mailbox::Accepted accepted = box.accept(std::nullopt);
+        Mailbox::Accepted accepted = *box.accept(std::nullopt);
         EXPECT_EQ(accepted.sender(), 1u);
         // Dropped without complete().
     }
@@ -99,16 +110,17 @@ TEST(Mailbox, DroppedAcceptReleasesSenderWithError) {
 
 TEST(Mailbox, MovedAcceptedCompletesOnce) {
     Mailbox box;
+    const std::vector<std::uint64_t> piggyback(1, 0);
+    std::vector<std::uint64_t> ack(1);
     std::thread sender([&] {
-        const auto [ack, seq] =
-            box.offer_and_wait(2, "y", VectorTimestamp(1));
+        const std::optional<std::uint64_t> seq =
+            box.offer_and_wait(2, "y", piggyback, ack);
         EXPECT_EQ(seq, 5u);
     });
-    Mailbox::Accepted accepted = box.accept(std::nullopt);
+    Mailbox::Accepted accepted = *box.accept(std::nullopt);
     Mailbox::Accepted moved = std::move(accepted);
-    moved.complete(VectorTimestamp(1), 5);
-    EXPECT_THROW(moved.complete(VectorTimestamp(1), 6),
-                 std::invalid_argument);
+    moved.complete(5);
+    EXPECT_THROW(moved.complete(6), std::invalid_argument);
     sender.join();
 }
 

@@ -3,21 +3,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/region.hpp"
 #include "common/rng.hpp"
 #include "common/timestamp_arena.hpp"
 #include "common/ts_kernels.hpp"
 #include "common/ts_simd.hpp"
 
-/// Satellite acceptance sweep for the SIMD backends (docs/MEMORY.md):
-/// every batch-kernel entry point — row-major and stripe layout, scalar
-/// and AVX2 — must be *bit-identical* across 500 seeded random slabs
-/// covering every width 1..64. Kernel outputs are small integers (0/1
-/// flags, relate bits, handle lists), so equality is exact, not a
-/// tolerance. On hosts without AVX2 the _avx2 symbols alias the scalar
-/// bodies and the sweep degenerates to a self-check; on AVX2 hosts it
-/// pins the vector paths (including the unsigned sign-flip compare and
-/// the scalar tail) against the portable kernels.
+/// Differential sweep for the SIMD backends (docs/MEMORY.md):
+/// every batch-kernel entry point — scalar and AVX2 — must be
+/// *bit-identical* across 500 seeded random slabs covering every width
+/// 1..64. Kernel outputs are small integers (0/1 flags, relate bits,
+/// handle lists), so equality is exact, not a tolerance. On hosts
+/// without AVX2 the _avx2 symbols alias the scalar bodies and the sweep
+/// degenerates to a self-check; on AVX2 hosts it pins the vector paths
+/// (including the unsigned sign-flip compare and the scalar tail)
+/// against the portable kernels.
 
 namespace syncts {
 namespace {
@@ -125,53 +124,6 @@ TEST(SimdDifferential, DominatorsOfBackendsAreBitIdentical) {
     }
 }
 
-TEST(SimdDifferential, StripeBackendsMatchRowMajorScalar) {
-    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
-        const Case c = make_case(seed);
-
-        // Build the stripe mirror through the public SoA type so the
-        // layout under test is the one production scans use.
-        TimestampArena arena(c.width, c.rows);
-        for (std::size_t i = 0; i < c.rows; ++i) {
-            arena.allocate(
-                std::span<const std::uint64_t>{c.slab.data() + i * c.width,
-                                               c.width});
-        }
-        const SoaStripes stripes(arena);
-        ASSERT_EQ(stripes.rows(), c.rows);
-
-        std::vector<std::uint8_t> row_major(c.rows, 0xAA);
-        std::vector<std::uint8_t> stripe_scalar(c.rows, 0x55);
-        std::vector<std::uint8_t> stripe_vec(c.rows, 0x11);
-
-        simd::leq_many_scalar(c.slab.data(), c.rows, c.width,
-                              c.probe.data(), row_major.data());
-        simd::leq_many_stripes_scalar(stripes.stripes().data(), c.rows,
-                                      c.width, c.probe.data(),
-                                      stripe_scalar.data());
-        simd::leq_many_stripes_avx2(stripes.stripes().data(), c.rows,
-                                    c.width, c.probe.data(),
-                                    stripe_vec.data());
-        ASSERT_EQ(row_major, stripe_scalar)
-            << "leq seed " << seed << " width " << c.width;
-        ASSERT_EQ(stripe_scalar, stripe_vec)
-            << "leq seed " << seed << " width " << c.width;
-
-        simd::relate_many_scalar(c.slab.data(), c.rows, c.width,
-                                 c.probe.data(), row_major.data());
-        simd::relate_many_stripes_scalar(stripes.stripes().data(), c.rows,
-                                         c.width, c.probe.data(),
-                                         stripe_scalar.data());
-        simd::relate_many_stripes_avx2(stripes.stripes().data(), c.rows,
-                                       c.width, c.probe.data(),
-                                       stripe_vec.data());
-        ASSERT_EQ(row_major, stripe_scalar)
-            << "relate seed " << seed << " width " << c.width;
-        ASSERT_EQ(stripe_scalar, stripe_vec)
-            << "relate seed " << seed << " width " << c.width;
-    }
-}
-
 TEST(SimdDifferential, DispatchedArenaKernelsMatchScalarBackend) {
     // The public arena entry points pick a backend at runtime; whatever
     // they picked must agree with the scalar reference on this host.
@@ -204,48 +156,6 @@ TEST(SimdDifferential, DispatchedArenaKernelsMatchScalarBackend) {
         for (std::size_t i = 0; i < want_doms.size(); ++i) {
             ASSERT_EQ(got_doms[i], want_doms[i]) << "seed " << seed;
         }
-
-        const SoaStripes stripes(arena);
-        stripes.leq_many(c.probe, got);
-        simd::leq_many_stripes_scalar(stripes.stripes().data(), c.rows,
-                                      c.width, c.probe.data(), want.data());
-        ASSERT_EQ(got, want) << "stripes leq seed " << seed;
-        stripes.relate_many(c.probe, got);
-        simd::relate_many_stripes_scalar(stripes.stripes().data(), c.rows,
-                                         c.width, c.probe.data(),
-                                         want.data());
-        ASSERT_EQ(got, want) << "stripes relate seed " << seed;
-        const std::vector<TsHandle> stripe_doms =
-            stripes.dominators_of(c.probe);
-        ASSERT_EQ(stripe_doms, got_doms) << "stripes dominators seed "
-                                         << seed;
-    }
-}
-
-TEST(SimdDifferential, PartialStripePadLanesAreInert) {
-    // Rows not divisible by kSoaLane leave pad lanes in the last stripe;
-    // the scans must neither read garbage from them (they are zeroed)
-    // nor write outputs past `rows`.
-    for (std::size_t rows = 1; rows <= 2 * kSoaLane + 1; ++rows) {
-        Case c = make_case(900 + rows);
-        c.rows = rows;
-        c.slab.assign(rows * c.width, 1);
-        TimestampArena arena(c.width, rows);
-        for (std::size_t i = 0; i < rows; ++i) {
-            arena.allocate(
-                std::span<const std::uint64_t>{c.slab.data() + i * c.width,
-                                               c.width});
-        }
-        const SoaStripes stripes(arena);
-        // Zero probe ≤ every all-ones row; the canary byte after the
-        // output range must survive.
-        const std::vector<std::uint64_t> probe(c.width, 0);
-        std::vector<std::uint8_t> out(rows + 1, 0x7F);
-        stripes.leq_many(probe, {out.data(), rows});
-        for (std::size_t i = 0; i < rows; ++i) {
-            ASSERT_EQ(out[i], 1) << "rows " << rows << " i " << i;
-        }
-        ASSERT_EQ(out[rows], 0x7F) << "canary clobbered at rows " << rows;
     }
 }
 

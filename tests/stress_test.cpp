@@ -29,8 +29,9 @@ TEST(Stress, MailboxManySendersManyReceivers) {
         threads.emplace_back([&] {
             for (;;) {
                 try {
-                    Mailbox::Accepted accepted = box.accept(std::nullopt);
-                    accepted.complete(VectorTimestamp(1), 1);
+                    Mailbox::Accepted accepted = *box.accept(std::nullopt);
+                    accepted.ack()[0] = accepted.piggyback()[0] + 1;
+                    accepted.complete(1);
                     consumed.fetch_add(1);
                 } catch (const MailboxClosed&) {
                     return;
@@ -41,10 +42,14 @@ TEST(Stress, MailboxManySendersManyReceivers) {
     std::vector<std::thread> senders;
     for (int s = 0; s < kSenders; ++s) {
         senders.emplace_back([&, s] {
+            std::vector<std::uint64_t> vector(1, 0);
+            std::vector<std::uint64_t> ack(1);
             for (int i = 0; i < kPerSender; ++i) {
-                box.offer_and_wait(static_cast<ProcessId>(s), "x",
-                                   VectorTimestamp(1));
+                box.offer_and_wait(static_cast<ProcessId>(s), "x", vector,
+                                   ack);
+                vector[0] = ack[0];
             }
+            EXPECT_EQ(vector[0], static_cast<std::uint64_t>(kPerSender));
         });
     }
     for (auto& t : senders) t.join();

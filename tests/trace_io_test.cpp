@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "clocks/online_clock.hpp"
 #include "core/causality.hpp"
@@ -91,6 +92,12 @@ TEST(TraceIo, RejectsMalformedInput) {
     // std::stoull alone would read -1 as 2^64 - 1 processes.
     EXPECT_THROW(parse_computation("syncts-trace 1\nprocesses -1\nedges 0\n"
                                    "events 0\n"),
+                 std::invalid_argument);
+    // One process above the reader bound: rejected before any
+    // per-process state is sized from the declared count.
+    EXPECT_THROW(parse_computation("syncts-trace 1\nprocesses " +
+                                   std::to_string(kMaxDeclaredProcesses + 1) +
+                                   "\nedges 0\nevents 0\n"),
                  std::invalid_argument);
     // Message on a non-edge.
     EXPECT_THROW(parse_computation("syncts-trace 1\nprocesses 3\nedges 1\n"
