@@ -51,16 +51,11 @@ void OnlineProcessClock::restore_from(std::span<const std::uint64_t> state) {
     ts::copy(vector_.mutable_components(), state);
 }
 
-void OnlineProcessClock::merge_and_increment(
-    ProcessId peer, std::span<const std::uint64_t> remote) {
+GroupId OnlineProcessClock::group_with(ProcessId peer) const {
     SYNCTS_REQUIRE(peer < group_by_peer_.size() &&
                        group_by_peer_[peer] != kNoGroup,
                    "no channel between these processes in the topology");
-    SYNCTS_REQUIRE(remote.size() == vector_.width(),
-                   "cannot join timestamps of different widths");
-    const std::span<std::uint64_t> mine = vector_.mutable_components();
-    ts::join(mine, remote);
-    ts::increment(mine, group_by_peer_[peer]);
+    return group_by_peer_[peer];
 }
 
 void OnlineProcessClock::prepare_send_into(
@@ -76,11 +71,13 @@ void OnlineProcessClock::on_receive_into(
     SYNCTS_REQUIRE(ack_out.size() == vector_.width() &&
                        stamp_out.size() == vector_.width(),
                    "output span width does not match the clock width");
+    const GroupId group = group_with(sender);
+    SYNCTS_REQUIRE(piggybacked.size() == vector_.width(),
+                   "cannot join timestamps of different widths");
     // Line (04): the acknowledgement carries the local vector before the
     // merge — the sender performs the same merge with it.
-    ts::copy(ack_out, vector_.components());
-    merge_and_increment(sender, piggybacked);
-    ts::copy(stamp_out, vector_.components());
+    ts::rendezvous_side(vector_.mutable_components(), piggybacked, group,
+                        ack_out, stamp_out);
 }
 
 void OnlineProcessClock::on_ack_into(
@@ -88,17 +85,16 @@ void OnlineProcessClock::on_ack_into(
     std::span<std::uint64_t> stamp_out) {
     SYNCTS_REQUIRE(stamp_out.size() == vector_.width(),
                    "output span width does not match the clock width");
-    merge_and_increment(receiver, acknowledgement);
-    ts::copy(stamp_out, vector_.components());
+    const GroupId group = group_with(receiver);
+    SYNCTS_REQUIRE(acknowledgement.size() == vector_.width(),
+                   "cannot join timestamps of different widths");
+    ts::rendezvous_side(vector_.mutable_components(), acknowledgement, group,
+                        {}, stamp_out);
 }
 
 void OnlineProcessClock::rendezvous_into(OnlineProcessClock& receiver,
                                          std::span<std::uint64_t> out) {
-    const ProcessId peer = receiver.self_;
-    SYNCTS_REQUIRE(peer < group_by_peer_.size() &&
-                       group_by_peer_[peer] != kNoGroup,
-                   "no channel between these processes in the topology");
-    const GroupId group = group_by_peer_[peer];
+    const GroupId group = group_with(receiver.self_);
     SYNCTS_REQUIRE(self_ < receiver.group_by_peer_.size() &&
                        receiver.group_by_peer_[self_] == group,
                    "sender and receiver map the channel to different groups");

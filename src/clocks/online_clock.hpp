@@ -68,18 +68,20 @@ public:
     /// message into `out` (width() words).
     void prepare_send_into(std::span<std::uint64_t> out) const;
 
-    /// Fig. 5 lines (03)-(07), receiver side: writes the acknowledgement
-    /// vector (the local vector *before* the merge) into `ack_out`, then
-    /// merges the piggybacked vector, increments the channel group, and
-    /// writes the message timestamp into `stamp_out`.
+    /// Fig. 5 lines (03)-(07), receiver side, in one pass over d words:
+    /// writes the acknowledgement vector (the local vector *before* the
+    /// merge) into `ack_out`, merges the piggybacked vector, increments
+    /// the channel group, and writes the message timestamp into
+    /// `stamp_out`. Every check runs before any write, so a rejected call
+    /// changes neither the clock nor either output.
     void on_receive_into(ProcessId sender,
                          std::span<const std::uint64_t> piggybacked,
                          std::span<std::uint64_t> ack_out,
                          std::span<std::uint64_t> stamp_out);
 
-    /// Fig. 5 lines (08)-(11), sender side: merges the acknowledgement,
-    /// increments, and writes the (identical) message timestamp into
-    /// `stamp_out`.
+    /// Fig. 5 lines (08)-(11), sender side, in one pass: merges the
+    /// acknowledgement, increments, and writes the (identical) message
+    /// timestamp into `stamp_out`. A rejected call changes nothing.
     void on_ack_into(ProcessId receiver,
                      std::span<const std::uint64_t> acknowledgement,
                      std::span<std::uint64_t> stamp_out);
@@ -98,8 +100,9 @@ public:
     const VectorTimestamp& current() const noexcept { return vector_; }
 
 private:
-    void merge_and_increment(ProcessId peer,
-                             std::span<const std::uint64_t> remote);
+    /// Edge group of channel (self, peer); rejects a peer with no
+    /// channel.
+    GroupId group_with(ProcessId peer) const;
 
     ProcessId self_;
     std::shared_ptr<const EdgeDecomposition> decomposition_;

@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "common/timestamp_arena.hpp"
-
 namespace syncts {
 
 // ---- SlabPool --------------------------------------------------------
@@ -76,90 +74,6 @@ void SlabPool::attach_metrics(obs::MetricsRegistry& registry,
     metric_reuses_->inc(reuses_);
     metric_releases_->inc(releases_);
     note_footprint();
-}
-
-// ---- RegionStore -----------------------------------------------------
-
-RegionStore::~RegionStore() = default;
-
-TimestampArena& RegionStore::open(EpochId epoch, std::size_t width,
-                                  std::size_t reserve_slots) {
-    SYNCTS_REQUIRE(!live(epoch), "region already live for this epoch");
-    Region region;
-    region.arena = std::make_unique<TimestampArena>(width, reserve_slots,
-                                                    pool_);
-    auto [it, inserted] = regions_.emplace(epoch, std::move(region));
-    SYNCTS_ENSURE(inserted, "region map insert failed");
-    if (metric_opens_ != nullptr) metric_opens_->inc();
-    if (metric_live_ != nullptr) {
-        metric_live_->set(static_cast<std::int64_t>(regions_.size()));
-    }
-    return *it->second.arena;
-}
-
-TimestampArena& RegionStore::arena(EpochId epoch) {
-    const auto it = regions_.find(epoch);
-    if (it == regions_.end()) throw RegionError(epoch);
-    return *it->second.arena;
-}
-
-const TimestampArena& RegionStore::arena(EpochId epoch) const {
-    const auto it = regions_.find(epoch);
-    if (it == regions_.end()) throw RegionError(epoch);
-    return *it->second.arena;
-}
-
-std::span<const std::uint64_t> RegionStore::span(RegionHandle h) const {
-    return arena(h.epoch).span(h.index);
-}
-
-std::span<std::uint64_t> RegionStore::span(RegionHandle h) {
-    return arena(h.epoch).span(h.index);
-}
-
-void RegionStore::pin(EpochId epoch) {
-    const auto it = regions_.find(epoch);
-    if (it == regions_.end()) throw RegionError(epoch);
-    ++it->second.pins;
-}
-
-void RegionStore::unpin(EpochId epoch) {
-    const auto it = regions_.find(epoch);
-    if (it == regions_.end()) throw RegionError(epoch);
-    SYNCTS_REQUIRE(it->second.pins > 0, "unpin without a matching pin");
-    --it->second.pins;
-    if (it->second.pins == 0 && it->second.close_deferred) retire(it);
-}
-
-void RegionStore::close(EpochId epoch) {
-    const auto it = regions_.find(epoch);
-    if (it == regions_.end()) throw RegionError(epoch);
-    if (it->second.pins > 0) {
-        it->second.close_deferred = true;
-        if (metric_deferred_ != nullptr) metric_deferred_->inc();
-        return;
-    }
-    retire(it);
-}
-
-void RegionStore::retire(std::map<EpochId, Region>::iterator it) {
-    // The arena destructor returns the slab to the pool wholesale —
-    // O(1), no per-handle work.
-    regions_.erase(it);
-    if (metric_closes_ != nullptr) metric_closes_->inc();
-    if (metric_live_ != nullptr) {
-        metric_live_->set(static_cast<std::int64_t>(regions_.size()));
-    }
-}
-
-void RegionStore::attach_metrics(obs::MetricsRegistry& registry,
-                                 std::string_view prefix) {
-    const std::string p(prefix);
-    metric_opens_ = &registry.counter(p + "_opens");
-    metric_closes_ = &registry.counter(p + "_closes");
-    metric_deferred_ = &registry.counter(p + "_deferred_closes");
-    metric_live_ = &registry.gauge(p + "_live");
-    metric_live_->set(static_cast<std::int64_t>(regions_.size()));
 }
 
 }  // namespace syncts

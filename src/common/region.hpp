@@ -3,46 +3,29 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/ids.hpp"
 #include "obs/metrics.hpp"
 
 /// \file region.hpp
-/// Epoch-scoped region memory for timestamp slabs (docs/MEMORY.md).
+/// Recycled slab memory for scoped arenas and buffers (docs/MEMORY.md).
 ///
-/// Long-lived multi-epoch servers retire whole epochs at once: every
-/// timestamp allocated during epoch e becomes reclaimable together, the
-/// moment the Drummond–Barbosa-style stability frontier shows epoch e is
-/// durable everywhere. That calls for region allocation, not per-object
-/// frees — a `Region` is the epoch's arena backed by slabs leased from a
-/// `SlabPool`, and closing the region returns every slab in O(1), no
-/// per-handle bookkeeping.
-///
-/// Three layers:
+/// Scoped storage — an epoch-scoped arena, a batch frame's scratch, a
+/// stamp window — is given back whole, so it is served from recycled
+/// slabs rather than freed object by object:
 ///  - `Slab` / `SlabPool`: power-of-two size-classed recycling of raw
-///    std::uint64_t chunks. Steady state across epoch churn performs zero
-///    heap allocations: epoch e+1's arena is served from epoch e−k's
-///    returned slabs.
+///    std::uint64_t chunks. Steady state across scope churn performs zero
+///    heap allocations: scope e+1 is served from scope e−k's returned
+///    slabs.
 ///  - `TimestampArena` (timestamp_arena.hpp) optionally draws its slab
 ///    from a pool instead of the heap; its destructor gives the slab
 ///    back.
-///  - `RegionStore`: the epoch → region map. Handles become
-///    `RegionHandle{epoch, index}` pairs validated against live regions,
-///    so a read against a retired epoch is a typed `RegionError`, never a
-///    dangling span. `pin()`/`unpin()` let crash recovery and analysis
-///    hold a region open past its stability point; `close()` on a pinned
-///    region is deferred until the last unpin.
 
 namespace syncts {
-
-class TimestampArena;
 
 /// Typed error for timestamp-handle-space exhaustion: the arena cannot
 /// grow past `max_slots` (at most 2^32−1, the 32-bit handle space).
@@ -65,21 +48,6 @@ public:
 private:
     std::size_t requested_slots_;
     std::size_t max_slots_;
-};
-
-/// Typed error for touching a region that is not live (never opened, or
-/// already retired to the pool).
-class RegionError : public std::logic_error {
-public:
-    explicit RegionError(EpochId epoch)
-        : std::logic_error("region for epoch " + std::to_string(epoch) +
-                           " is not live"),
-          epoch_(epoch) {}
-
-    EpochId epoch() const noexcept { return epoch_; }
-
-private:
-    EpochId epoch_;
 };
 
 /// A raw chunk of std::uint64_t words. Move-only; ownership passes
@@ -160,97 +128,6 @@ private:
     obs::Gauge* metric_cached_bytes_ = nullptr;
     obs::Gauge* metric_leased_bytes_ = nullptr;
     obs::Gauge* metric_peak_bytes_ = nullptr;
-};
-
-/// A timestamp handle qualified by the epoch whose region owns the slot.
-/// The pair form makes retired-region reads detectable: RegionStore
-/// validates the epoch against its live map before producing a span.
-struct RegionHandle {
-    EpochId epoch = 0;
-    std::uint32_t index = 0;
-
-    friend bool operator==(RegionHandle a, RegionHandle b) noexcept {
-        return a.epoch == b.epoch && a.index == b.index;
-    }
-};
-
-/// The epoch → region map: one pool-backed TimestampArena per live
-/// epoch, retired wholesale.
-class RegionStore {
-public:
-    /// The pool must outlive the store (closed regions return their
-    /// slabs to it).
-    explicit RegionStore(SlabPool& pool) : pool_(&pool) {}
-
-    RegionStore(const RegionStore&) = delete;
-    RegionStore& operator=(const RegionStore&) = delete;
-
-    /// Out of line: TimestampArena is incomplete here.
-    ~RegionStore();
-
-    /// Opens epoch `epoch`'s region with an arena of `width`-component
-    /// timestamps, pre-reserving `reserve_slots` slots from the pool.
-    /// The epoch must not already be live.
-    TimestampArena& open(EpochId epoch, std::size_t width,
-                         std::size_t reserve_slots = 0);
-
-    bool live(EpochId epoch) const noexcept {
-        return regions_.find(epoch) != regions_.end();
-    }
-
-    /// The live region's arena; throws RegionError when retired/unknown.
-    TimestampArena& arena(EpochId epoch);
-    const TimestampArena& arena(EpochId epoch) const;
-
-    /// Validated component view of the slot behind `h` — the {epoch,
-    /// index} pair is checked against the live map first.
-    std::span<const std::uint64_t> span(RegionHandle h) const;
-    std::span<std::uint64_t> span(RegionHandle h);
-
-    /// Holds the region open past close(): recovery replay and analysis
-    /// pin the epochs they read so stability-driven retirement cannot
-    /// pull the slab out from under them.
-    void pin(EpochId epoch);
-
-    /// Drops one pin; executes a deferred close() when the last pin on a
-    /// closing region is released.
-    void unpin(EpochId epoch);
-
-    /// Retires the region: every slab returns to the pool in O(1). On a
-    /// pinned region the close is deferred to the last unpin. Unknown
-    /// epochs throw RegionError.
-    void close(EpochId epoch);
-
-    /// Lowest live epoch; `fallback` when no region is live.
-    EpochId frontier(EpochId fallback = 0) const noexcept {
-        return regions_.empty() ? fallback : regions_.begin()->first;
-    }
-
-    std::size_t live_regions() const noexcept { return regions_.size(); }
-
-    SlabPool& pool() noexcept { return *pool_; }
-
-    /// Registers `<prefix>_opens/_closes/_deferred_closes` counters and
-    /// a `<prefix>_live` gauge.
-    void attach_metrics(obs::MetricsRegistry& registry,
-                        std::string_view prefix = "region");
-
-private:
-    struct Region {
-        std::unique_ptr<TimestampArena> arena;
-        std::uint32_t pins = 0;
-        bool close_deferred = false;
-    };
-
-    void retire(std::map<EpochId, Region>::iterator it);
-
-    SlabPool* pool_;
-    /// Ordered so frontier() is the first key.
-    std::map<EpochId, Region> regions_;
-    obs::Counter* metric_opens_ = nullptr;
-    obs::Counter* metric_closes_ = nullptr;
-    obs::Counter* metric_deferred_ = nullptr;
-    obs::Gauge* metric_live_ = nullptr;
 };
 
 }  // namespace syncts

@@ -311,8 +311,8 @@ private:
 };
 
 /// Typed error for a read of a stamp the window has already retired (or
-/// not yet produced) — the streaming analogue of RegionError: a stale
-/// logical id is an operational condition, never a dangling span.
+/// not yet produced): a stale logical id is an operational condition,
+/// never a dangling span.
 class RetiredStampError : public std::out_of_range {
 public:
     RetiredStampError(std::uint64_t id, std::uint64_t frontier,

@@ -100,6 +100,66 @@ inline void rendezvous(std::span<std::uint64_t> a, std::span<std::uint64_t> b,
     ++out[g];
 }
 
+namespace detail {
+
+template <bool kWriteAck>
+inline void rendezvous_side(std::span<std::uint64_t> mine,
+                            std::span<const std::uint64_t> remote,
+                            std::size_t g, std::span<std::uint64_t> ack,
+                            std::span<std::uint64_t> out) noexcept {
+    const std::size_t n = mine.size();
+    std::size_t k = 0;
+    for (; k + kUnroll <= n; k += kUnroll) {
+        // Loads first, as in rendezvous(): the ACK takes the pre-merge
+        // lanes, and no store waits on possible aliasing.
+        const std::uint64_t a0 = mine[k];
+        const std::uint64_t a1 = mine[k + 1];
+        const std::uint64_t a2 = mine[k + 2];
+        const std::uint64_t a3 = mine[k + 3];
+        const std::uint64_t m0 = a0 > remote[k] ? a0 : remote[k];
+        const std::uint64_t m1 = a1 > remote[k + 1] ? a1 : remote[k + 1];
+        const std::uint64_t m2 = a2 > remote[k + 2] ? a2 : remote[k + 2];
+        const std::uint64_t m3 = a3 > remote[k + 3] ? a3 : remote[k + 3];
+        if constexpr (kWriteAck) {
+            ack[k] = a0;
+            ack[k + 1] = a1;
+            ack[k + 2] = a2;
+            ack[k + 3] = a3;
+        }
+        mine[k] = out[k] = m0;
+        mine[k + 1] = out[k + 1] = m1;
+        mine[k + 2] = out[k + 2] = m2;
+        mine[k + 3] = out[k + 3] = m3;
+    }
+    for (; k < n; ++k) {
+        const std::uint64_t a = mine[k];
+        const std::uint64_t m = a > remote[k] ? a : remote[k];
+        if constexpr (kWriteAck) ack[k] = a;
+        mine[k] = out[k] = m;
+    }
+    ++mine[g];
+    ++out[g];
+}
+
+}  // namespace detail
+
+/// One side of a Fig. 5 rendezvous on channel group g in one pass: an
+/// `ack` of the common width first receives the pre-merge vector (line
+/// (04)); an empty `ack` is skipped. Then mine = out = max(mine, remote)
+/// + e_g — lines (05)-(06) at the receiver, (09)-(10) at the sender.
+/// Bit-identical to copy(ack, mine); join(mine, remote); increment(mine,
+/// g); copy(out, mine). `mine` and `out` are disjoint.
+inline void rendezvous_side(std::span<std::uint64_t> mine,
+                            std::span<const std::uint64_t> remote,
+                            std::size_t g, std::span<std::uint64_t> ack,
+                            std::span<std::uint64_t> out) noexcept {
+    if (ack.empty()) {
+        detail::rendezvous_side<false>(mine, remote, g, ack, out);
+    } else {
+        detail::rendezvous_side<true>(mine, remote, g, ack, out);
+    }
+}
+
 inline bool equal(std::span<const std::uint64_t> u,
                   std::span<const std::uint64_t> v) noexcept {
     const std::size_t n = u.size();

@@ -11,7 +11,6 @@
 
 #include "clocks/wire.hpp"
 #include "common/check.hpp"
-#include "common/region.hpp"
 #include "common/timestamp_arena.hpp"
 #include "common/ts_kernels.hpp"
 #include "obs/flight_recorder.hpp"
@@ -188,8 +187,9 @@ struct Engine {
     /// Incoming-channel state by sender.
     std::unordered_map<ProcessId, InChannel> in;
     /// Width-d scratch for the span protocol hooks: decoded inbound
-    /// stamp, outbound acknowledgement, committed timestamp. Resized at
-    /// each epoch barrier so the per-packet path allocates nothing.
+    /// stamp, outbound acknowledgement, and the stamp a recommit or an
+    /// ACK computes to check against the committed one. Resized at each
+    /// epoch barrier so the per-packet path allocates nothing.
     std::vector<std::uint64_t> rx_stamp;
     std::vector<std::uint64_t> ack_scratch;
     std::vector<std::uint64_t> stamp_scratch;
@@ -247,21 +247,22 @@ struct TxProc {
 };
 
 /// Per-epoch accumulation: the realized computation, the committed
-/// stamps (slot = realized-message index, held by the epoch's region),
-/// and the script-id mapping. Created lazily at the epoch's first
-/// commit and destroyed when the stability frontier passes the epoch —
-/// the stamps are materialized into the result and the region's slab
-/// returns to the pool wholesale (docs/MEMORY.md).
+/// stamps (slot = realized-message index) and the script-id mapping.
+/// Created lazily at the epoch's first commit; once the stability
+/// frontier passes the epoch, all three move into the run's result
+/// (docs/MEMORY.md). The receiver's clock hook writes each first-commit
+/// stamp straight into its slot, so a stamp is written once.
 struct SegmentState {
     SyncComputation computation;
-    /// The epoch's region arena, owned by the run's RegionStore; cached
-    /// here so the commit hot path skips the epoch → region lookup.
-    TimestampArena* arena = nullptr;
+    /// Reserved to the script's size, so a commit never moves a slot.
+    std::vector<VectorTimestamp> stamps;
     std::vector<TsHandle> handle_by_script;
     std::vector<MessageId> script_message;
 
     SegmentState(const Graph& graph, std::size_t messages)
-        : computation(graph), handle_by_script(messages, kNoTimestamp) {}
+        : computation(graph), handle_by_script(messages, kNoTimestamp) {
+        stamps.reserve(messages);
+    }
 };
 
 /// Backoff doubles per attempt, capped at base_rto << kMaxBackoffExponent.
@@ -381,10 +382,8 @@ private:
     std::vector<Engine> engines_;
     std::vector<DurableStore> stores_;
 
-    // Epoch-region memory (docs/MEMORY.md): every epoch's committed
-    // stamps live in a region drawn from one slab pool.
+    // Recycled scratch for the TX queues' batch frames (docs/MEMORY.md).
     SlabPool pool_;
-    RegionStore regions_{pool_};
 
     std::optional<BandwidthScheduler> bsched_;
     std::vector<TxProc> tx_;
@@ -394,11 +393,9 @@ private:
     // it until its rejoin fast-forwards.
     EpochId current_epoch_ = 0;
 
-    // Segments are created lazily (a message-free epoch never opens a
-    // region) and retired eagerly: once the stability frontier passes an
-    // epoch, its results are materialized and its region's slabs return
-    // to the pool, so a 1000-epoch run holds O(live width) arena bytes,
-    // not O(epochs).
+    // Segments are created lazily (a message-free epoch never builds
+    // one) and retired eagerly: once the stability frontier passes an
+    // epoch, its segment moves into the result.
     std::vector<std::unique_ptr<SegmentState>> segments_;
 
     // Drummond–Barbosa stability frontier: the lowest epoch any process
@@ -406,11 +403,11 @@ private:
     // durable-snapshot epoch across processes — a crashed process
     // restarts from its snapshot and re-executes forward, and every
     // recommit verifies bit-identity against the original stamp, so
-    // regions at or above a durable epoch must stay live. Without
+    // segments at or above a durable epoch must stay unretired. Without
     // recovery nothing ever rewinds and the frontier is the barrier
-    // epoch itself. Each process holds a region pin on its durable
-    // epoch as defense in depth: were the frontier arithmetic ever
-    // wrong, close() would defer instead of dangling a replay read.
+    // epoch itself. segment_for() rejects a retired epoch as defense in
+    // depth: were the frontier arithmetic ever wrong, the run fails
+    // loudly instead of recommitting against a moved-out segment.
     std::vector<EpochId> durable_epoch_;
 
     std::vector<EpochSegmentResult> flushed_;
@@ -678,23 +675,21 @@ private:
     // ---- Epoch segments and engines -------------------------------------
 
     SegmentState& segment_for(EpochId e) {
+        SYNCTS_ENSURE(e >= flushed_below_,
+                      "a retired epoch's segment was touched");
         std::unique_ptr<SegmentState>& slot = segments_[e];
         if (slot == nullptr) {
-            const Epoch& epoch = topology_.epoch(e);
-            slot = std::make_unique<SegmentState>(epoch.graph(),
+            slot = std::make_unique<SegmentState>(topology_.epoch(e).graph(),
                                                   scripts_[e].num_messages());
-            slot->arena = &regions_.open(e, epoch.width(),
-                                         scripts_[e].num_messages());
         }
         return *slot;
     }
 
-    /// Materializes epoch `e`'s results and retires its region — every
-    /// slab returns to the pool in O(1). Only called once the frontier
-    /// has passed `e`, so no engine, late frame, or recovery replay can
-    /// touch the segment again (the region analogue of WAL truncation
-    /// at a snapshot: both discard exactly the state no surviving
-    /// rewind can reach).
+    /// Moves epoch `e`'s segment into the result. Only called once the
+    /// frontier has passed `e`, so no engine, late frame, or recovery
+    /// replay can touch the segment again (the analogue of WAL
+    /// truncation at a snapshot: both let go of exactly the state no
+    /// surviving rewind can reach).
     void flush_segment(EpochId e) {
         if (segments_[e] == nullptr) {
             // Never touched: only legal for a message-free epoch.
@@ -708,16 +703,10 @@ private:
         SYNCTS_ENSURE(segment.computation.num_messages() ==
                           scripts_[e].num_messages(),
                       "epoch flushed with unrealized messages");
-        std::vector<VectorTimestamp> stamps;
-        stamps.reserve(segment.arena->size());
-        for (std::size_t i = 0; i < segment.arena->size(); ++i) {
-            stamps.emplace_back(segment.arena->span(static_cast<TsHandle>(i)));
-        }
         flushed_.push_back(EpochSegmentResult{
-            e, std::move(segment.computation), std::move(stamps),
+            e, std::move(segment.computation), std::move(segment.stamps),
             std::move(segment.script_message)});
         segments_[e].reset();
-        regions_.close(e);
     }
 
     /// Retires every epoch the stability frontier has passed.
@@ -840,9 +829,9 @@ private:
     /// Checkpoint: flush the WAL (a snapshot is a flush point), write the
     /// snapshot, then truncate the log prefix it folded in — the
     /// Drummond–Barbosa stability rule, which bounds log growth. The
-    /// region side mirrors it exactly: the process's durable epoch
-    /// advances, its region pin moves with it, and every epoch the
-    /// frontier has now passed is retired to the pool.
+    /// segments mirror it exactly: the process's durable epoch advances,
+    /// and every epoch the frontier has now passed moves into the
+    /// result.
     void take_snapshot(ProcessId p) {
         if (!recovery_active_) return;
         Engine& engine = engines_[p];
@@ -861,15 +850,10 @@ private:
             snapshot_bytes_hist_->record(store.snapshot.size());
         }
         if (durable_epoch_[p] != engine.epoch) {
-            // This snapshot is now the process's rewind floor: pin its
-            // epoch's region (a crash replays into it and recommits
-            // verify against the original stamps), release the previous
-            // floor, and retire whatever became stable.
-            segment_for(engine.epoch);
-            regions_.pin(engine.epoch);
-            if (durable_epoch_[p] != kNoDurableEpoch) {
-                regions_.unpin(durable_epoch_[p]);
-            }
+            // This snapshot is now the process's rewind floor: a crash
+            // replays into its epoch and recommits verify against the
+            // original stamps, so the frontier holds that segment back.
+            // Retire whatever became stable.
             durable_epoch_[p] = engine.epoch;
             retire_stable(current_epoch_);
         }
@@ -1117,38 +1101,38 @@ private:
         channel.pending.reset();
         SYNCTS_ENSURE(req.message == mid,
                       "REQ does not match the scripted receive");
-        engine.clock->on_receive_into(sender, req.stamp, engine.ack_scratch,
-                                      engine.stamp_scratch);
         // Commit: the rendezvous instant, exactly once per sequence —
-        // duplicates never reach this line. A restarted process
-        // re-executing a commit it lost must reproduce the original stamp
-        // exactly; the realized computation keeps the first commit's
-        // record.
+        // duplicates never reach this line. A first commit's stamp goes
+        // straight into its result slot. A restarted process re-executing
+        // a commit it lost must reproduce the original stamp exactly; the
+        // realized computation keeps the first commit's record.
+        SegmentState& segment = segment_for(engine.epoch);
+        TsHandle& handle = segment.handle_by_script[mid];
+        const bool first_commit = handle == kNoTimestamp;
+        const std::span<std::uint64_t> stamp =
+            first_commit
+                ? segment.stamps.emplace_back(engine.clock->width())
+                      .mutable_components()
+                : std::span<std::uint64_t>(engine.stamp_scratch);
+        engine.clock->on_receive_into(sender, req.stamp, engine.ack_scratch,
+                                      stamp);
         channel.last_committed = req.sequence;
         channel.replay_attempts = 0;  // the watchdog saw progress
         encode_epoch_frame_into(engine.epoch, req.sequence, mid,
                                 engine.ack_scratch, engine.ack_bytes);
-        SegmentState& segment = segment_for(engine.epoch);
-        TsHandle& handle = segment.handle_by_script[mid];
-        if (handle == kNoTimestamp) {
+        if (first_commit) {
             ++tally_.commits;
             segment.computation.add_message(sender, p);
             segment.script_message.push_back(mid);
-            handle = segment.arena->allocate(engine.stamp_scratch);
+            handle = static_cast<TsHandle>(segment.stamps.size() - 1);
         } else {
-            // A replayed commit validates against the original stamp
-            // through the region store: the {epoch, index} read throws a
-            // typed RegionError rather than returning a dangling span if
-            // stability-driven retirement were ever wrong about this
-            // epoch.
-            SYNCTS_ENSURE(ts::equal(engine.stamp_scratch,
-                                    regions_.span(RegionHandle{engine.epoch,
-                                                               handle})),
-                          "recovered replay diverged from the original commit");
+            SYNCTS_ENSURE(
+                ts::equal(stamp, segment.stamps[handle].components()),
+                "recovered replay diverged from the original commit");
             ++tally_.recommits;
         }
         trace(obs::TraceEventKind::commit, now, p, sender, req.sequence, mid,
-              logical_total(engine.stamp_scratch));
+              logical_total(stamp));
         channel.ack_window.put(req.sequence, engine.ack_bytes);
         if (recovery_active_) {
             // Canonical re-encoding of the REQ — byte-identical to the
@@ -1379,10 +1363,10 @@ private:
             stores_[p].snapshot, stores_[p].wal,
             [this](EpochId e) { return topology_.decomposition(e); });
         ProcessState& state = outcome.state;
-        // The snapshot's epoch is the rewind floor the durable pin has
-        // been holding since the snapshot was taken; replay can only
-        // have moved the live epoch forward from it, so every region
-        // the re-execution will touch is still live.
+        // The snapshot's epoch is the rewind floor that has held the
+        // stability frontier back since the snapshot was taken; replay
+        // can only have moved the live epoch forward from it, so every
+        // segment the re-execution will touch is still unretired.
         SYNCTS_ENSURE(durable_epoch_[p] == outcome.stable_epoch,
                       "recovered snapshot epoch disagrees with the durable "
                       "frontier");
@@ -1711,11 +1695,11 @@ private:
                       "ACK does not match the pending send");
         engine.clock->on_ack_into(packet.source, engine.rx_stamp,
                                   engine.stamp_scratch);
-        SYNCTS_ENSURE(
-            segment.handle_by_script[mid] != kNoTimestamp &&
-                ts::equal(engine.stamp_scratch,
-                          segment.arena->span(segment.handle_by_script[mid])),
-            "sender and receiver disagree on a timestamp");
+        const TsHandle handle = segment.handle_by_script[mid];
+        SYNCTS_ENSURE(handle != kNoTimestamp &&
+                          ts::equal(engine.stamp_scratch,
+                                    segment.stamps[handle].components()),
+                      "sender and receiver disagree on a timestamp");
         trace(obs::TraceEventKind::ack, now, p, packet.source,
               header.sequence, mid, logical_total(engine.stamp_scratch));
         if (rendezvous_hist_ != nullptr) {
@@ -1949,7 +1933,6 @@ ProtocolRun::ProtocolRun(const TopologyManager& topology,
             replay_hist_ = &m.histogram("recover_replay_records");
         }
         pool_.attach_metrics(m);
-        regions_.attach_metrics(m);
     }
     network_.set_uniform_latency(options_.latency_lo, options_.latency_hi);
     network_.set_fault_plan(options_.faults);
@@ -2010,19 +1993,13 @@ ReconfigurableRunResult ProtocolRun::run() {
         }
     }
 
-    // The run finished cleanly, so nothing can rewind anymore: release
-    // every durable pin, then flush whatever the frontier had not yet
-    // retired, in epoch order behind the already-retired prefix.
-    for (EpochId& durable : durable_epoch_) {
-        if (durable != kNoDurableEpoch) regions_.unpin(durable);
-        durable = kNoDurableEpoch;
-    }
+    // The run finished cleanly, so nothing can rewind anymore: flush
+    // whatever the frontier had not yet retired, in epoch order behind
+    // the already-retired prefix.
     while (flushed_below_ < num_epochs_) {
         flush_segment(flushed_below_);
         ++flushed_below_;
     }
-    SYNCTS_ENSURE(regions_.live_regions() == 0,
-                  "run finished with live regions");
     result.segments = std::move(flushed_);
     return result;
 }

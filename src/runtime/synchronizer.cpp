@@ -1,7 +1,7 @@
 #include "runtime/synchronizer.hpp"
 
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 #include "runtime/reconfig_runtime.hpp"
@@ -16,13 +16,13 @@ SynchronizerResult run_rendezvous_protocol(
     SYNCTS_REQUIRE(decomposition->graph().num_vertices() ==
                        script.num_processes(),
                    "script and decomposition disagree on process count");
-    // One-epoch topology around the caller's decomposition; the
-    // reconfigurable driver at epoch 0 speaks the v1 wire layout and
-    // replays the script exactly as the pre-epoch synchronizer did.
-    TopologyManager topology((EdgeDecomposition(*decomposition)));
-    const std::vector<SyncComputation> scripts{script};
-    ReconfigurableRunResult multi =
-        run_reconfigurable_protocol(topology, scripts, options);
+    // One-epoch topology sharing the caller's decomposition, and the
+    // caller's script as its one-element span; the reconfigurable
+    // protocol at epoch 0 speaks the v1 wire layout and replays the
+    // script exactly as the pre-epoch synchronizer did.
+    const TopologyManager topology(std::move(decomposition));
+    ReconfigurableRunResult multi = run_reconfigurable_protocol(
+        topology, std::span<const SyncComputation>(&script, 1), options);
     SYNCTS_ENSURE(multi.segments.size() == 1,
                   "single-epoch run produced multiple segments");
     EpochSegmentResult& segment = multi.segments.front();

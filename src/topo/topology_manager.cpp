@@ -70,11 +70,16 @@ Graph copy_graph_with(const Graph& g, std::size_t extra_vertices,
 TopologyManager::TopologyManager(Graph initial)
     : TopologyManager(default_decomposition(initial)) {}
 
-TopologyManager::TopologyManager(EdgeDecomposition initial) {
-    SYNCTS_REQUIRE(initial.complete(),
+TopologyManager::TopologyManager(EdgeDecomposition initial)
+    : TopologyManager(
+          std::make_shared<const EdgeDecomposition>(std::move(initial))) {}
+
+TopologyManager::TopologyManager(
+    std::shared_ptr<const EdgeDecomposition> initial) {
+    SYNCTS_REQUIRE(initial != nullptr, "decomposition must be set");
+    SYNCTS_REQUIRE(initial->complete(),
                    "epoch 0 needs a complete decomposition");
-    epochs_.push_back(Epoch{
-        0, std::make_shared<const EdgeDecomposition>(std::move(initial))});
+    epochs_.push_back(Epoch{0, std::move(initial)});
 }
 
 const Epoch& TopologyManager::epoch(EpochId id) const {

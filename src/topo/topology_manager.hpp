@@ -38,6 +38,11 @@ public:
     /// cover decomposer, or one read back by decomp_io).
     explicit TopologyManager(EdgeDecomposition initial);
 
+    /// Epoch 0 = a caller's shared complete decomposition, held without
+    /// a copy (it is immutable, like every epoch's).
+    explicit TopologyManager(
+        std::shared_ptr<const EdgeDecomposition> initial);
+
     std::size_t num_epochs() const noexcept { return epochs_.size(); }
     EpochId current_epoch_id() const noexcept {
         return epochs_.back().id;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -20,9 +21,9 @@
 // ---- Counting allocator -----------------------------------------------
 // Global operator new/delete replacements let the steady-state tests
 // assert "zero heap allocations" directly instead of inferring it from
-// capacity bookkeeping, and the footprint tests read live heap bytes.
-// Every block carries its size in a header, so the live count does not
-// depend on sized delete being called.
+// capacity bookkeeping, and the footprint tests read live heap bytes and
+// their high-water mark. Every block carries its size in a header, so the
+// live count does not depend on sized delete being called.
 //
 // GCC pairs the replacement operator new (which delegates to malloc) with
 // the free() in the replacement delete and reports a mismatched-new-delete
@@ -36,6 +37,7 @@ namespace {
 
 std::atomic<std::size_t> g_allocations{0};
 std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_live_bytes{0};
 
 constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
 
@@ -44,7 +46,11 @@ void* counted_new(std::size_t size) {
     void* const base = std::malloc(kSizeHeader + size);
     if (base == nullptr) throw std::bad_alloc();
     *static_cast<std::size_t*>(base) = size;
-    g_live_bytes += size;
+    const std::size_t live = g_live_bytes += size;
+    std::size_t peak = g_peak_live_bytes.load();
+    while (live > peak &&
+           !g_peak_live_bytes.compare_exchange_weak(peak, live)) {
+    }
     return static_cast<char*>(base) + kSizeHeader;
 }
 
@@ -325,93 +331,6 @@ TEST(SlabPool, SteadyStateChurnIsAllocationFree) {
     EXPECT_EQ(pool.reuses(), 1000u);
 }
 
-// ---- RegionStore -------------------------------------------------------
-
-TEST(RegionStore, SpanValidatesHandlesAgainstLiveRegions) {
-    SlabPool pool;
-    RegionStore store(pool);
-    TimestampArena& arena = store.open(3, 2);
-    const TsHandle h = arena.allocate(std::vector<std::uint64_t>{7, 9});
-    ASSERT_TRUE(store.live(3));
-    const auto row = store.span(RegionHandle{3, h});
-    ASSERT_EQ(row.size(), 2u);
-    EXPECT_EQ(row[0], 7u);
-    EXPECT_EQ(row[1], 9u);
-
-    // Unknown epoch, retired epoch, and out-of-range index are all typed
-    // failures, never dangling spans.
-    EXPECT_THROW(store.span(RegionHandle{4, 0}), RegionError);
-    EXPECT_THROW(store.span(RegionHandle{3, h + 1}), std::invalid_argument);
-    store.close(3);
-    EXPECT_FALSE(store.live(3));
-    EXPECT_THROW(store.span(RegionHandle{3, h}), RegionError);
-    EXPECT_THROW(store.arena(3), RegionError);
-    EXPECT_THROW(store.close(3), RegionError);
-}
-
-TEST(RegionStore, OpenRejectsAlreadyLiveEpoch) {
-    SlabPool pool;
-    RegionStore store(pool);
-    store.open(0, 3);
-    EXPECT_THROW(store.open(0, 3), std::logic_error);
-    store.close(0);
-}
-
-TEST(RegionStore, PinDefersCloseUntilLastUnpin) {
-    SlabPool pool;
-    RegionStore store(pool);
-    TimestampArena& arena = store.open(5, 1, 4);
-    const TsHandle h = arena.allocate(std::vector<std::uint64_t>{42});
-    store.pin(5);
-    store.pin(5);
-    store.close(5);
-    // The close is deferred: the region stays live and readable for the
-    // pin holders (recovery replay reading a stability-retired epoch).
-    ASSERT_TRUE(store.live(5));
-    EXPECT_EQ(store.span(RegionHandle{5, h})[0], 42u);
-    store.unpin(5);
-    ASSERT_TRUE(store.live(5));
-    store.unpin(5);
-    EXPECT_FALSE(store.live(5));
-    EXPECT_EQ(store.live_regions(), 0u);
-    // Unpinned-but-never-closed regions survive their pins.
-    store.open(6, 1);
-    store.pin(6);
-    store.unpin(6);
-    ASSERT_TRUE(store.live(6));
-    store.close(6);
-}
-
-TEST(RegionStore, FrontierIsTheLowestLiveEpoch) {
-    SlabPool pool;
-    RegionStore store(pool);
-    EXPECT_EQ(store.frontier(99), 99u);
-    store.open(7, 2);
-    store.open(4, 2);
-    store.open(9, 2);
-    EXPECT_EQ(store.frontier(), 4u);
-    store.close(4);
-    EXPECT_EQ(store.frontier(), 7u);
-    store.close(7);
-    store.close(9);
-    EXPECT_EQ(store.frontier(0), 0u);
-}
-
-TEST(RegionStore, CloseReturnsSlabsToThePool) {
-    SlabPool pool;
-    RegionStore store(pool);
-    TimestampArena& arena = store.open(0, 4, 32);
-    for (int i = 0; i < 32; ++i) arena.allocate();
-    EXPECT_GT(pool.leased_bytes(), 0u);
-    store.close(0);
-    EXPECT_EQ(pool.leased_bytes(), 0u);
-    EXPECT_GT(pool.cached_bytes(), 0u);
-    // The next epoch of the same shape is served from the returned slab.
-    store.open(1, 4, 32);
-    EXPECT_GT(pool.reuses(), 0u);
-    store.close(1);
-}
-
 // ---- Epoch-churn soak (docs/MEMORY.md acceptance) ----------------------
 
 TEST(RegionStore, ThousandEpochArenaChurnIsAllocationFree) {
@@ -437,13 +356,14 @@ TEST(RegionStore, ThousandEpochArenaChurnIsAllocationFree) {
 }
 
 TEST(RegionStore, ThousandEpochStoreChurnHoldsPeakBytesFlat) {
-    // The full store with a stability lag: up to lag+1 regions live at
-    // once, 1000 epochs total. Slab traffic must be fully recycled (the
+    // Epoch-scoped arenas retired with a stability lag: a ring of lag+1
+    // pool-backed arenas holds up to lag+1 epochs live at once, 1000
+    // epochs total. Slab traffic must be fully recycled (the
     // acquire-minus-reuse gap stops growing after warm-up), the pool
     // high-water mark must stay at the warm-up level, and the per-epoch
-    // heap allocation rate (the map node + arena header control plane)
-    // must be constant — measured, not assumed. The second shape is the
-    // region-churn gate's (docs/MEMORY.md).
+    // heap allocation rate (one arena header per epoch) must be constant
+    // — measured, not assumed. The second shape is the churn gate's
+    // (docs/MEMORY.md).
     struct Shape {
         EpochId lag;
         std::size_t width;
@@ -455,12 +375,19 @@ TEST(RegionStore, ThousandEpochStoreChurnHoldsPeakBytesFlat) {
                      << "lag " << shape.lag << " width " << shape.width
                      << " slots " << shape.slots);
         SlabPool pool;
-        RegionStore store(pool);
+        // ring[e % (lag + 1)] holds epoch e's arena until epoch e + lag
+        // retires it; destroying an arena returns its slab to the pool.
+        std::vector<std::unique_ptr<TimestampArena>> ring(shape.lag + 1);
+        const auto slot = [&](EpochId e) -> std::unique_ptr<TimestampArena>& {
+            return ring[e % ring.size()];
+        };
         const auto churn = [&](EpochId e) {
-            TimestampArena& arena =
-                store.open(e, shape.width, shape.slots);
-            for (std::size_t i = 0; i < shape.slots; ++i) arena.allocate();
-            if (e >= shape.lag) store.close(e - shape.lag);
+            slot(e) = std::make_unique<TimestampArena>(shape.width,
+                                                       shape.slots, &pool);
+            for (std::size_t i = 0; i < shape.slots; ++i) {
+                slot(e)->allocate();
+            }
+            if (e >= shape.lag) slot(e - shape.lag).reset();
         };
 
         EpochId e = 0;
@@ -487,8 +414,7 @@ TEST(RegionStore, ThousandEpochStoreChurnHoldsPeakBytesFlat) {
                                          sizeof(std::uint64_t))
             << "peak slab bytes exceed the live-region working set";
         // Constant control-plane rate: the same epochs-per-allocation
-        // ratio in both halves (each epoch is one map node + one arena
-        // header).
+        // ratio in both halves (each epoch is one arena header).
         const std::size_t per_epoch_first =
             first_half / (kEpochs / 2 - 16);
         const std::size_t per_epoch_second =
@@ -497,9 +423,9 @@ TEST(RegionStore, ThousandEpochStoreChurnHoldsPeakBytesFlat) {
         EXPECT_LE(per_epoch_second, 4u);
 
         for (EpochId tail = kEpochs - shape.lag; tail < kEpochs; ++tail) {
-            store.close(tail);
+            slot(tail).reset();
         }
-        EXPECT_EQ(store.live_regions(), 0u);
+        EXPECT_EQ(pool.leased_bytes(), 0u);
     }
 }
 
@@ -726,6 +652,42 @@ TEST(RendezvousProtocol, SteadyStateAllocatesOnlyTheResult) {
         << short_run << " allocations for " << short_script.num_messages()
         << " messages, " << long_run << " for "
         << long_script.num_messages();
+}
+
+// Each committed stamp is written once, into the result the run returns:
+// no staging copy of the stamps is live beside the result, so the run's
+// peak live heap is the returned stamps plus bookkeeping (the realized
+// computation, engines, channels, packets) under two thirds of a second
+// copy of them. A staged copy of every stamp would put the peak near
+// 2.5 copies.
+TEST(RendezvousProtocol, PeakHeapHoldsOneCopyOfTheStamps) {
+    const Graph grid = topology::grid(8, 8);
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(grid));
+    ASSERT_EQ(decomposition->size(), 32u);
+    Rng rng(0x5EA1);
+    WorkloadOptions workload;
+    workload.num_messages = 8000;
+    const SyncComputation script = random_computation(grid, workload, rng);
+    SynchronizerOptions options;
+    options.latency_lo = 1;
+    options.latency_hi = 4;
+
+    const std::size_t before = g_live_bytes.load();
+    g_peak_live_bytes = before;
+    const SynchronizerResult result =
+        run_rendezvous_protocol(decomposition, script, options);
+    const std::size_t peak = g_peak_live_bytes.load() - before;
+
+    ASSERT_EQ(result.message_stamps.size(), script.num_messages());
+    std::size_t stamp_bytes =
+        result.message_stamps.capacity() * sizeof(VectorTimestamp);
+    for (const VectorTimestamp& stamp : result.message_stamps) {
+        stamp_bytes += stamp.width() * sizeof(std::uint64_t);
+    }
+    EXPECT_LE(peak, stamp_bytes + 2 * stamp_bytes / 3)
+        << "peak live heap " << peak << " B for " << stamp_bytes
+        << " B of returned stamps";
 }
 
 }  // namespace

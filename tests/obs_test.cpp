@@ -506,12 +506,6 @@ TEST(Instrumentation, SynchronizerPublishesNonOverlappingCounters) {
     EXPECT_EQ(registry.counter("sync_req_sent").value(), 2u);
     EXPECT_GE(registry.counter("sync_retransmits").value(), 1u);
     EXPECT_EQ(registry.counter("sync_ack_duplicates").value(), 0u);
-    // The run's region bookkeeping is published too: one epoch-0 region
-    // opened, closed when the run materialized its results.
-    EXPECT_EQ(registry.counter("region_opens").value(), 1u);
-    EXPECT_EQ(registry.counter("region_closes").value(), 1u);
-    EXPECT_EQ(registry.gauge("region_live").value(), 0);
-    EXPECT_GE(registry.counter("slabpool_acquires").value(), 1u);
     // Latency histograms cover every rendezvous.
     EXPECT_EQ(registry.histogram("sync_rendezvous_ticks").count(), 2u);
     EXPECT_EQ(registry.histogram("sync_attempts_per_message").count(), 2u);

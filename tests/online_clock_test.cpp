@@ -75,6 +75,51 @@ TEST(OnlineClock, SenderAndReceiverAgree) {
     EXPECT_EQ(p0.current(), p1.current());
 }
 
+TEST(OnlineClock, RejectedHookLeavesClockAndOutputsUntouched) {
+    const Graph graph = topology::grid(4, 4);
+    auto decomposition = std::make_shared<const EdgeDecomposition>(
+        default_decomposition(graph));
+    const ProcessId neighbour = graph.neighbors(0)[0];
+    ProcessId stranger = 1;
+    while (graph.has_edge(0, stranger)) ++stranger;
+    OnlineProcessClock p0(0, decomposition);
+    OnlineProcessClock peer(neighbour, decomposition);
+    const std::size_t d = p0.width();
+    ASSERT_GT(d, 1u);
+    // One rendezvous first, so the clock holds a nonzero vector.
+    std::vector<std::uint64_t> piggyback(d);
+    std::vector<std::uint64_t> ack(d);
+    std::vector<std::uint64_t> stamp(d);
+    peer.prepare_send_into(piggyback);
+    p0.on_receive_into(neighbour, piggyback, ack, stamp);
+    const VectorTimestamp before = p0.current();
+
+    const std::vector<std::uint64_t> remote(d, 7);
+    const std::vector<std::uint64_t> wide(d + 1, 7);
+    const std::vector<std::uint64_t> sentinel(d, 0xDEAD);
+    const auto expect_untouched = [&](const char* what) {
+        EXPECT_EQ(p0.current(), before) << what;
+        EXPECT_EQ(ack, sentinel) << what;
+        EXPECT_EQ(stamp, sentinel) << what;
+    };
+    for (const ProcessId unknown : {stranger, ProcessId{99}}) {
+        ack = sentinel;
+        stamp = sentinel;
+        EXPECT_THROW(p0.on_receive_into(unknown, remote, ack, stamp),
+                     std::invalid_argument);
+        expect_untouched("on_receive_into, unknown peer");
+        EXPECT_THROW(p0.on_ack_into(unknown, remote, stamp),
+                     std::invalid_argument);
+        expect_untouched("on_ack_into, unknown peer");
+    }
+    EXPECT_THROW(p0.on_receive_into(neighbour, wide, ack, stamp),
+                 std::invalid_argument);
+    expect_untouched("on_receive_into, wrong remote width");
+    EXPECT_THROW(p0.on_ack_into(neighbour, wide, stamp),
+                 std::invalid_argument);
+    expect_untouched("on_ack_into, wrong remote width");
+}
+
 TEST(OnlineClock, ProtocolHooksMatchDrivenTimestamper) {
     auto decomposition = std::make_shared<const EdgeDecomposition>(
         default_decomposition(topology::complete(4)));

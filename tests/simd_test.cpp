@@ -159,5 +159,54 @@ TEST(SimdDifferential, DispatchedArenaKernelsMatchScalarBackend) {
     }
 }
 
+TEST(SimdDifferential, RendezvousSideMatchesCopyJoinIncrement) {
+    // One side of a Fig. 5 rendezvous in one pass must equal the
+    // composition it replaces — copy the ACK, join, increment, copy the
+    // stamp — with and without the ACK output, at widths covering every
+    // tail length past the unrolled block.
+    for (const std::size_t width :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 128u}) {
+        for (std::uint64_t seed = 0; seed < 40; ++seed) {
+            Rng rng(width * 1000 + seed);
+            const auto draw = [&]() -> std::uint64_t {
+                if (rng.chance(1, 10)) return rng();  // full range
+                return rng.below(4);
+            };
+            std::vector<std::uint64_t> mine(width);
+            std::vector<std::uint64_t> remote(width);
+            for (auto& v : mine) v = draw();
+            for (auto& v : remote) v = draw();
+            const std::size_t g = static_cast<std::size_t>(rng.below(width));
+
+            std::vector<std::uint64_t> want_ack(width);
+            std::vector<std::uint64_t> want_mine = mine;
+            std::vector<std::uint64_t> want_out(width);
+            ts::copy(want_ack, mine);
+            ts::join(want_mine, remote);
+            ts::increment(want_mine, g);
+            ts::copy(want_out, want_mine);
+
+            std::vector<std::uint64_t> got_mine = mine;
+            std::vector<std::uint64_t> got_ack(width, 0xA5A5);
+            std::vector<std::uint64_t> got_out(width, 0x5A5A);
+            ts::rendezvous_side(got_mine, remote, g, got_ack, got_out);
+            ASSERT_EQ(got_ack, want_ack) << "width " << width << " seed "
+                                         << seed;
+            ASSERT_EQ(got_mine, want_mine) << "width " << width << " seed "
+                                           << seed;
+            ASSERT_EQ(got_out, want_out) << "width " << width << " seed "
+                                         << seed;
+
+            got_mine = mine;
+            got_out.assign(width, 0x5A5A);
+            ts::rendezvous_side(got_mine, remote, g, {}, got_out);
+            ASSERT_EQ(got_mine, want_mine) << "no ACK, width " << width
+                                           << " seed " << seed;
+            ASSERT_EQ(got_out, want_out) << "no ACK, width " << width
+                                         << " seed " << seed;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace syncts

@@ -8,7 +8,6 @@
 #include "clocks/clock_engine.hpp"
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
-#include "common/region.hpp"
 #include "core/multi_epoch_trace.hpp"
 #include "decomp/greedy_decomposer.hpp"
 #include "obs/metrics.hpp"
@@ -347,10 +346,10 @@ TEST(Topology, ReconfigurableRunsMatchFreshSingleEpochStamps) {
 }
 
 TEST(Topology, ExternalPoolAndStockRecycleAcrossRuns) {
-    // Each process clock is rebound in place at every epoch load and
-    // every epoch's slabs return to the run's pool, so nothing a run
-    // recycles may leak into its stamps: two same-seed runs over a
-    // reconfiguring topology stamp bit-identically.
+    // Each process clock is rebound in place at every epoch load and the
+    // network recycles packet buffers, so nothing a run recycles may leak
+    // into its stamps: two same-seed runs over a reconfiguring topology
+    // stamp bit-identically.
     TopologyManager manager{topology::ring(5)};
     for (const ReconfigOp& op :
          random_reconfig_schedule(topology::ring(5), 3, 97)) {
