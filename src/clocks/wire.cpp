@@ -1,7 +1,6 @@
 #include "clocks/wire.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -268,38 +267,6 @@ FrameHeader decode_delta_frame_into(std::span<const std::uint8_t> bytes,
 // ---------------------------------------------------------------------------
 // Batch containers (v4)
 
-BatchFrame::~BatchFrame() {
-    if (pool_ != nullptr && slab_) pool_->release(std::move(slab_));
-}
-
-std::uint8_t* BatchFrame::scratch() noexcept {
-    return pool_ != nullptr
-               ? reinterpret_cast<std::uint8_t*>(slab_.words.get())
-               : heap_.data();
-}
-
-const std::uint8_t* BatchFrame::scratch() const noexcept {
-    return pool_ != nullptr
-               ? reinterpret_cast<const std::uint8_t*>(slab_.words.get())
-               : heap_.data();
-}
-
-void BatchFrame::reserve_scratch(std::size_t bytes) {
-    if (pool_ == nullptr) {
-        if (heap_.size() < bytes) heap_.resize(bytes);
-        return;
-    }
-    const std::size_t have = slab_.capacity_words * sizeof(std::uint64_t);
-    if (have >= bytes) return;
-    Slab grown = pool_->acquire((bytes + sizeof(std::uint64_t) - 1) /
-                                sizeof(std::uint64_t));
-    if (slab_) {
-        std::memcpy(grown.words.get(), slab_.words.get(), used_);
-        pool_->release(std::move(slab_));
-    }
-    slab_ = std::move(grown);
-}
-
 void BatchFrame::clear() noexcept {
     slots_.clear();
     used_ = 0;
@@ -309,8 +276,12 @@ void BatchFrame::clear() noexcept {
 
 void BatchFrame::add(std::uint64_t kind, std::uint64_t tag,
                      std::span<const std::uint8_t> body) {
-    reserve_scratch(used_ + body.size());
-    if (!body.empty()) std::memcpy(scratch() + used_, body.data(), body.size());
+    // The scratch keeps its high-water size across clear(), so growth
+    // past that mark at least doubles it.
+    if (scratch_.size() < used_ + body.size()) {
+        scratch_.resize(used_ + body.size());
+    }
+    std::copy(body.begin(), body.end(), scratch_.data() + used_);
     slots_.push_back(Slot{kind, tag, used_, body.size(), true});
     used_ += body.size();
     ++live_;
@@ -333,7 +304,7 @@ BatchFrame::Entry BatchFrame::front() const {
     for (const Slot& slot : slots_) {
         if (!slot.live) continue;
         return Entry{slot.kind, slot.tag,
-                     {scratch() + slot.offset, slot.length}};
+                     {scratch_.data() + slot.offset, slot.length}};
     }
     SYNCTS_REQUIRE(false, "front() on an empty batch");
     return Entry{};
@@ -351,7 +322,7 @@ void BatchFrame::encode_batch_into(std::vector<std::uint8_t>& out) const {
         if (!slot.live) continue;
         writer.varint(slot.kind);
         writer.varint(slot.tag);
-        writer.blob({scratch() + slot.offset, slot.length});
+        writer.blob({scratch_.data() + slot.offset, slot.length});
     }
     writer.seal();
 }

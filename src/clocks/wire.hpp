@@ -10,7 +10,6 @@
 #include "clocks/vector_timestamp.hpp"
 #include "common/codec.hpp"
 #include "common/ids.hpp"
-#include "common/region.hpp"
 
 /// \file wire.hpp
 /// Wire format for piggybacked timestamps.
@@ -222,23 +221,14 @@ void decode_frame_stamp(const FrameInfo& info,
 // packet).
 
 /// Scatter-gather builder for batch containers. Entry bodies are copied
-/// into SlabPool-backed scratch at add() time (heap-backed when no pool
-/// is given), so the steady state of a pool-fed builder performs no
-/// allocations: the entry table and scratch slab are reused across
-/// clear() cycles. Also serves as the synchronizer's per-destination TX
-/// queue — supersede() implements cumulative-ACK coalescing by retiring
-/// a queued entry that a newer one subsumes.
+/// into one scratch vector at add() time; the entry table and the
+/// scratch keep their capacity across clear() cycles, so a builder's
+/// steady state performs no allocations. Also serves as the
+/// synchronizer's per-destination TX queue — supersede() implements
+/// cumulative-ACK coalescing by retiring a queued entry that a newer one
+/// subsumes.
 class BatchFrame {
 public:
-    /// `pool`, when given, must outlive the builder.
-    explicit BatchFrame(SlabPool* pool = nullptr) noexcept : pool_(pool) {}
-    ~BatchFrame();
-
-    BatchFrame(const BatchFrame&) = delete;
-    BatchFrame& operator=(const BatchFrame&) = delete;
-    BatchFrame(BatchFrame&&) = default;
-    BatchFrame& operator=(BatchFrame&&) = default;
-
     /// Live (non-superseded) entries.
     std::size_t size() const noexcept { return live_; }
     bool empty() const noexcept { return live_ == 0; }
@@ -285,14 +275,10 @@ private:
         bool live = false;
     };
 
-    std::uint8_t* scratch() noexcept;
-    const std::uint8_t* scratch() const noexcept;
-    void reserve_scratch(std::size_t bytes);
-
-    SlabPool* pool_ = nullptr;
-    Slab slab_;                         ///< pool-backed scratch
-    std::vector<std::uint8_t> heap_;    ///< heap scratch when pool_ == nullptr
-    std::size_t used_ = 0;              ///< scratch bytes written
+    /// Entry bodies back to back, superseded ones included, in the first
+    /// used_ bytes.
+    std::vector<std::uint8_t> scratch_;
+    std::size_t used_ = 0;
     std::vector<Slot> slots_;
     std::size_t live_ = 0;
     std::size_t pending_bytes_ = 0;

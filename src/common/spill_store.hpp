@@ -21,11 +21,9 @@
 ///   payload bytes | CRC32C trailer over everything before it
 ///
 /// encoded through the codec every binary format shares (codec.hpp, which
-/// holds the trailer rule and the u64le fields) and following the
-/// SlabPool recycling discipline for its
-/// scratch buffers (the encode buffer is reused across put() calls, so a
-/// steady-state spill loop performs no per-chunk heap allocation beyond
-/// the file I/O itself). Files the store wrote are unlinked when the
+/// holds the trailer rule and the u64le fields). Its encode buffer is
+/// reused across put() calls, so a steady-state spill loop performs no
+/// per-chunk heap allocation beyond the file I/O itself. Files the store wrote are unlinked when the
 /// store is destroyed.
 ///
 /// Corruption is a typed `SpillError`, never silent: a truncated file, a

@@ -5,10 +5,11 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/region.hpp"
 #include "common/ts_kernels.hpp"
 #include "obs/metrics.hpp"
 
@@ -32,13 +33,10 @@
 /// stream rows at memory bandwidth, with AVX2 paths dispatched at runtime
 /// (ts_simd.hpp).
 ///
-/// Since the epoch-region refactor (docs/MEMORY.md) the slab is an
-/// explicit `Slab` that may be leased from a `SlabPool` (region.hpp):
-/// pool-backed arenas acquire recycled chunks on growth and return the
-/// slab on destruction, so cycling epoch-scoped arenas through one pool
-/// is allocation-free in steady state. Growth doubles the slab but is
-/// clamped to `max_slots` (at most the 2^32−1 handle space) and throws a
-/// typed ArenaFullError instead of wrapping handles.
+/// The slab is one std::vector that keeps its capacity across clear()
+/// (docs/MEMORY.md). Growth doubles it but is clamped to `max_slots` (at
+/// most the 2^32−1 handle space) and throws a typed ArenaFullError
+/// instead of wrapping handles.
 ///
 /// Spans returned by span()/row() are invalidated by allocate()/reserve()
 /// (slab growth may reallocate); re-fetch after any allocation, exactly as
@@ -53,99 +51,64 @@ using TsHandle = std::uint32_t;
 inline constexpr TsHandle kNoTimestamp =
     std::numeric_limits<TsHandle>::max();
 
+/// Typed error for timestamp-handle-space exhaustion: the arena cannot
+/// grow past `max_slots` (at most 2^32−1, the 32-bit handle space).
+/// Thrown instead of silently wrapping handles — exhaustion is an
+/// operational condition a long-lived server must be able to catch and
+/// shed load on, not UB.
+class ArenaFullError : public std::length_error {
+public:
+    ArenaFullError(std::size_t requested_slots, std::size_t max_slots)
+        : std::length_error(
+              "timestamp arena full: slot " +
+              std::to_string(requested_slots) + " would exceed the " +
+              std::to_string(max_slots) + "-slot handle space"),
+          requested_slots_(requested_slots),
+          max_slots_(max_slots) {}
+
+    std::size_t requested_slots() const noexcept { return requested_slots_; }
+    std::size_t max_slots() const noexcept { return max_slots_; }
+
+private:
+    std::size_t requested_slots_;
+    std::size_t max_slots_;
+};
+
 class TimestampArena {
 public:
     /// Arena for timestamps of `width` components each; optionally
-    /// pre-reserves room for `reserve_slots` slots. With a `pool` the
-    /// slab is leased from it (and returned on destruction); the pool
-    /// must outlive the arena. `max_slots` caps growth below the 32-bit
-    /// handle space — allocate() past it throws ArenaFullError.
+    /// pre-reserves room for `reserve_slots` slots. `max_slots` caps
+    /// growth below the 32-bit handle space — allocate() past it throws
+    /// ArenaFullError.
     explicit TimestampArena(std::size_t width, std::size_t reserve_slots = 0,
-                            SlabPool* pool = nullptr,
                             std::size_t max_slots = kNoTimestamp)
         : width_(width),
-          pool_(pool),
           max_slots_(std::min<std::size_t>(max_slots, kNoTimestamp)) {
         if (reserve_slots > 0 && width_ > 0) reserve(reserve_slots);
     }
-
-    TimestampArena(const TimestampArena& other)
-        : width_(other.width_),
-          size_words_(other.size_words_),
-          zero_width_slots_(other.zero_width_slots_),
-          pool_(other.pool_),
-          max_slots_(other.max_slots_) {
-        if (other.size_words_ > 0) {
-            slab_ = acquire_slab(other.size_words_);
-            std::copy_n(other.slab_.words.get(), size_words_,
-                        slab_.words.get());
-        }
-    }
-
-    TimestampArena(TimestampArena&& other) noexcept
-        : width_(other.width_),
-          slab_(std::move(other.slab_)),
-          size_words_(other.size_words_),
-          zero_width_slots_(other.zero_width_slots_),
-          pool_(other.pool_),
-          max_slots_(other.max_slots_) {
-        other.slab_ = Slab{};
-        other.size_words_ = 0;
-        other.zero_width_slots_ = 0;
-    }
-
-    TimestampArena& operator=(const TimestampArena& other) {
-        if (this != &other) {
-            TimestampArena copy(other);
-            *this = std::move(copy);
-        }
-        return *this;
-    }
-
-    TimestampArena& operator=(TimestampArena&& other) noexcept {
-        if (this != &other) {
-            release_slab();
-            width_ = other.width_;
-            slab_ = std::move(other.slab_);
-            size_words_ = other.size_words_;
-            zero_width_slots_ = other.zero_width_slots_;
-            pool_ = other.pool_;
-            max_slots_ = other.max_slots_;
-            other.slab_ = Slab{};
-            other.size_words_ = 0;
-            other.zero_width_slots_ = 0;
-        }
-        return *this;
-    }
-
-    ~TimestampArena() { release_slab(); }
 
     /// Components per timestamp (fixed for the arena's lifetime).
     std::size_t width() const noexcept { return width_; }
 
     /// Number of allocated slots.
     std::size_t size() const noexcept {
-        return width_ == 0 ? zero_width_slots_ : size_words_ / width_;
+        return width_ == 0 ? zero_width_slots_ : words_.size() / width_;
     }
 
     /// Slots the slab can hold before reallocating.
     std::size_t capacity() const noexcept {
-        return width_ == 0 ? zero_width_slots_
-                           : slab_.capacity_words / width_;
+        return width_ == 0 ? zero_width_slots_ : words_.capacity() / width_;
     }
 
     /// Slot ceiling (see the constructor) — never above kNoTimestamp.
     std::size_t max_slots() const noexcept { return max_slots_; }
-
-    /// The pool this arena leases from (nullptr = plain heap).
-    SlabPool* pool() const noexcept { return pool_; }
 
     /// Pre-grows the slab to hold at least `slots` slots; throws
     /// ArenaFullError past max_slots().
     void reserve(std::size_t slots) {
         if (width_ == 0 || slots <= capacity()) return;
         if (slots > max_slots_) throw ArenaFullError(slots, max_slots_);
-        grow_to(slots * width_);
+        words_.reserve(slots * width_);
     }
 
     /// Allocates one zero-initialized slot and returns its handle;
@@ -157,17 +120,21 @@ public:
         if (width_ == 0) {
             ++zero_width_slots_;
         } else {
-            if (size_words_ + width_ > slab_.capacity_words) {
-                grow_for_one_more();
-                if (metric_growths_ != nullptr) metric_growths_->inc();
+            if (words_.size() + width_ > words_.capacity()) {
+                // Doubling growth, clamped to the slot ceiling so the word
+                // count cannot overflow (max_slots_ <= 2^32−1 keeps
+                // slots*width within std::size_t for any sane width).
+                const std::size_t doubled =
+                    std::max<std::size_t>(capacity() * 2, 8);
+                words_.reserve(std::min(doubled, max_slots_) * width_);
+                if (metrics_.growths != nullptr) metrics_.growths->inc();
             }
-            std::fill_n(slab_.words.get() + size_words_, width_, 0);
-            size_words_ += width_;
+            words_.resize(words_.size() + width_);
         }
-        if (metric_slots_ != nullptr) {
-            metric_slots_->inc();
-            metric_bytes_->set(static_cast<std::int64_t>(
-                slab_.capacity_words * sizeof(std::uint64_t)));
+        if (metrics_.slots != nullptr) {
+            metrics_.slots->inc();
+            metrics_.bytes->set(static_cast<std::int64_t>(
+                words_.capacity() * sizeof(std::uint64_t)));
         }
         return static_cast<TsHandle>(slot);
     }
@@ -185,30 +152,26 @@ public:
     /// Mutable view of slot h's components.
     std::span<std::uint64_t> span(TsHandle h) {
         SYNCTS_REQUIRE(h < size(), "timestamp handle out of range");
-        return {slab_.words.get() + static_cast<std::size_t>(h) * width_,
-                width_};
+        return {words_.data() + static_cast<std::size_t>(h) * width_, width_};
     }
 
     /// Read-only view of slot h's components.
     std::span<const std::uint64_t> span(TsHandle h) const {
         SYNCTS_REQUIRE(h < size(), "timestamp handle out of range");
-        return {slab_.words.get() + static_cast<std::size_t>(h) * width_,
-                width_};
+        return {words_.data() + static_cast<std::size_t>(h) * width_, width_};
     }
 
     /// Drops every slot but keeps the slab — the steady-state reuse path
     /// (no allocation on the next capacity() allocations).
     void clear() noexcept {
-        size_words_ = 0;
+        words_.clear();
         zero_width_slots_ = 0;
-        if (metric_clears_ != nullptr) metric_clears_->inc();
+        if (metrics_.clears != nullptr) metrics_.clears->inc();
     }
 
     /// The whole slab (row h at [h*width, (h+1)*width)) — for bulk
     /// serialization and the batch kernels.
-    std::span<const std::uint64_t> slab() const noexcept {
-        return {slab_.words.get(), size_words_};
-    }
+    std::span<const std::uint64_t> slab() const noexcept { return words_; }
 
     /// Registers this arena's metrics under `<prefix>_*` and starts
     /// counting: `_slots` (handle churn), `_slab_growths` (reallocations),
@@ -219,95 +182,69 @@ public:
     void attach_metrics(obs::MetricsRegistry& registry,
                         std::string_view prefix = "arena") {
         const std::string p(prefix);
-        metric_slots_ = &registry.counter(p + "_slots");
-        metric_growths_ = &registry.counter(p + "_slab_growths");
-        metric_clears_ = &registry.counter(p + "_clears");
-        metric_bytes_ = &registry.gauge(p + "_slab_bytes");
-        metric_kernel_calls_ = &registry.counter(p + "_kernel_calls");
-        metric_kernel_rows_ = &registry.counter(p + "_kernel_rows");
-        metric_bytes_->set(static_cast<std::int64_t>(
-            slab_.capacity_words * sizeof(std::uint64_t)));
+        metrics_.slots = &registry.counter(p + "_slots");
+        metrics_.growths = &registry.counter(p + "_slab_growths");
+        metrics_.clears = &registry.counter(p + "_clears");
+        metrics_.bytes = &registry.gauge(p + "_slab_bytes");
+        metrics_.kernel_calls = &registry.counter(p + "_kernel_calls");
+        metrics_.kernel_rows = &registry.counter(p + "_kernel_rows");
+        metrics_.bytes->set(static_cast<std::int64_t>(
+            words_.capacity() * sizeof(std::uint64_t)));
     }
 
     /// Detaches from the registry (hot path reverts to the null branch).
     void detach_metrics() noexcept {
-        metric_slots_ = nullptr;
-        metric_growths_ = nullptr;
-        metric_clears_ = nullptr;
-        metric_bytes_ = nullptr;
-        metric_kernel_calls_ = nullptr;
-        metric_kernel_rows_ = nullptr;
+        metrics_.slots = nullptr;
+        metrics_.growths = nullptr;
+        metrics_.clears = nullptr;
+        metrics_.bytes = nullptr;
+        metrics_.kernel_calls = nullptr;
+        metrics_.kernel_rows = nullptr;
     }
 
     /// Batch kernels report their traffic here (no-op when detached).
     void note_kernel(std::size_t rows) const noexcept {
-        if (metric_kernel_calls_ != nullptr) {
-            metric_kernel_calls_->inc();
-            metric_kernel_rows_->inc(static_cast<std::uint64_t>(rows));
+        if (metrics_.kernel_calls != nullptr) {
+            metrics_.kernel_calls->inc();
+            metrics_.kernel_rows->inc(static_cast<std::uint64_t>(rows));
         }
     }
 
     /// Equality is over contents only (width and rows), not over the
-    /// metrics attachment, pool backing, or slot ceiling.
+    /// metrics attachment or slot ceiling.
     friend bool operator==(const TimestampArena& a, const TimestampArena& b) {
         return a.width_ == b.width_ &&
                a.zero_width_slots_ == b.zero_width_slots_ &&
-               a.size_words_ == b.size_words_ &&
-               std::equal(a.slab_.words.get(),
-                          a.slab_.words.get() + a.size_words_,
-                          b.slab_.words.get());
+               a.words_ == b.words_;
     }
 
 private:
-    Slab acquire_slab(std::size_t min_words) {
-        if (pool_ != nullptr) return pool_->acquire(min_words);
-        return Slab{std::make_unique<std::uint64_t[]>(min_words), min_words};
-    }
+    /// The registry hooks of attach_metrics (nullptr = detached). A copy
+    /// or move yields a detached value and assignment keeps the target's
+    /// own hooks, so a copied arena never double-counts into its source's
+    /// registry, nor keeps a pointer into one that may be gone.
+    struct Metrics {
+        obs::Counter* slots = nullptr;
+        obs::Counter* growths = nullptr;
+        obs::Counter* clears = nullptr;
+        obs::Gauge* bytes = nullptr;
+        obs::Counter* kernel_calls = nullptr;
+        obs::Counter* kernel_rows = nullptr;
 
-    void release_slab() noexcept {
-        if (!slab_) return;
-        if (pool_ != nullptr) {
-            pool_->release(std::move(slab_));
-        }
-        slab_ = Slab{};
-    }
-
-    void grow_to(std::size_t min_words) {
-        Slab grown = acquire_slab(min_words);
-        if (size_words_ > 0) {
-            std::copy_n(slab_.words.get(), size_words_, grown.words.get());
-        }
-        release_slab();
-        slab_ = std::move(grown);
-    }
-
-    /// Doubling growth for one more row, clamped to the slot ceiling so
-    /// the word count cannot overflow (max_slots_ <= 2^32−1 keeps
-    /// slots*width within std::size_t for any sane width).
-    void grow_for_one_more() {
-        const std::size_t cap_slots = slab_.capacity_words / width_;
-        const std::size_t doubled = std::max<std::size_t>(cap_slots * 2, 8);
-        grow_to(std::min(doubled, max_slots_) * width_);
-    }
+        Metrics() = default;
+        Metrics(const Metrics&) noexcept {}
+        Metrics& operator=(const Metrics&) noexcept { return *this; }
+    };
 
     std::size_t width_;
-    Slab slab_;
-    /// Words in use; size() rows of width_ words each.
-    std::size_t size_words_ = 0;
+    /// size() rows of width_ words each.
+    std::vector<std::uint64_t> words_;
     /// Width-0 arenas (degenerate but legal: empty realizers) have no slab
-    /// bytes, so the slot count is tracked explicitly.
+    /// words, so the slot count is tracked explicitly.
     std::size_t zero_width_slots_ = 0;
-    /// Recycling pool (region.hpp); nullptr = plain heap slab.
-    SlabPool* pool_ = nullptr;
     /// Growth ceiling in slots, at most kNoTimestamp.
     std::size_t max_slots_ = kNoTimestamp;
-    /// Optional instrumentation (see attach_metrics); nullptr = disabled.
-    obs::Counter* metric_slots_ = nullptr;
-    obs::Counter* metric_growths_ = nullptr;
-    obs::Counter* metric_clears_ = nullptr;
-    obs::Gauge* metric_bytes_ = nullptr;
-    obs::Counter* metric_kernel_calls_ = nullptr;
-    obs::Counter* metric_kernel_rows_ = nullptr;
+    Metrics metrics_;
 };
 
 /// Typed error for a read of a stamp the window has already retired (or
@@ -336,8 +273,8 @@ private:
 /// `ArenaFullError`. `WindowedTimestampArena` keeps the guard and removes
 /// the ceiling: it pre-sizes an arena of `window` slots, addresses them
 /// by **64-bit logical id** (slot = id mod window), and retires the
-/// oldest stamp wholesale whenever a push would exceed the window —
-/// exactly the region-retirement discipline, one ring step at a time.
+/// oldest stamp wholesale whenever a push would exceed the window, one
+/// ring step at a time.
 /// Logical ids never wrap and never alias: a read outside
 /// [frontier, next) throws `RetiredStampError`.
 ///
@@ -349,9 +286,8 @@ public:
     /// `first_id` seeds the logical id stream — tests use it to cross
     /// the 2^32 boundary without four billion pushes.
     WindowedTimestampArena(std::size_t width, std::size_t window,
-                           SlabPool* pool = nullptr,
                            std::uint64_t first_id = 0)
-        : arena_(width, window, pool),
+        : arena_(width, window),
           window_(window),
           frontier_(first_id),
           next_(first_id) {

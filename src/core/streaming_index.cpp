@@ -9,8 +9,7 @@ IncrementalPrecedenceIndex::IncrementalPrecedenceIndex(
     std::shared_ptr<const EdgeDecomposition> decomposition,
     StreamingIndexOptions options)
     : engine_(decomposition),
-      window_(engine_.width(), options.window == 0 ? 1 : options.window,
-              options.pool),
+      window_(engine_.width(), options.window == 0 ? 1 : options.window),
       closure_(options.closure) {
     if (options.metrics != nullptr) attach_metrics(*options.metrics);
 }

@@ -45,9 +45,6 @@ struct StreamingIndexOptions {
     /// queries the window no longer can. Owned by the caller.
     StreamingClosure* closure = nullptr;
 
-    /// Optional slab recycling for the window's backing arena.
-    SlabPool* pool = nullptr;
-
     obs::MetricsRegistry* metrics = nullptr;
 };
 

@@ -17,13 +17,14 @@
 /// post-mortem when a crash rule fires or the runtime throws a typed
 /// error (docs/PROFILING.md).
 ///
-/// Retention follows the Drummond–Barbosa stability rule the region
-/// store and WAL already obey: state that is durably folded into a
-/// checkpoint everywhere it matters need not be kept. The runtime feeds
-/// the recorder its stability frontier (the lowest epoch any process
-/// could still rewind into), and the recorder discards retained events
-/// older than that epoch's entry — a post-mortem never carries history
-/// that recovery could not need, which bounds the dump on long runs
+/// Retention follows the Drummond–Barbosa stability rule the runtime's
+/// epoch segments and WAL already obey: state that is durably folded
+/// into a checkpoint everywhere it matters need not be kept. The runtime
+/// feeds the recorder its stability frontier (the lowest epoch any
+/// process could still rewind into, below which the runtime retires
+/// epoch segments), and the recorder discards retained events older
+/// than that epoch's entry — a post-mortem never carries history that
+/// recovery could not need, which bounds the dump on long runs
 /// independently of the ring capacity.
 ///
 /// The recorder is deterministic: it never reads wall clocks, so under

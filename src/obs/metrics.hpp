@@ -62,8 +62,8 @@ public:
         value_.fetch_add(by, std::memory_order_relaxed);
     }
     /// Raises the gauge to `v` when it is currently lower — lossless
-    /// high-water tracking (peak slab bytes, peak live regions) even
-    /// with concurrent writers.
+    /// high-water tracking (e.g. a peak byte count) even with concurrent
+    /// writers.
     void set_max(std::int64_t v) noexcept {
         std::int64_t cur = value_.load(std::memory_order_relaxed);
         while (cur < v && !value_.compare_exchange_weak(

@@ -34,8 +34,10 @@ struct RecoverOutcome {
     /// The snapshot's own epoch — the process's rewind floor. WAL
     /// replay may carry `state.epoch` past it (epoch records cross
     /// barriers), but no recovery of this store can ever touch an epoch
-    /// below `stable_epoch`: it is the anchor the runtime's region pins
-    /// and the stability frontier are keyed on (docs/MEMORY.md).
+    /// below `stable_epoch`: it is the anchor the runtime's stability
+    /// frontier is keyed on. The runtime retires no epoch segment at or
+    /// above it, and `segment_for`'s ENSURE fails a run that touches a
+    /// retired one (docs/MEMORY.md).
     EpochId stable_epoch = 0;
 
     std::uint64_t replayed_records = 0;

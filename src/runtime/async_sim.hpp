@@ -106,6 +106,11 @@ public:
     /// were ever queued at once.
     std::vector<std::uint8_t> take_body();
 
+    /// The inverse of take_body(): hands a body the caller no longer
+    /// needs back to the spare list (dropped when the list is full or the
+    /// body has no capacity).
+    void recycle(std::vector<std::uint8_t>&& body);
+
     /// Schedules `timer` to fire at virtual time `when`, through the
     /// handler on_timer() registered. Timers cannot be cancelled;
     /// protocols check their own state when one fires.
@@ -145,7 +150,6 @@ private:
     }
 
     void push(Scheduled event);
-    void recycle(std::vector<std::uint8_t>&& body);
 
     std::vector<Handler> handlers_;
     TimerHandler timer_handler_;

@@ -231,7 +231,6 @@ struct DurableStore {
 /// with the bandwidth scheduler. The BatchFrame doubles as the queue
 /// storage — supersede() retires coalesced ACKs in place.
 struct TxQueue {
-    explicit TxQueue(SlabPool* pool) : batch(pool) {}
     BatchFrame batch;
     std::uint64_t deadline = 0;  ///< meaningful only while !batch.empty()
     std::uint64_t deficit = 0;   ///< DRR credit accrued over refusals
@@ -381,9 +380,6 @@ private:
     AsyncSimulator network_{n_max_, options_.seed};
     std::vector<Engine> engines_;
     std::vector<DurableStore> stores_;
-
-    // Recycled scratch for the TX queues' batch frames (docs/MEMORY.md).
-    SlabPool pool_;
 
     std::optional<BandwidthScheduler> bsched_;
     std::vector<TxProc> tx_;
@@ -629,8 +625,7 @@ private:
             return;
         }
         TxProc& proc = tx_[packet.source];
-        const auto [it, inserted] =
-            proc.queues.try_emplace(packet.destination, &pool_);
+        const auto [it, inserted] = proc.queues.try_emplace(packet.destination);
         TxQueue& q = it->second;
         if (inserted) proc.ring.push_back(packet.destination);
         if (proto_.coalesce_acks && packet.kind == kAck &&
@@ -641,6 +636,9 @@ private:
         }
         const bool was_empty = q.batch.empty();
         q.batch.add(packet.kind, packet.tag, packet.body);
+        // The queue holds a copy, so the body goes back to the network's
+        // spare list for the packet tx_flush() builds next.
+        network_.recycle(std::move(packet.body));
         const std::uint64_t deadline = now + delay;
         if (was_empty || deadline < q.deadline) q.deadline = deadline;
         // One flush timer per enqueue; stale ones find an empty or
@@ -1932,7 +1930,6 @@ ProtocolRun::ProtocolRun(const TopologyManager& topology,
             snapshot_bytes_hist_ = &m.histogram("recover_snapshot_bytes");
             replay_hist_ = &m.histogram("recover_replay_records");
         }
-        pool_.attach_metrics(m);
     }
     network_.set_uniform_latency(options_.latency_lo, options_.latency_hi);
     network_.set_fault_plan(options_.faults);

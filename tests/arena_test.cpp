@@ -9,7 +9,6 @@
 
 #include "clocks/online_clock.hpp"
 #include "clocks/vector_timestamp.hpp"
-#include "common/region.hpp"
 #include "common/rng.hpp"
 #include "common/timestamp_arena.hpp"
 #include "common/ts_kernels.hpp"
@@ -159,7 +158,7 @@ TEST(TimestampArena, ZeroWidthArenaTracksSlots) {
 // ---- Handle-space ceiling ---------------------------------------------
 
 TEST(TimestampArena, AllocateThrowsTypedErrorAtSlotCeiling) {
-    TimestampArena arena(2, 0, nullptr, 4);
+    TimestampArena arena(2, 0, 4);
     for (int i = 0; i < 4; ++i) arena.allocate();
     try {
         arena.allocate();
@@ -176,14 +175,14 @@ TEST(TimestampArena, AllocateThrowsTypedErrorAtSlotCeiling) {
 }
 
 TEST(TimestampArena, ReserveThrowsPastSlotCeiling) {
-    TimestampArena arena(3, 0, nullptr, 16);
+    TimestampArena arena(3, 0, 16);
     EXPECT_NO_THROW(arena.reserve(16));
     EXPECT_EQ(arena.max_slots(), 16u);
     EXPECT_THROW(arena.reserve(17), ArenaFullError);
 }
 
 TEST(TimestampArena, ZeroWidthArenaHonorsSlotCeiling) {
-    TimestampArena arena(0, 0, nullptr, 2);
+    TimestampArena arena(0, 0, 2);
     arena.allocate();
     arena.allocate();
     EXPECT_THROW(arena.allocate(), ArenaFullError);
@@ -248,7 +247,7 @@ TEST(WindowedArena, LogicalIdsCrossTheHandleSpaceWithoutWrapping) {
     // the 32-bit slot ceiling a plain arena would refuse, while the ring
     // keeps recycling the same `window` physical slots.
     const std::uint64_t boundary = (std::uint64_t{1} << 32) - 2;
-    WindowedTimestampArena window(1, 3, nullptr, boundary);
+    WindowedTimestampArena window(1, 3, boundary);
     for (std::uint64_t i = 0; i < 6; ++i) {
         const std::vector<std::uint64_t> stamp{i};
         EXPECT_EQ(window.push(stamp), boundary + i);
@@ -270,163 +269,6 @@ TEST(WindowedArena, SteadyStatePushIsAllocationFree) {
     for (int i = 0; i < 1000; ++i) (void)window.push(stamp);
     EXPECT_EQ(g_allocations.load(), before)
         << "the ring must recycle slots, never grow";
-}
-
-// ---- SlabPool ----------------------------------------------------------
-
-TEST(SlabPool, RecyclesWithinASizeClass) {
-    SlabPool pool;
-    Slab a = pool.acquire(100);  // rounds up to the 128-word class
-    ASSERT_GE(a.capacity_words, 100u);
-    const std::uint64_t* raw = a.words.get();
-    pool.release(std::move(a));
-    EXPECT_GT(pool.cached_bytes(), 0u);
-    EXPECT_EQ(pool.leased_bytes(), 0u);
-
-    // Any request rounding to the same class gets the cached chunk back.
-    Slab b = pool.acquire(65);
-    EXPECT_EQ(b.words.get(), raw);
-    EXPECT_EQ(pool.acquires(), 2u);
-    EXPECT_EQ(pool.reuses(), 1u);
-    pool.release(std::move(b));
-}
-
-TEST(SlabPool, PeakBytesIsAHighWaterMark) {
-    SlabPool pool;
-    Slab a = pool.acquire(64);
-    Slab b = pool.acquire(64);
-    const std::size_t peak = pool.peak_bytes();
-    EXPECT_EQ(peak, 2u * 64u * sizeof(std::uint64_t));
-    pool.release(std::move(a));
-    pool.release(std::move(b));
-    // Releasing moves bytes from leased to cached; the footprint (and so
-    // the high-water mark) is unchanged, as is re-leasing from cache.
-    EXPECT_EQ(pool.peak_bytes(), peak);
-    Slab c = pool.acquire(64);
-    EXPECT_EQ(pool.peak_bytes(), peak);
-    pool.release(std::move(c));
-}
-
-TEST(SlabPool, TrimFreesCachedSlabsOnly) {
-    SlabPool pool;
-    Slab held = pool.acquire(32);
-    pool.release(pool.acquire(32));
-    EXPECT_GT(pool.cached_bytes(), 0u);
-    pool.trim();
-    EXPECT_EQ(pool.cached_bytes(), 0u);
-    EXPECT_GT(pool.leased_bytes(), 0u);  // the held lease is untouched
-    pool.release(std::move(held));
-}
-
-TEST(SlabPool, SteadyStateChurnIsAllocationFree) {
-    SlabPool pool;
-    // Warm the class once; afterwards acquire/release ping-pong must be
-    // pure pointer moves.
-    pool.release(pool.acquire(256));
-    const std::size_t before = g_allocations.load();
-    for (int i = 0; i < 1000; ++i) {
-        pool.release(pool.acquire(256));
-    }
-    EXPECT_EQ(g_allocations.load(), before);
-    EXPECT_EQ(pool.reuses(), 1000u);
-}
-
-// ---- Epoch-churn soak (docs/MEMORY.md acceptance) ----------------------
-
-TEST(RegionStore, ThousandEpochArenaChurnIsAllocationFree) {
-    // The pure data plane: one pool-backed arena per epoch, opened and
-    // retired in sequence. After one warm-up epoch the remaining 999 must
-    // perform ZERO heap allocations — every slab is a recycled lease.
-    SlabPool pool;
-    constexpr std::size_t kWidth = 6;
-    constexpr std::size_t kSlots = 64;
-    const auto churn_epoch = [&]() {
-        TimestampArena arena(kWidth, kSlots, &pool);
-        for (std::size_t i = 0; i < kSlots; ++i) arena.allocate();
-    };
-    churn_epoch();
-    const std::size_t heap_before = g_allocations.load();
-    const std::size_t peak_before = pool.peak_bytes();
-    for (int epoch = 1; epoch < 1000; ++epoch) churn_epoch();
-    EXPECT_EQ(g_allocations.load(), heap_before)
-        << "epoch-scoped arenas over a warm pool must not touch the heap";
-    EXPECT_EQ(pool.peak_bytes(), peak_before)
-        << "the pool footprint must be O(live width), not O(epochs)";
-    EXPECT_EQ(pool.reuses(), 999u);
-}
-
-TEST(RegionStore, ThousandEpochStoreChurnHoldsPeakBytesFlat) {
-    // Epoch-scoped arenas retired with a stability lag: a ring of lag+1
-    // pool-backed arenas holds up to lag+1 epochs live at once, 1000
-    // epochs total. Slab traffic must be fully recycled (the
-    // acquire-minus-reuse gap stops growing after warm-up), the pool
-    // high-water mark must stay at the warm-up level, and the per-epoch
-    // heap allocation rate (one arena header per epoch) must be constant
-    // — measured, not assumed. The second shape is the churn gate's
-    // (docs/MEMORY.md).
-    struct Shape {
-        EpochId lag;
-        std::size_t width;
-        std::size_t slots;
-    };
-    constexpr EpochId kEpochs = 1000;
-    for (const Shape shape : {Shape{3, 6, 64}, Shape{2, 8, 512}}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "lag " << shape.lag << " width " << shape.width
-                     << " slots " << shape.slots);
-        SlabPool pool;
-        // ring[e % (lag + 1)] holds epoch e's arena until epoch e + lag
-        // retires it; destroying an arena returns its slab to the pool.
-        std::vector<std::unique_ptr<TimestampArena>> ring(shape.lag + 1);
-        const auto slot = [&](EpochId e) -> std::unique_ptr<TimestampArena>& {
-            return ring[e % ring.size()];
-        };
-        const auto churn = [&](EpochId e) {
-            slot(e) = std::make_unique<TimestampArena>(shape.width,
-                                                       shape.slots, &pool);
-            for (std::size_t i = 0; i < shape.slots; ++i) {
-                slot(e)->allocate();
-            }
-            if (e >= shape.lag) slot(e - shape.lag).reset();
-        };
-
-        EpochId e = 0;
-        for (; e < 16; ++e) churn(e);
-        const std::uint64_t fresh_before = pool.acquires() - pool.reuses();
-        const std::size_t peak_before = pool.peak_bytes();
-
-        const std::size_t heap_mid_start = g_allocations.load();
-        for (; e < kEpochs / 2; ++e) churn(e);
-        const std::size_t first_half = g_allocations.load() - heap_mid_start;
-
-        const std::size_t heap_tail_start = g_allocations.load();
-        const EpochId tail_begin = e;
-        for (; e < kEpochs; ++e) churn(e);
-        const std::size_t second_half =
-            g_allocations.load() - heap_tail_start;
-
-        EXPECT_EQ(pool.acquires() - pool.reuses(), fresh_before)
-            << "every steady-state slab must come from the pool";
-        EXPECT_EQ(pool.peak_bytes(), peak_before)
-            << "peak slab bytes grew with epoch count";
-        EXPECT_LE(pool.peak_bytes(), (shape.lag + 2) * 2 * shape.width *
-                                         shape.slots *
-                                         sizeof(std::uint64_t))
-            << "peak slab bytes exceed the live-region working set";
-        // Constant control-plane rate: the same epochs-per-allocation
-        // ratio in both halves (each epoch is one arena header).
-        const std::size_t per_epoch_first =
-            first_half / (kEpochs / 2 - 16);
-        const std::size_t per_epoch_second =
-            second_half / (kEpochs - tail_begin);
-        EXPECT_EQ(per_epoch_first, per_epoch_second);
-        EXPECT_LE(per_epoch_second, 4u);
-
-        for (EpochId tail = kEpochs - shape.lag; tail < kEpochs; ++tail) {
-            slot(tail).reset();
-        }
-        EXPECT_EQ(pool.leased_bytes(), 0u);
-    }
 }
 
 // ---- Batch kernels ----------------------------------------------------
@@ -592,6 +434,35 @@ TEST(TimestampArena, MetricsHotPathIsAllocationFreeInSteadyState) {
     EXPECT_EQ(registry.counter("arena_kernel_calls").value(), 16u);
 }
 
+// A copy or move of an attached arena starts detached, assignment keeps
+// the target's own attachment, and detach_metrics() detaches: only the
+// attached arena's traffic reaches the registry, so a copy neither
+// double-counts nor keeps a pointer into a registry it does not know.
+TEST(TimestampArena, CopiesStartDetachedFromTheRegistry) {
+    obs::MetricsRegistry registry;
+    TimestampArena attached(2);
+    attached.attach_metrics(registry, "arena");
+    attached.allocate();
+
+    TimestampArena copy = attached;
+    copy.allocate();
+    TimestampArena moved = std::move(copy);
+    moved.allocate();
+    TimestampArena assigned(2);
+    assigned = attached;
+    assigned.allocate();
+    EXPECT_EQ(registry.counter("arena_slots").value(), 1u);
+
+    attached = moved;
+    attached.allocate();
+    EXPECT_EQ(registry.counter("arena_slots").value(), 2u);
+    EXPECT_EQ(attached.size(), 4u);
+
+    attached.detach_metrics();
+    attached.allocate();
+    EXPECT_EQ(registry.counter("arena_slots").value(), 2u);
+}
+
 // Clock state grows with the topology, not with N²: each process's peer
 // table spans its neighbour ids only. On the client–server example (4
 // servers, 10,000 clients, d = 4) an N-entry table per process held
@@ -616,7 +487,9 @@ TEST(OnlineClock, ClientServerTimestamperHeapStaysLinear) {
 // REQs — recycles its buffers, so a longer run costs only its result:
 // each committed message's own VectorTimestamp (plus amortized growth of
 // the result vectors). Measured as the slope between two run lengths so
-// per-channel and per-run set-up cancels out.
+// per-channel and per-run set-up cancels out, on the classic profile and
+// on the batched one (batching, ACK coalescing and delta on), whose TX
+// queues copy every frame and hand its packet body back to the network.
 TEST(RendezvousProtocol, SteadyStateAllocatesOnlyTheResult) {
     const Graph grid = topology::grid(8, 8);
     auto decomposition = std::make_shared<const EdgeDecomposition>(
@@ -629,29 +502,36 @@ TEST(RendezvousProtocol, SteadyStateAllocatesOnlyTheResult) {
     workload.num_messages = 4000;
     const SyncComputation long_script =
         random_computation(grid, workload, rng);
-    SynchronizerOptions options;
-    options.latency_lo = 1;
-    options.latency_hi = 4;
+    SynchronizerOptions classic;
+    classic.latency_lo = 1;
+    classic.latency_hi = 4;
+    SynchronizerOptions batched = classic;
+    batched.protocol.batching = true;
+    batched.protocol.coalesce_acks = true;
+    batched.protocol.delta = true;
 
-    const auto allocations_of = [&](const SyncComputation& script) {
-        const std::size_t before = g_allocations.load();
-        const SynchronizerResult result =
-            run_rendezvous_protocol(decomposition, script, options);
-        const std::size_t used = g_allocations.load() - before;
-        EXPECT_EQ(result.message_stamps.size(), script.num_messages());
-        return used;
-    };
-    (void)allocations_of(short_script);  // warm-up
-    const std::size_t short_run = allocations_of(short_script);
-    const std::size_t long_run = allocations_of(long_script);
-    const double per_extra_message =
-        (static_cast<double>(long_run) - static_cast<double>(short_run)) /
-        static_cast<double>(long_script.num_messages() -
-                            short_script.num_messages());
-    EXPECT_LE(per_extra_message, 1.5)
-        << short_run << " allocations for " << short_script.num_messages()
-        << " messages, " << long_run << " for "
-        << long_script.num_messages();
+    for (const SynchronizerOptions* options : {&classic, &batched}) {
+        SCOPED_TRACE(options == &classic ? "classic" : "batched");
+        const auto allocations_of = [&](const SyncComputation& script) {
+            const std::size_t before = g_allocations.load();
+            const SynchronizerResult result =
+                run_rendezvous_protocol(decomposition, script, *options);
+            const std::size_t used = g_allocations.load() - before;
+            EXPECT_EQ(result.message_stamps.size(), script.num_messages());
+            return used;
+        };
+        (void)allocations_of(short_script);  // warm-up
+        const std::size_t short_run = allocations_of(short_script);
+        const std::size_t long_run = allocations_of(long_script);
+        const double per_extra_message =
+            (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+            static_cast<double>(long_script.num_messages() -
+                                short_script.num_messages());
+        EXPECT_LE(per_extra_message, 1.5)
+            << short_run << " allocations for "
+            << short_script.num_messages() << " messages, " << long_run
+            << " for " << long_script.num_messages();
+    }
 }
 
 // Each committed stamp is written once, into the result the run returns:

@@ -14,7 +14,9 @@
 // fault seed, runs the protocol with drop/duplication/corruption/extra
 // delay all enabled, and compares every realized message timestamp
 // against OnlineTimestamper. Exit status: 0 when all schedules match,
-// 1 on any mismatch or stall — so this binary is CI-able as a chaos gate.
+// 1 on any mismatch, stall or other failure inside a schedule (such as a
+// failed runtime invariant, printed as "schedule <k>: <what>") — so this
+// binary is CI-able as a chaos gate.
 // Integer values take an optional k or m suffix ("2k" = 2000),
 // --schedules and --messages are at least 1, probabilities lie in [0, 1]
 // and --latency needs 1 <= LO <= HI; a malformed value prints
@@ -37,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -235,6 +238,7 @@ int main(int argc, char** argv) {
 
     std::uint64_t mismatches = 0;
     std::uint64_t stalls = 0;
+    std::uint64_t errors = 0;
     std::uint64_t packets = 0;
     ProtocolStats wire;
     // The sync_* counters accumulate across every schedule; the registry
@@ -321,6 +325,14 @@ int main(int argc, char** argv) {
                          stall.what());
             ++stalls;
             continue;
+        } catch (const std::exception& error) {
+            // A failed invariant (SYNCTS_ENSURE) or any other error ends
+            // this schedule only: name it and keep sweeping.
+            std::fprintf(stderr, "schedule %llu: %s\n",
+                         static_cast<unsigned long long>(schedule),
+                         error.what());
+            ++errors;
+            continue;
         }
         if (!match) {
             std::fprintf(stderr, "schedule %llu: timestamp mismatch\n",
@@ -329,8 +341,8 @@ int main(int argc, char** argv) {
         }
         if (!config.quiet && schedule % 200 == 0) {
             std::printf("  ... %llu/%llu schedules clean\n",
-                        static_cast<unsigned long long>(schedule - mismatches -
-                                                        stalls),
+                        static_cast<unsigned long long>(
+                            schedule - mismatches - stalls - errors),
                         static_cast<unsigned long long>(schedule));
         }
     }
@@ -410,13 +422,14 @@ int main(int argc, char** argv) {
             ? 0.0
             : static_cast<double>(packets) /
                   (2.0 * static_cast<double>(total_messages)));
-    if (mismatches == 0 && stalls == 0) {
+    if (mismatches == 0 && stalls == 0 && errors == 0) {
         std::printf("PASS: %llu schedules, all timestamps bit-identical\n",
                     static_cast<unsigned long long>(config.schedules));
         return 0;
     }
-    std::printf("FAIL: %llu mismatches, %llu stalls\n",
+    std::printf("FAIL: %llu mismatches, %llu stalls, %llu errors\n",
                 static_cast<unsigned long long>(mismatches),
-                static_cast<unsigned long long>(stalls));
+                static_cast<unsigned long long>(stalls),
+                static_cast<unsigned long long>(errors));
     return 1;
 }
