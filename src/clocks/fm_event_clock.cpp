@@ -1,9 +1,5 @@
 #include "clocks/fm_event_clock.hpp"
 
-#include <algorithm>
-
-#include "common/check.hpp"
-
 namespace syncts {
 
 FmEventTimestamps fm_event_timestamps(const SyncComputation& computation) {
@@ -14,45 +10,23 @@ FmEventTimestamps fm_event_timestamps(const SyncComputation& computation) {
     result.message_stamps.resize(computation.num_messages());
     result.internal_stamps.resize(computation.num_internal_events());
 
-    // Replay in instant order. Per-process cursors walk each process's
-    // event sequence; the global instant order interleaves them exactly as
-    // the computation was built (messages and internal events were appended
-    // in instant order, and ids are assigned densely), so replaying
-    // messages by id and injecting internal events at their recorded
-    // positions reproduces the original schedule.
-    std::vector<std::size_t> cursor(n, 0);
-    const auto drain_internals = [&](ProcessId p, MessageId until_message) {
-        const auto events = computation.process_events(p);
-        while (cursor[p] < events.size()) {
-            const ProcessEvent& e = events[cursor[p]];
-            if (e.kind == ProcessEvent::Kind::message) {
-                SYNCTS_ENSURE(until_message != kNoMessage &&
-                                  e.index == until_message,
-                              "event replay out of order");
-                ++cursor[p];
-                return;
-            }
+    for_each_instant(
+        computation,
+        [&](ProcessId p, InternalId i) {
             clocks[p].increment(p);
-            result.internal_stamps[e.index] = clocks[p];
-            ++cursor[p];
-        }
-        SYNCTS_ENSURE(until_message == kNoMessage,
-                      "message missing from process event sequence");
-    };
-
-    for (const SyncMessage& m : computation.messages()) {
-        drain_internals(m.sender, m.id);
-        drain_internals(m.receiver, m.id);
-        // Shared rendezvous event: merge both vectors, tick both components.
-        VectorTimestamp merged = clocks[m.sender];
-        merged.join(clocks[m.receiver]);
-        merged.increment(m.sender);
-        merged.increment(m.receiver);
-        clocks[m.sender] = merged;
-        clocks[m.receiver] = merged;
-        result.message_stamps[m.id] = merged;
-    }
-    for (ProcessId p = 0; p < n; ++p) drain_internals(p, kNoMessage);
+            result.internal_stamps[i] = clocks[p];
+        },
+        [&](const SyncMessage& m) {
+            // Shared rendezvous event: merge both vectors, tick both
+            // components.
+            VectorTimestamp merged = clocks[m.sender];
+            merged.join(clocks[m.receiver]);
+            merged.increment(m.sender);
+            merged.increment(m.receiver);
+            clocks[m.sender] = merged;
+            clocks[m.receiver] = merged;
+            result.message_stamps[m.id] = merged;
+        });
     return result;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace syncts {
 
 LamportTimestamps lamport_timestamps(const SyncComputation& computation) {
@@ -14,35 +12,18 @@ LamportTimestamps lamport_timestamps(const SyncComputation& computation) {
     result.message_stamps.resize(computation.num_messages());
     result.internal_stamps.resize(computation.num_internal_events());
 
-    std::vector<std::size_t> cursor(n, 0);
-    const auto drain_internals = [&](ProcessId p, MessageId until_message) {
-        const auto events = computation.process_events(p);
-        while (cursor[p] < events.size()) {
-            const ProcessEvent& e = events[cursor[p]];
-            if (e.kind == ProcessEvent::Kind::message) {
-                SYNCTS_ENSURE(until_message != kNoMessage &&
-                                  e.index == until_message,
-                              "event replay out of order");
-                ++cursor[p];
-                return;
-            }
-            result.internal_stamps[e.index] = ++clocks[p];
-            ++cursor[p];
-        }
-        SYNCTS_ENSURE(until_message == kNoMessage,
-                      "message missing from process event sequence");
-    };
-
-    for (const SyncMessage& m : computation.messages()) {
-        drain_internals(m.sender, m.id);
-        drain_internals(m.receiver, m.id);
-        const std::uint64_t stamp =
-            std::max(clocks[m.sender], clocks[m.receiver]) + 1;
-        clocks[m.sender] = stamp;
-        clocks[m.receiver] = stamp;
-        result.message_stamps[m.id] = stamp;
-    }
-    for (ProcessId p = 0; p < n; ++p) drain_internals(p, kNoMessage);
+    for_each_instant(
+        computation,
+        [&](ProcessId p, InternalId i) {
+            result.internal_stamps[i] = ++clocks[p];
+        },
+        [&](const SyncMessage& m) {
+            const std::uint64_t stamp =
+                std::max(clocks[m.sender], clocks[m.receiver]) + 1;
+            clocks[m.sender] = stamp;
+            clocks[m.receiver] = stamp;
+            result.message_stamps[m.id] = stamp;
+        });
     return result;
 }
 

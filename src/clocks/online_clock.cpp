@@ -41,10 +41,6 @@ void OnlineProcessClock::rebind(
     }
 }
 
-void OnlineProcessClock::reset() noexcept {
-    ts::zero(vector_.mutable_components());
-}
-
 void OnlineProcessClock::restore_from(std::span<const std::uint64_t> state) {
     SYNCTS_REQUIRE(state.size() == vector_.width(),
                    "restored state width does not match the clock width");
@@ -118,66 +114,38 @@ OnlineTimestamper::OnlineTimestamper(
     for (ProcessId p = 0; p < n; ++p) {
         clocks_.emplace_back(p, decomposition_);
     }
+    piggyback_.resize(width());
+    ack_.resize(width());
+    echo_.resize(width());
 }
 
-std::size_t OnlineTimestamper::width() const noexcept {
-    return decomposition_->size();
+const OnlineProcessClock& OnlineTimestamper::clock(ProcessId p) const {
+    SYNCTS_REQUIRE(p < clocks_.size(), "process id out of range");
+    return clocks_[p];
 }
 
-void OnlineTimestamper::reset() {
-    for (OnlineProcessClock& clock : clocks_) {
-        clock.reset();
-    }
-    floor_.clear();
-    epoch_ = 0;
+void OnlineTimestamper::attach_metrics(obs::MetricsRegistry& registry) {
+    metric_stamps_ = &registry.counter("clock_online_stamps");
+    metric_internal_ = &registry.counter("clock_online_internal_ticks");
+    registry.gauge("clock_width").set(static_cast<std::int64_t>(width()));
 }
 
-void OnlineTimestamper::on_epoch(const EpochTransition& transition) {
-    SYNCTS_REQUIRE(transition.to != nullptr && transition.from != nullptr,
-                   "epoch transition must carry both decompositions");
-    SYNCTS_REQUIRE(transition.old_width() == decomposition_->size() &&
-                       transition.old_num_processes == clocks_.size(),
-                   "epoch transition does not start from this topology");
-    std::vector<std::uint64_t> high_water(width(), 0);
-    for (const OnlineProcessClock& clock : clocks_) {
-        const auto row = clock.current_span();
-        for (std::size_t g = 0; g < row.size(); ++g) {
-            high_water[g] = std::max(high_water[g], row[g]);
-        }
-    }
-    fold_epoch_floor(transition, high_water, /*by_process=*/false);
-    decomposition_ = transition.to;
-    const std::size_t n = decomposition_->graph().num_vertices();
-    clocks_.clear();
-    clocks_.reserve(n);
-    for (ProcessId p = 0; p < n; ++p) {
-        clocks_.emplace_back(p, decomposition_);
-    }
-}
-
-void OnlineTimestamper::prepare_send(ProcessId sender,
-                                     std::span<std::uint64_t> out) {
-    SYNCTS_REQUIRE(sender < clocks_.size(), "process id out of range");
-    clocks_[sender].prepare_send_into(out);
-}
-
-void OnlineTimestamper::on_receive(ProcessId sender, ProcessId receiver,
-                                   std::span<const std::uint64_t> piggyback,
-                                   std::span<std::uint64_t> ack_out,
-                                   std::span<std::uint64_t> stamp_out) {
+void OnlineTimestamper::check_rendezvous(ProcessId sender,
+                                         ProcessId receiver) const {
     SYNCTS_REQUIRE(sender < clocks_.size() && receiver < clocks_.size(),
                    "process id out of range");
     SYNCTS_REQUIRE(sender != receiver, "no self-messages");
-    clocks_[receiver].on_receive_into(sender, piggyback, ack_out, stamp_out);
+    (void)clocks_[receiver].group_with(sender);
 }
 
-void OnlineTimestamper::on_ack(ProcessId sender, ProcessId receiver,
-                               std::span<const std::uint64_t> acknowledgement,
-                               std::span<std::uint64_t> stamp_out) {
-    SYNCTS_REQUIRE(sender < clocks_.size() && receiver < clocks_.size(),
-                   "process id out of range");
-    SYNCTS_REQUIRE(sender != receiver, "no self-messages");
-    clocks_[sender].on_ack_into(receiver, acknowledgement, stamp_out);
+void OnlineTimestamper::run_hooks(ProcessId sender, ProcessId receiver,
+                                  std::span<std::uint64_t> stamp_out) {
+    OnlineProcessClock& snd = clocks_[sender];
+    snd.prepare_send_into(piggyback_);
+    clocks_[receiver].on_receive_into(sender, piggyback_, ack_, stamp_out);
+    snd.on_ack_into(receiver, ack_, echo_);
+    SYNCTS_ENSURE(ts::equal(stamp_out, echo_),
+                  "sender and receiver disagree on the message timestamp");
 }
 
 void OnlineTimestamper::stamp_into(ProcessId sender, ProcessId receiver,
@@ -189,27 +157,24 @@ void OnlineTimestamper::stamp_into(ProcessId sender, ProcessId receiver,
     if (metric_stamps_ != nullptr) metric_stamps_->inc();
 }
 
+TsHandle OnlineTimestamper::timestamp_message(ProcessId sender,
+                                              ProcessId receiver,
+                                              TimestampArena& arena) {
+    SYNCTS_REQUIRE(arena.width() == width(),
+                   "arena width does not match the engine width");
+    check_rendezvous(sender, receiver);
+    const TsHandle h = arena.allocate();
+    run_hooks(sender, receiver, arena.span(h));
+    if (metric_stamps_ != nullptr) metric_stamps_->inc();
+    return h;
+}
+
 VectorTimestamp OnlineTimestamper::timestamp_message(ProcessId sender,
                                                      ProcessId receiver) {
-    SYNCTS_REQUIRE(sender < clocks_.size() && receiver < clocks_.size(),
-                   "process id out of range");
-    SYNCTS_REQUIRE(sender != receiver, "no self-messages");
-    OnlineProcessClock& snd = clocks_[sender];
-    OnlineProcessClock& rcv = clocks_[receiver];
-    const std::size_t d = width();
-    VectorTimestamp piggyback(d);
-    VectorTimestamp acknowledgement(d);
-    VectorTimestamp receiver_stamp(d);
-    VectorTimestamp sender_stamp(d);
-    snd.prepare_send_into(piggyback.mutable_components());
-    rcv.on_receive_into(sender, piggyback.components(),
-                        acknowledgement.mutable_components(),
-                        receiver_stamp.mutable_components());
-    snd.on_ack_into(receiver, acknowledgement.components(),
-                    sender_stamp.mutable_components());
-    SYNCTS_ENSURE(sender_stamp == receiver_stamp,
-                  "sender and receiver disagree on the message timestamp");
-    return sender_stamp;
+    check_rendezvous(sender, receiver);
+    VectorTimestamp stamp(width());
+    run_hooks(sender, receiver, stamp.mutable_components());
+    return stamp;
 }
 
 std::vector<VectorTimestamp> OnlineTimestamper::timestamp_computation(
@@ -222,26 +187,22 @@ std::vector<VectorTimestamp> OnlineTimestamper::timestamp_computation(
     return stamps;
 }
 
-void OnlineTimestamper::save_payload(std::vector<std::uint64_t>& out) const {
-    for (const OnlineProcessClock& clock : clocks_) {
-        const auto row = clock.current_span();
-        out.insert(out.end(), row.begin(), row.end());
-    }
-}
-
-void OnlineTimestamper::restore_payload(
-    std::span<const std::uint64_t> payload) {
-    const std::size_t d = width();
-    SYNCTS_REQUIRE(payload.size() == clocks_.size() * d,
-                   "online state payload does not match the topology shape");
-    for (std::size_t p = 0; p < clocks_.size(); ++p) {
-        clocks_[p].restore_from(payload.subspan(p * d, d));
-    }
-}
-
-const OnlineProcessClock& OnlineTimestamper::clock(ProcessId p) const {
-    SYNCTS_REQUIRE(p < clocks_.size(), "process id out of range");
-    return clocks_[p];
+std::vector<TsHandle> OnlineTimestamper::stamp_messages(
+    const SyncComputation& computation, TimestampArena& arena) {
+    SYNCTS_REQUIRE(computation.num_processes() == num_processes(),
+                   "computation size does not match the engine");
+    SYNCTS_REQUIRE(arena.width() == width(),
+                   "arena width does not match the engine width");
+    std::vector<TsHandle> stamps(computation.num_messages(), kNoTimestamp);
+    for_each_instant(
+        computation,
+        [&](ProcessId, InternalId) {
+            if (metric_internal_ != nullptr) metric_internal_->inc();
+        },
+        [&](const SyncMessage& m) {
+            stamps[m.id] = timestamp_message(m.sender, m.receiver, arena);
+        });
+    return stamps;
 }
 
 std::vector<VectorTimestamp> online_timestamps(

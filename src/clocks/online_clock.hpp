@@ -5,9 +5,10 @@
 #include <span>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
 #include "clocks/vector_timestamp.hpp"
+#include "common/timestamp_arena.hpp"
 #include "decomp/edge_decomposition.hpp"
+#include "obs/metrics.hpp"
 #include "trace/computation.hpp"
 
 /// \file online_clock.hpp
@@ -26,7 +27,7 @@
 /// caller-provided width-d slots (arena rows, packet buffers, a blocked
 /// sender's acknowledgement buffer) and never allocate. Both runtimes
 /// stamp through them. OnlineTimestamper drives all N clocks from a
-/// recorded SyncComputation and is the ClockFamily::online engine.
+/// recorded SyncComputation or from messages appended one at a time.
 
 namespace syncts {
 
@@ -41,9 +42,6 @@ public:
 
     /// Timestamp width d.
     std::size_t width() const noexcept { return vector_.width(); }
-
-    /// Returns the clock to its initial all-zero vector.
-    void reset() noexcept;
 
     /// Re-targets the clock at process `self` under `decomposition`, as
     /// if freshly constructed, reusing the vector and peer-table storage
@@ -99,11 +97,11 @@ public:
     /// message, or zero before any).
     const VectorTimestamp& current() const noexcept { return vector_; }
 
-private:
     /// Edge group of channel (self, peer); rejects a peer with no
     /// channel.
     GroupId group_with(ProcessId peer) const;
 
+private:
     ProcessId self_;
     std::shared_ptr<const EdgeDecomposition> decomposition_;
     /// group_by_peer_[p] — edge group of channel (self, p). It holds
@@ -115,80 +113,85 @@ private:
     VectorTimestamp vector_;
 };
 
-/// Drives the Fig. 5 protocol over a whole system from recorded or
-/// incrementally appended messages; the ClockFamily::online engine.
-class OnlineTimestamper final : public ClockEngine {
+/// Drives the Fig. 5 protocol over a whole system, one OnlineProcessClock
+/// per process, from recorded or incrementally appended messages. Every
+/// driver rejects ids out of range, a self-message and a pair with no
+/// channel before it writes anything or takes an arena slot, so a
+/// rejected call changes nothing.
+class OnlineTimestamper {
 public:
     explicit OnlineTimestamper(
         std::shared_ptr<const EdgeDecomposition> decomposition);
 
-    ClockFamily family() const noexcept override {
-        return ClockFamily::online;
-    }
-
     /// Timestamp width d.
-    std::size_t width() const noexcept override;
+    std::size_t width() const noexcept { return decomposition_->size(); }
 
-    std::size_t num_processes() const noexcept override {
-        return clocks_.size();
-    }
-
-    void reset() override;
-
-    /// Swaps in the new epoch's decomposition: the accumulated floor is
-    /// migrated by the component rule (preserved groups carry, rebuilt
-    /// ones start at zero) and every process clock is rebuilt at the new
-    /// width d, zeroed. Requires transition.from to match the current
-    /// decomposition's shape.
-    void on_epoch(const EpochTransition& transition) override;
+    std::size_t num_processes() const noexcept { return clocks_.size(); }
 
     const EdgeDecomposition& decomposition() const noexcept {
         return *decomposition_;
     }
 
-    void prepare_send(ProcessId sender,
-                      std::span<std::uint64_t> out) override;
-    void on_receive(ProcessId sender, ProcessId receiver,
-                    std::span<const std::uint64_t> piggyback,
-                    std::span<std::uint64_t> ack_out,
-                    std::span<std::uint64_t> stamp_out) override;
-    void on_ack(ProcessId sender, ProcessId receiver,
-                std::span<const std::uint64_t> acknowledgement,
-                std::span<std::uint64_t> stamp_out) override;
+    const OnlineProcessClock& clock(ProcessId p) const;
+
+    /// Registers `clock_online_stamps` (messages stamped by the counting
+    /// drivers), `clock_online_internal_ticks` (internal events walked by
+    /// stamp_messages) and the `clock_width` gauge, set to width().
+    /// Registration allocates; afterwards each count is one branch and a
+    /// relaxed add. The registry must outlive the timestamper.
+    void attach_metrics(obs::MetricsRegistry& registry);
 
     /// One rendezvous through OnlineProcessClock::rendezvous_into: both
     /// clocks advance and the message timestamp lands in `out` (width()
     /// words), bit-identical to the three-hook drivers. Counts toward
-    /// clock_online_stamps when metrics are attached. A rejected call
-    /// changes nothing.
+    /// clock_online_stamps.
     void stamp_into(ProcessId sender, ProcessId receiver,
                     std::span<std::uint64_t> out);
 
-    /// Arena-slot rendezvous driver from the base class.
-    using ClockEngine::timestamp_message;
+    /// One rendezvous through the three span hooks (never the fused
+    /// rendezvous_into, so these drivers stay an independent reference
+    /// for it) into a fresh slot of `arena`, whose width must be width().
+    /// Allocates nothing once the arena has capacity. Counts toward
+    /// clock_online_stamps.
+    TsHandle timestamp_message(ProcessId sender, ProcessId receiver,
+                               TimestampArena& arena);
 
-    /// Allocating rendezvous: executes one rendezvous through the three
-    /// span hooks (never the fused rendezvous_into, so it stays an
-    /// independent reference for it) and returns the message timestamp
-    /// as an owning value. Counts nothing.
+    /// As above, returning the message timestamp as an owning value.
+    /// Counts nothing.
     VectorTimestamp timestamp_message(ProcessId sender, ProcessId receiver);
 
-    /// Allocating batch driver over timestamp_message; result[id] is
-    /// message id's timestamp. The computation's topology must match the
-    /// decomposition's.
+    /// Value driver over a whole computation; result[id] is message id's
+    /// timestamp. The computation's topology must match the
+    /// decomposition's. Counts nothing.
     std::vector<VectorTimestamp> timestamp_computation(
         const SyncComputation& computation);
 
-    const OnlineProcessClock& clock(ProcessId p) const;
-
-protected:
-    /// State payload: the N width-d process vectors, row-major.
-    void save_payload(std::vector<std::uint64_t>& out) const override;
-    void restore_payload(std::span<const std::uint64_t> payload) override;
+    /// Walks `computation` in instant order (for_each_instant), stamps
+    /// every message into `arena` through the arena driver and counts
+    /// each internal event toward clock_online_internal_ticks. Returns
+    /// the slot handles by MessageId.
+    std::vector<TsHandle> stamp_messages(const SyncComputation& computation,
+                                         TimestampArena& arena);
 
 private:
+    /// Rejects ids out of range, a self-message and a pair with no
+    /// channel.
+    void check_rendezvous(ProcessId sender, ProcessId receiver) const;
+
+    /// Fig. 5's three hooks for one checked rendezvous; the receiver's
+    /// stamp lands in `stamp_out` and must equal the sender's.
+    void run_hooks(ProcessId sender, ProcessId receiver,
+                   std::span<std::uint64_t> stamp_out);
+
     std::shared_ptr<const EdgeDecomposition> decomposition_;
     std::vector<OnlineProcessClock> clocks_;
+    // Width-d scratch of the three hooks: piggyback, ack, sender's echo.
+    std::vector<std::uint64_t> piggyback_;
+    std::vector<std::uint64_t> ack_;
+    std::vector<std::uint64_t> echo_;
+
+    obs::Counter* metric_stamps_ = nullptr;
+    obs::Counter* metric_internal_ = nullptr;
 };
 
 /// One-shot convenience: decompose with the library default and timestamp

@@ -55,9 +55,9 @@ private:
     Kind kind_;
 };
 
-/// The codec fail function of every wire decoder (and of SYCK clock
-/// state): raises WireError with the kind of the codec fault — a count
-/// that exceeds the bytes left is a length_mismatch.
+/// The codec fail function of every wire decoder: raises WireError with
+/// the kind of the codec fault — a count that exceeds the bytes left is a
+/// length_mismatch.
 [[noreturn]] void throw_wire_error(codec::Fault fault, const char* what);
 
 /// A codec reader whose failures raise WireError.

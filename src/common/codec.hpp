@@ -21,7 +21,6 @@
 /// checksum trailer. Its users:
 ///
 ///   - wire frames v1–v4 and the bare timestamp (clocks/wire);
-///   - SYCK clock state (clocks/clock_engine);
 ///   - WAL records (recover/wal) and SYSN snapshots (recover/snapshot);
 ///   - SYFR post-mortems (obs/flight_recorder);
 ///   - the SYEV event dump (obs/trace_sink);

@@ -73,8 +73,8 @@ inline void increment(std::span<std::uint64_t> v, std::size_t k) noexcept {
 
 /// Both sides of one Fig. 5 rendezvous on channel group g in one pass:
 /// a = b = out = max(a, b) + e_g. Bit-identical to the three hooks
-/// (prepare_send → on_receive → on_ack), where each side ends with that
-/// same vector. The three spans are disjoint and of one width.
+/// (prepare_send_into → on_receive_into → on_ack_into), where each side
+/// ends with that same vector. The three spans are disjoint and of one width.
 inline void rendezvous(std::span<std::uint64_t> a, std::span<std::uint64_t> b,
                        std::size_t g, std::span<std::uint64_t> out) noexcept {
     const std::size_t n = a.size();

@@ -46,7 +46,8 @@ MessageId IncrementalPrecedenceIndex::ingest_message(ProcessId sender,
 }
 
 void IncrementalPrecedenceIndex::ingest_internal(ProcessId process) {
-    engine_.on_internal(process, {});
+    SYNCTS_REQUIRE(process < engine_.num_processes(),
+                   "process id out of range");
 }
 
 std::uint64_t IncrementalPrecedenceIndex::ingest(StreamingTraceReader& reader,

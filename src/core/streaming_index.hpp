@@ -63,8 +63,9 @@ public:
     /// std::invalid_argument and leaves the index unchanged.
     MessageId ingest_message(ProcessId sender, ProcessId receiver);
 
-    /// Replays an internal event (keeps engine replay parity with the
-    /// batch `stamp_messages` driver; the online family ignores it).
+    /// Accepts an internal event. Fig. 5 stamps messages only, so it
+    /// changes nothing; a process id out of range throws
+    /// std::invalid_argument, as ingest_message does.
     void ingest_internal(ProcessId process);
 
     /// Pulls `reader` to exhaustion (or `max_events`), ingesting every

@@ -65,7 +65,7 @@ TimestampedTrace SyncSystem::analyze(const SyncComputation& computation) const {
         "computation and system disagree on the number of processes");
     OnlineTimestamper timestamper = make_timestamper();
     // Replay straight into the trace's arena: slot m = message m (the
-    // online family stamps messages only, in message order).
+    // online clock stamps messages only, in message order).
     TimestampArena arena(timestamper.width(), computation.num_messages());
     timestamper.stamp_messages(computation, arena);
     return TimestampedTrace(computation, std::move(arena));

@@ -53,10 +53,9 @@ struct OutstandingState {
 };
 
 /// A process's complete durable protocol state. `clock` is the width-d
-/// epoch-relative vector of the process's OnlineProcessClock — the
-/// runtime's per-process slice of ClockFamily::online state; whole
-/// multi-process engines of any family capture themselves with
-/// ClockEngine::save_state / restore_state instead.
+/// epoch-relative vector of the process's OnlineProcessClock; a restart
+/// rebinds the clock to `epoch`'s decomposition and restores the vector
+/// with OnlineProcessClock::restore_from.
 struct ProcessState {
     ProcessId self = 0;
     EpochId epoch = 0;

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -20,12 +18,12 @@
 /// topology in *epochs*: each epoch is an immutable (Graph,
 /// EdgeDecomposition) pair, and moving from epoch e to e+1 is described by
 /// an explicit EpochTransition — which vector components survive (their
-/// star/triangle kept the same edge set), which are new, and how in-flight
-/// vectors migrate. Within an epoch the paper's theory applies unchanged
-/// (Theorem 4: m1 ↦ m2 ⟺ v(m1) < v(m2)); across epochs precedence is
-/// decided by the transition itself, because a reconfiguration is a global
-/// barrier: every epoch-e message precedes every epoch-e' message for
-/// e < e' (see docs/TOPOLOGY.md).
+/// star/triangle kept the same edge set) and which are new. Within an
+/// epoch the paper's theory applies unchanged (Theorem 4: m1 ↦ m2 ⟺
+/// v(m1) < v(m2)); across epochs precedence is decided by the transition
+/// itself, because a reconfiguration is a global barrier: every epoch-e
+/// message precedes every epoch-e' message for e < e' (see
+/// docs/TOPOLOGY.md).
 
 namespace syncts {
 
@@ -48,15 +46,12 @@ struct Epoch {
 /// Everything a clock, wire, or analysis layer needs to cross one epoch
 /// boundary. Produced by TopologyManager on every reconfiguration.
 ///
-/// Migration rule (the contract every ClockEngine::on_epoch implements):
-/// a component of the new decomposition whose group kept its exact edge
-/// set carries the old component's value over; a component whose group was
-/// rebuilt starts at the epoch floor (zero, relative to the transition).
-/// Because the transition is a global barrier, the carried values function
-/// as per-component *floors*: within the new epoch every clock advances
-/// from zero again and Theorem 4 holds verbatim, while the absolute
-/// history of a component is the sum of the floors accumulated at each
-/// transition it survived.
+/// A transition is a global barrier: every epoch-e message precedes every
+/// epoch-e' message for e < e', so no clock value crosses it. Each clock
+/// is rebound to the new epoch's decomposition and starts from zero, and
+/// Theorem 4 holds verbatim within the epoch. The group maps below record
+/// which components kept their exact edge set, for the reports and tools
+/// that compare decompositions across the boundary.
 struct EpochTransition {
     EpochId from_epoch = 0;
     EpochId to_epoch = 0;
@@ -83,24 +78,6 @@ struct EpochTransition {
     /// quality guard (or the acyclic fast path fired) and the whole graph
     /// was re-decomposed by default_decomposition.
     bool full_rebuild = false;
-
-    std::size_t old_width() const noexcept { return group_target.size(); }
-    std::size_t new_width() const noexcept { return group_source.size(); }
-
-    /// Migrates a width-old_width() vector into a width-new_width() one:
-    /// preserved components carry over, rebuilt components start at the
-    /// epoch floor (zero). This is the rule for the online family, whose
-    /// vectors are indexed by decomposition group.
-    void migrate_components(std::span<const std::uint64_t> old_vec,
-                            std::span<std::uint64_t> new_vec) const;
-
-    /// Migrates a per-process vector (length old_num_processes) into the
-    /// new process space (length new_num_processes). Processes are never
-    /// renumbered or removed, so this is a copy plus zero-fill for
-    /// processes born this epoch. This is the rule for the Fidge/Mattern
-    /// families, whose vectors are indexed by process.
-    void migrate_processes(std::span<const std::uint64_t> old_vec,
-                           std::span<std::uint64_t> new_vec) const;
 };
 
 }  // namespace syncts

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/ids.hpp"
 #include "graph/graph.hpp"
 
@@ -93,5 +94,42 @@ private:
     std::vector<std::vector<ProcessEvent>> per_process_;
     std::vector<std::vector<MessageId>> per_process_messages_;
 };
+
+/// Walks `computation` in one valid instant order: messages in id order,
+/// each preceded by the sender's and then the receiver's internal events
+/// that come before it in their sequences, and each process's leftover
+/// internal events at the end, process by process. Calls
+/// `on_internal(ProcessId, InternalId)` and `on_message(const
+/// SyncMessage&)` in that order. Every writer, diagram and replay that
+/// needs an instant order uses this walk, so they all agree on it.
+template <typename OnInternal, typename OnMessage>
+void for_each_instant(const SyncComputation& computation,
+                      OnInternal&& on_internal, OnMessage&& on_message) {
+    std::vector<std::size_t> cursor(computation.num_processes(), 0);
+    // Emits p's internal events up to message `until` and steps past it;
+    // kNoMessage emits the rest of p's sequence.
+    const auto drain = [&](ProcessId p, MessageId until) {
+        const auto events = computation.process_events(p);
+        while (cursor[p] < events.size()) {
+            const ProcessEvent& e = events[cursor[p]++];
+            if (e.kind == ProcessEvent::Kind::message) {
+                SYNCTS_ENSURE(until != kNoMessage && e.index == until,
+                              "instant-order walk out of order");
+                return;
+            }
+            on_internal(p, static_cast<InternalId>(e.index));
+        }
+        SYNCTS_ENSURE(until == kNoMessage,
+                      "message missing from process event sequence");
+    };
+    for (const SyncMessage& m : computation.messages()) {
+        drain(m.sender, m.id);
+        drain(m.receiver, m.id);
+        on_message(m);
+    }
+    for (ProcessId p = 0; p < computation.num_processes(); ++p) {
+        drain(p, kNoMessage);
+    }
+}
 
 }  // namespace syncts

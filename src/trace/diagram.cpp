@@ -16,34 +16,14 @@ struct Column {
     ProcessId internal_process = 0;
 };
 
-/// A valid instant order: each message preceded by the internal events
-/// before it in its endpoints' sequences (same walk as trace_io).
+/// One column per instant, in for_each_instant's order (the trace
+/// writers' order).
 std::vector<Column> build_columns(const SyncComputation& computation) {
     std::vector<Column> columns;
-    std::vector<std::size_t> cursor(computation.num_processes(), 0);
-    const auto drain = [&](ProcessId p, MessageId until) {
-        const auto events = computation.process_events(p);
-        while (cursor[p] < events.size()) {
-            const ProcessEvent& e = events[cursor[p]];
-            if (e.kind == ProcessEvent::Kind::message) {
-                SYNCTS_ENSURE(until != kNoMessage && e.index == until,
-                              "diagram walk out of order");
-                ++cursor[p];
-                return;
-            }
-            columns.push_back({false, 0, p});
-            ++cursor[p];
-        }
-        SYNCTS_ENSURE(until == kNoMessage, "message missing from sequence");
-    };
-    for (const SyncMessage& m : computation.messages()) {
-        drain(m.sender, m.id);
-        drain(m.receiver, m.id);
-        columns.push_back({true, m.id, 0});
-    }
-    for (ProcessId p = 0; p < computation.num_processes(); ++p) {
-        drain(p, kNoMessage);
-    }
+    for_each_instant(
+        computation,
+        [&](ProcessId p, InternalId) { columns.push_back({false, 0, p}); },
+        [&](const SyncMessage& m) { columns.push_back({true, m.id, 0}); });
     return columns;
 }
 

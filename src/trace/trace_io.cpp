@@ -24,30 +24,12 @@ void write_computation(std::ostream& out,
         computation.num_messages() + computation.num_internal_events();
     out << "events " << total << '\n';
 
-    // Emit a valid instant order: messages in id order, each preceded by
-    // the internal events that come before it in its endpoints' sequences.
-    std::vector<std::size_t> cursor(g.num_vertices(), 0);
-    const auto drain = [&](ProcessId p, MessageId until) {
-        const auto events = computation.process_events(p);
-        while (cursor[p] < events.size()) {
-            const ProcessEvent& e = events[cursor[p]];
-            if (e.kind == ProcessEvent::Kind::message) {
-                SYNCTS_ENSURE(until != kNoMessage && e.index == until,
-                              "trace serialization out of order");
-                ++cursor[p];
-                return;
-            }
-            out << "i " << p << '\n';
-            ++cursor[p];
-        }
-        SYNCTS_ENSURE(until == kNoMessage, "message missing from sequence");
-    };
-    for (const SyncMessage& m : computation.messages()) {
-        drain(m.sender, m.id);
-        drain(m.receiver, m.id);
-        out << "m " << m.sender << ' ' << m.receiver << '\n';
-    }
-    for (ProcessId p = 0; p < g.num_vertices(); ++p) drain(p, kNoMessage);
+    for_each_instant(
+        computation,
+        [&](ProcessId p, InternalId) { out << "i " << p << '\n'; },
+        [&](const SyncMessage& m) {
+            out << "m " << m.sender << ' ' << m.receiver << '\n';
+        });
 }
 
 std::string serialize_computation(const SyncComputation& computation) {
@@ -372,33 +354,11 @@ std::optional<TraceRecord> StreamingTraceReader::next() {
 void write_binary_computation(std::ostream& out,
                               const SyncComputation& computation) {
     StreamingTraceWriter writer(out, computation.topology());
-    // Same instant-order interleaving as the text writer: messages in id
-    // order, each preceded by the internal events before it in its
-    // endpoints' sequences.
-    std::vector<std::size_t> cursor(computation.num_processes(), 0);
-    const auto drain = [&](ProcessId p, MessageId until) {
-        const auto events = computation.process_events(p);
-        while (cursor[p] < events.size()) {
-            const ProcessEvent& e = events[cursor[p]];
-            if (e.kind == ProcessEvent::Kind::message) {
-                SYNCTS_ENSURE(until != kNoMessage && e.index == until,
-                              "trace serialization out of order");
-                ++cursor[p];
-                return;
-            }
-            writer.add_internal(p);
-            ++cursor[p];
-        }
-        SYNCTS_ENSURE(until == kNoMessage, "message missing from sequence");
-    };
-    for (const SyncMessage& m : computation.messages()) {
-        drain(m.sender, m.id);
-        drain(m.receiver, m.id);
-        writer.add_message(m.sender, m.receiver);
-    }
-    for (ProcessId p = 0; p < computation.num_processes(); ++p) {
-        drain(p, kNoMessage);
-    }
+    for_each_instant(
+        computation, [&](ProcessId p, InternalId) { writer.add_internal(p); },
+        [&](const SyncMessage& m) {
+            writer.add_message(m.sender, m.receiver);
+        });
     writer.finish();
 }
 

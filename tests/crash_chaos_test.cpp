@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
+#include "clocks/direct_dependency.hpp"
+#include "clocks/fm_event_clock.hpp"
+#include "clocks/fm_sync_clock.hpp"
+#include "clocks/lamport_clock.hpp"
 #include "clocks/offline_timestamper.hpp"
 #include "clocks/online_clock.hpp"
 #include "common/rng.hpp"
@@ -186,10 +188,6 @@ TEST(CrashChaos, FiveHundredCrashSchedulesBitIdenticalTimestamps) {
 }
 
 TEST(CrashChaos, AllSixFamiliesValidateOnCrashRealizedComputations) {
-    constexpr ClockFamily kVectorFamilies[] = {
-        ClockFamily::online, ClockFamily::fm_sync, ClockFamily::fm_event,
-        ClockFamily::lamport,
-    };
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         const Graph topology = topology::complete(4);
         const SyncComputation script =
@@ -212,53 +210,56 @@ TEST(CrashChaos, AllSixFamiliesValidateOnCrashRealizedComputations) {
         // per-process orders (instants renumbered to commit order), so
         // every family must stamp it exactly as it stamps the script —
         // message i of the realized run maps to script_message[i].
-        for (const ClockFamily family : kVectorFamilies) {
-            auto on_script = make_clock_engine(family, decomposition);
-            auto on_realized = make_clock_engine(family, decomposition);
-            const std::vector<VectorTimestamp> want =
-                on_script->stamp_computation(script).materialize_messages();
-            const std::vector<VectorTimestamp> got =
-                on_realized->stamp_computation(result.computation)
-                    .materialize_messages();
-            ASSERT_EQ(got.size(), want.size()) << to_string(family);
+        const auto expect_realized_like_script = [&](const auto& want,
+                                                     const auto& got,
+                                                     const char* family) {
+            ASSERT_EQ(got.size(), want.size()) << family;
             for (std::size_t i = 0; i < got.size(); ++i) {
                 ASSERT_EQ(got[i], want[result.script_message[i]])
-                    << to_string(family) << " seed " << seed
-                    << " realized message " << i;
+                    << family << " seed " << seed << " realized message "
+                    << i;
             }
-        }
-        // Direct dependency (Fowler–Zwaenepoel): stamp components are
-        // message *ids* in the stamping run's own dense numbering, so
-        // realized-run components must be translated through
-        // script_message before comparing with the script run's stamps.
+        };
+        expect_realized_like_script(
+            OnlineTimestamper(decomposition).timestamp_computation(script),
+            OnlineTimestamper(decomposition)
+                .timestamp_computation(result.computation),
+            "online");
+        expect_realized_like_script(fm_sync_timestamps(script),
+                                    fm_sync_timestamps(result.computation),
+                                    "fm_sync");
+        expect_realized_like_script(
+            fm_event_timestamps(script).message_stamps,
+            fm_event_timestamps(result.computation).message_stamps,
+            "fm_event");
+        expect_realized_like_script(
+            lamport_timestamps(script).message_stamps,
+            lamport_timestamps(result.computation).message_stamps,
+            "lamport");
+        // Direct dependency (Fowler–Zwaenepoel): the records hold message
+        // *ids* in the stamping run's own dense numbering, so realized-run
+        // ids must be translated through script_message before comparing
+        // with the script run's records.
         {
-            auto on_script = make_clock_engine(
-                ClockFamily::direct_dependency, decomposition);
-            auto on_realized = make_clock_engine(
-                ClockFamily::direct_dependency, decomposition);
-            const std::vector<VectorTimestamp> want =
-                on_script->stamp_computation(script).materialize_messages();
-            const std::vector<VectorTimestamp> got =
-                on_realized->stamp_computation(result.computation)
-                    .materialize_messages();
+            const std::vector<DirectDeps> want =
+                DirectDependencyTracker::record_computation(script);
+            const std::vector<DirectDeps> got =
+                DirectDependencyTracker::record_computation(
+                    result.computation);
             ASSERT_EQ(got.size(), want.size());
+            const auto translate = [&](MessageId raw) {
+                return raw == kNoMessage ? kNoMessage
+                                         : result.script_message[raw];
+            };
             for (std::size_t i = 0; i < got.size(); ++i) {
-                const VectorTimestamp& expect = want[result.script_message[i]];
-                ASSERT_EQ(got[i].width(), expect.width());
-                // The engine's "no previous message" sentinel.
-                constexpr std::uint64_t kNone =
-                    std::numeric_limits<std::uint64_t>::max();
-                for (std::size_t c = 0; c < got[i].width(); ++c) {
-                    const std::uint64_t raw = got[i][c];
-                    const std::uint64_t translated =
-                        raw == kNone
-                            ? kNone
-                            : result.script_message[static_cast<std::size_t>(
-                                  raw)];
-                    ASSERT_EQ(translated, expect[c])
-                        << "direct_dependency seed " << seed << " message "
-                        << i << " component " << c;
-                }
+                const DirectDeps& expect = want[result.script_message[i]];
+                ASSERT_EQ(translate(got[i].prev_sender), expect.prev_sender)
+                    << "direct_dependency seed " << seed << " message " << i
+                    << " component 0";
+                ASSERT_EQ(translate(got[i].prev_receiver),
+                          expect.prev_receiver)
+                    << "direct_dependency seed " << seed << " message " << i
+                    << " component 1";
             }
         }
         // Offline (Fig. 9): the realizer on the crash-realized

@@ -9,11 +9,9 @@
 #include <string_view>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
 #include "clocks/wire.hpp"
 #include "common/codec.hpp"
 #include "common/spill_store.hpp"
-#include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_sink.hpp"
@@ -281,32 +279,6 @@ TEST(FormatPins, Snapshot) {
               "drop=RecoveryError/checksum_mismatch "
               "append=RecoveryError/checksum_mismatch "
               "magic=RecoveryError/checksum_mismatch");
-}
-
-TEST(FormatPins, ClockStateOnlineFamily) {
-    const auto decomposition = std::make_shared<const EdgeDecomposition>(
-        default_decomposition(topology::path(3)));
-    const auto engine = make_clock_engine(ClockFamily::online, decomposition);
-    TimestampArena arena(engine->width());
-    (void)engine->timestamp_message(0, 1, arena);
-    (void)engine->timestamp_message(2, 1, arena);
-    std::vector<std::uint8_t> bytes{0xEE};  // save_state appends
-    engine->save_state(bytes);
-    EXPECT_EQ(hex(bytes), "ee5359434b0100000003010202a5732b4d");
-    bytes.erase(bytes.begin());
-    const auto fresh = make_clock_engine(ClockFamily::online, decomposition);
-    fresh->restore_state(bytes);
-    EXPECT_EQ(fresh->save_state(), bytes);
-    EXPECT_EQ(damage(bytes, codec::kTrailerBytes, true,
-                     [&](const auto& b) {
-                         make_clock_engine(ClockFamily::online, decomposition)
-                             ->restore_state(b);
-                         return std::string("ok");
-                     }),
-              "flip=WireError/checksum_mismatch "
-              "drop=WireError/checksum_mismatch "
-              "append=WireError/checksum_mismatch "
-              "magic=WireError/checksum_mismatch");
 }
 
 obs::TraceEvent pin_event(std::uint64_t i) {
@@ -580,16 +552,6 @@ TEST(FormatPins, RecordsSealedBeforeCrc32cAreRejected) {
                           .wal_lsn);
               }),
               "RecoveryError/checksum_mismatch");
-    EXPECT_EQ(outcome([] {
-                  const auto decomposition =
-                      std::make_shared<const EdgeDecomposition>(
-                          default_decomposition(topology::path(3)));
-                  make_clock_engine(ClockFamily::online, decomposition)
-                      ->restore_state(
-                          unhex("5359434b0100000003010202ee754188a1bcfc3b"));
-                  return std::string("ok");
-              }),
-              "WireError/checksum_mismatch");
     EXPECT_EQ(outcome([] {
                   return std::to_string(
                       obs::decode_postmortem(

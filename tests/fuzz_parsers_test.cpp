@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
 #include "clocks/online_clock.hpp"
 #include "clocks/wire.hpp"
 #include "common/codec.hpp"
@@ -395,24 +394,6 @@ Codec snapshot_codec() {
         });
 }
 
-/// SYCK clock state of an online engine after two rendezvous.
-Codec clock_state_codec() {
-    const auto decomposition = std::make_shared<const EdgeDecomposition>(
-        default_decomposition(topology::ring(4)));
-    const auto engine = make_clock_engine(ClockFamily::online, decomposition);
-    TimestampArena arena(engine->width());
-    (void)engine->timestamp_message(0, 1, arena);
-    (void)engine->timestamp_message(2, 3, arena);
-    std::vector<std::uint8_t> sample = engine->save_state();
-    return make_codec<WireError>(
-        sample, [decomposition, sample](std::span<const std::uint8_t> bytes) {
-            const auto restored =
-                make_clock_engine(ClockFamily::online, decomposition);
-            restored->restore_state(bytes);
-            EXPECT_EQ(restored->save_state(), sample);
-        });
-}
-
 obs::Postmortem fuzz_postmortem() {
     obs::Postmortem post;
     post.reason = obs::PostmortemReason::error;
@@ -561,7 +542,6 @@ TEST(FuzzParsers, EveryCodecUnderEveryDamageClass) {
         {"wire v4", batch_codec(), false},
         {"WAL", wal_codec(fuzz_wal_record(WalRecordType::ack)), true},
         {"SYSN", snapshot_codec(), true},
-        {"SYCK", clock_state_codec(), true},
         {"SYFR", postmortem_codec(), true},
         {"SYEV event dump", event_dump_codec(), true},
         {"SYTR v2", sytr_codec(4), false},

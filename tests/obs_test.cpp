@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
+#include "clocks/online_clock.hpp"
 #include "common/rng.hpp"
 #include "common/timestamp_arena.hpp"
 #include "decomp/cover_decomposer.hpp"
@@ -545,15 +545,14 @@ TEST(Instrumentation, ClockEngineCountsStampsPerFamily) {
     script.add_message(1, 2);
 
     obs::MetricsRegistry registry;
-    const auto engine =
-        make_clock_engine(ClockFamily::online, decomposition);
-    engine->attach_metrics(registry);
-    TimestampArena arena(engine->width());
-    (void)engine->stamp_messages(script, arena);
+    OnlineTimestamper engine(decomposition);
+    engine.attach_metrics(registry);
+    TimestampArena arena(engine.width());
+    (void)engine.stamp_messages(script, arena);
     EXPECT_EQ(registry.counter("clock_online_stamps").value(), 2u);
     EXPECT_EQ(registry.counter("clock_online_internal_ticks").value(), 1u);
     EXPECT_EQ(registry.gauge("clock_width").value(),
-              static_cast<std::int64_t>(engine->width()));
+              static_cast<std::int64_t>(engine.width()));
 }
 
 TEST(Instrumentation, ArenaCountsSlotsGrowthAndKernelTraffic) {

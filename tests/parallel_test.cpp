@@ -103,7 +103,7 @@ TEST(Pool, ExceptionPropagatesToCaller) {
     };
     EXPECT_THROW(pool.parallel_for(100, 5, boom), std::runtime_error);
     // The pool must stay usable after a throwing job.
-    std::size_t covered = 0;
+    std::atomic<std::size_t> covered{0};
     pool.parallel_for(64, 8, [&](std::size_t begin, std::size_t end) {
         covered += end - begin;
     });

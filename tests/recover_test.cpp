@@ -4,23 +4,16 @@
 #include <memory>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
-#include "clocks/wire.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "graph/generators.hpp"
 #include "recover/frame_window.hpp"
 #include "recover/recovery_manager.hpp"
 #include "recover/snapshot.hpp"
 #include "recover/wal.hpp"
-#include "test_util.hpp"
-#include "topo/reconfig.hpp"
-#include "topo/topology_manager.hpp"
 
 /// Unit coverage of the crash-recovery building blocks (docs/
-/// RECOVERY.md) — the frame window, the WAL, the snapshot codec, the
-/// recovery manager's failure modes — plus the 500-seed save_state /
-/// restore_state round-trip sweep across all six clock families,
-/// including snapshots taken mid-epoch after topology migrations.
+/// RECOVERY.md): the frame window, the WAL, the snapshot codec and the
+/// recovery manager's failure modes.
 
 namespace syncts {
 namespace {
@@ -219,126 +212,6 @@ TEST(Recover, RecoveryManagerRejectsGapsAndDamage) {
     Wal empty(1);
     EXPECT_THROW(RecoveryManager::recover(damaged, empty, provider),
                  RecoveryError);
-}
-
-// ---- save_state / restore_state across all six families --------------
-
-constexpr ClockFamily kFamilies[] = {
-    ClockFamily::online,  ClockFamily::fm_sync,
-    ClockFamily::fm_event, ClockFamily::lamport,
-    ClockFamily::direct_dependency, ClockFamily::offline,
-};
-
-TEST(ClockEngineState, FiveHundredSeedRoundTripsAcrossAllFamilies) {
-    // >= 500 snapshot/restore round trips: capture an engine mid-run,
-    // restore the bytes into a fresh engine on the same topology, and
-    // require both to stamp the *continuation* workload bit-identically.
-    std::size_t round_trips = 0;
-    for (std::uint64_t seed = 1; seed <= 84; ++seed) {
-        const auto suite = testing::small_graph_suite(seed);
-        const Graph& graph = suite[seed % suite.size()].graph;
-        if (graph.num_edges() == 0) continue;
-        auto decomposition = std::make_shared<const EdgeDecomposition>(
-            default_decomposition(graph));
-        const SyncComputation history =
-            testing::random_workload(graph, 12, 0.2, seed * 3 + 1);
-        const SyncComputation continuation =
-            testing::random_workload(graph, 12, 0.2, seed * 3 + 2);
-        for (const ClockFamily family : kFamilies) {
-            auto engine = make_clock_engine(family, decomposition);
-            engine->stamp_computation(history);
-            const std::vector<std::uint8_t> state = engine->save_state();
-
-            auto restored = make_clock_engine(family, decomposition);
-            restored->restore_state(state);
-            EXPECT_EQ(restored->epoch(), engine->epoch());
-            const std::vector<VectorTimestamp> want =
-                engine->stamp_computation(continuation)
-                    .materialize_messages();
-            const std::vector<VectorTimestamp> got =
-                restored->stamp_computation(continuation)
-                    .materialize_messages();
-            ASSERT_EQ(got, want)
-                << to_string(family) << " seed " << seed;
-            ++round_trips;
-        }
-    }
-    EXPECT_GE(round_trips, 500u);
-}
-
-TEST(ClockEngineState, MidEpochSnapshotsSurviveTopologyMigrations) {
-    // Capture *after* epoch transitions, mid-way through a later epoch:
-    // the saved floor and epoch id must restore exactly.
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        TopologyManager manager{topology::ring(5)};
-        for (const ReconfigOp& op : random_reconfig_schedule(
-                 topology::ring(5), 2, 4200 + seed)) {
-            apply(manager, op);
-        }
-        if (manager.num_epochs() < 2) continue;
-        const EpochId target =
-            static_cast<EpochId>(manager.num_epochs() - 1);
-        for (const ClockFamily family : kFamilies) {
-            auto engine = make_clock_engine(family, manager.decomposition(0));
-            for (EpochId e = 0; e < target; ++e) {
-                engine->stamp_computation(testing::random_workload(
-                    manager.epoch(e).graph(), 10, 0.1, seed * 37 + e));
-                engine->on_epoch(manager.transition_into(e + 1));
-            }
-            // Mid-epoch: stamp part of the final epoch, then snapshot.
-            engine->stamp_computation(testing::random_workload(
-                manager.epoch(target).graph(), 8, 0.1, seed * 41));
-            const std::vector<std::uint8_t> state = engine->save_state();
-
-            auto restored =
-                make_clock_engine(family, manager.decomposition(target));
-            restored->restore_state(state);
-            EXPECT_EQ(restored->epoch(), target) << to_string(family);
-            ASSERT_TRUE(std::equal(restored->epoch_floor().begin(),
-                                   restored->epoch_floor().end(),
-                                   engine->epoch_floor().begin(),
-                                   engine->epoch_floor().end()))
-                << to_string(family);
-            const SyncComputation rest = testing::random_workload(
-                manager.epoch(target).graph(), 8, 0.1, seed * 43);
-            ASSERT_EQ(
-                restored->stamp_computation(rest).materialize_messages(),
-                engine->stamp_computation(rest).materialize_messages())
-                << to_string(family) << " seed " << seed;
-        }
-    }
-}
-
-TEST(ClockEngineState, RestoreRejectsDamageAndMismatch) {
-    const Graph graph = topology::complete(4);
-    auto decomposition = std::make_shared<const EdgeDecomposition>(
-        default_decomposition(graph));
-    auto engine = make_clock_engine(ClockFamily::fm_sync, decomposition);
-    engine->stamp_computation(
-        testing::random_workload(graph, 10, 0.0, 12));
-    const std::vector<std::uint8_t> state = engine->save_state();
-
-    // Family mismatch.
-    auto other = make_clock_engine(ClockFamily::lamport, decomposition);
-    EXPECT_THROW(other->restore_state(state), std::invalid_argument);
-
-    // Shape mismatch: same family, different topology.
-    const Graph small = topology::path(2);
-    auto narrow = make_clock_engine(
-        ClockFamily::fm_sync, std::make_shared<const EdgeDecomposition>(
-                                  default_decomposition(small)));
-    EXPECT_THROW(narrow->restore_state(state), std::invalid_argument);
-
-    // Checksum damage anywhere in the frame.
-    for (std::size_t at = 0; at < state.size(); at += 4) {
-        std::vector<std::uint8_t> damaged = state;
-        damaged[at] ^= 0x20;
-        auto fresh = make_clock_engine(ClockFamily::fm_sync, decomposition);
-        EXPECT_ANY_THROW(fresh->restore_state(damaged)) << "byte " << at;
-    }
-    EXPECT_THROW(engine->restore_state(std::span<const std::uint8_t>(
-                     state.data(), 3)),
-                 WireError);
 }
 
 }  // namespace

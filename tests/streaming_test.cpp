@@ -422,22 +422,22 @@ TEST_F(StreamingEquivalence, IndexStampsMatchThreeHookDriverOver500Seeds) {
         const SyncComputation& c = computations[i];
         const std::size_t n = c.num_messages();
         const SyncSystem system{Graph(c.topology())};
-        const EngineStamps reference =
-            make_clock_engine(ClockFamily::online, system.decomposition_ptr())
-                ->stamp_computation(c);
-        ASSERT_EQ(reference.message_stamps.size(), n);
+        OnlineTimestamper engine(system.decomposition_ptr());
+        TimestampArena reference(engine.width(), n);
+        const std::vector<TsHandle> stamps =
+            engine.stamp_messages(c, reference);
+        ASSERT_EQ(stamps.size(), n);
 
         for (const std::size_t window : {n, std::size_t{16}}) {
             StreamingIndexOptions options;
             options.window = window;
             IncrementalPrecedenceIndex index(system, options);
-            ASSERT_EQ(index.width(), reference.arena.width());
+            ASSERT_EQ(index.width(), reference.width());
             for (const SyncMessage& m : c.messages()) {
                 const MessageId id = index.ingest_message(m.sender, m.receiver);
                 ASSERT_EQ(id, m.id);
                 const auto got = index.stamp_span(id);
-                const auto want =
-                    reference.arena.span(reference.message_stamps[id]);
+                const auto want = reference.span(stamps[id]);
                 ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
                                        want.end()))
                     << "computation " << i << " window " << window
@@ -486,6 +486,7 @@ TEST(StreamingIndex, RejectedIngestLeavesIndexUnchanged) {
     EXPECT_THROW(index.ingest_message(3, 3), std::invalid_argument);
     EXPECT_THROW(index.ingest_message(1, 5), std::invalid_argument);
     EXPECT_THROW(index.ingest_message(9, 0), std::invalid_argument);
+    EXPECT_THROW(index.ingest_internal(5), std::invalid_argument);
 
     EXPECT_EQ(index.size(), size);
     EXPECT_EQ(index.resident_frontier(), frontier);

@@ -74,7 +74,7 @@
 #include <tuple>
 #include <vector>
 
-#include "clocks/clock_engine.hpp"
+#include "clocks/online_clock.hpp"
 #include "common/pool.hpp"
 #include "common/spill_store.hpp"
 #include "common/ts_kernels.hpp"
@@ -873,7 +873,8 @@ int main(int argc, char** argv) {
         config.events / num_epochs == 0 ? 1 : config.events / num_epochs;
 
     // Direct Fig. 5 stamps per epoch (the oracle), through instrumented
-    // engines and arenas. expected[e][m] is script m's reference stamp.
+    // timestampers and arenas. expected[e][m] is script m's reference
+    // stamp.
     Rng workload_rng(config.seed);
     std::vector<SyncComputation> scripts;
     std::vector<std::unique_ptr<TimestampArena>> oracle_arenas;
@@ -884,14 +885,13 @@ int main(int argc, char** argv) {
         workload.num_messages = events_per_epoch;
         scripts.push_back(random_computation(manager.epoch(e).graph(),
                                              workload, workload_rng));
-        const auto engine = make_clock_engine(ClockFamily::online,
-                                              manager.epoch(e).decomposition);
-        engine->attach_metrics(registry);
+        OnlineTimestamper engine(manager.epoch(e).decomposition);
+        engine.attach_metrics(registry);
         oracle_arenas.push_back(std::make_unique<TimestampArena>(
             manager.epoch(e).width(), scripts.back().num_messages()));
         oracle_arenas.back()->attach_metrics(registry, "arena");
         expected.push_back(
-            engine->stamp_messages(scripts.back(), *oracle_arenas.back()));
+            engine.stamp_messages(scripts.back(), *oracle_arenas.back()));
         total_messages += scripts.back().num_messages();
     }
 
