@@ -33,8 +33,8 @@ using EventIndex = std::uint32_t;
 /// Index of a topology epoch, 0-based. Epoch 0 is the initial topology a
 /// system boots with; every reconfiguration (channel/process add or
 /// remove) starts the next epoch. Wire frames carry the sender's epoch so
-/// that a reconfiguration can be detected and NACKed by the rendezvous
-/// protocol (frames predating the epoch mechanism decode as epoch 0).
+/// that the rendezvous protocol can reject frames from a stale epoch
+/// (frames predating the epoch mechanism decode as epoch 0).
 using EpochId = std::uint32_t;
 
 /// Sentinel for "no process".

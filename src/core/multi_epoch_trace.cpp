@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -109,9 +108,10 @@ Poset MultiEpochTrace::ground_truth_poset(
 }
 
 std::size_t MultiEpochTrace::verify_against_ground_truth(
-    const AnalysisOptions& options) const {
-    const Poset truth = ground_truth_poset(options);
+    const Poset& truth, const AnalysisOptions& options) const {
     const std::size_t n = num_messages();
+    SYNCTS_REQUIRE(truth.size() == n,
+                   "ground truth and trace disagree on the message count");
     // Pure per-row sweep, reduced in chunk order — bit-identical to the
     // serial scan at any thread count (docs/PARALLELISM.md).
     const std::vector<std::size_t> partial = map_rows<std::size_t>(
@@ -126,50 +126,6 @@ std::size_t MultiEpochTrace::verify_against_ground_truth(
             return mismatches;
         });
     return std::accumulate(partial.begin(), partial.end(), std::size_t{0});
-}
-
-MultiEpochPrecedenceIndex::MultiEpochPrecedenceIndex(
-    const MultiEpochTrace& trace, std::size_t shards)
-    : trace_(&trace) {
-    indexes_.reserve(trace.num_epochs());
-    for (EpochId e = 0; e < trace.num_epochs(); ++e) {
-        indexes_.push_back(
-            std::make_unique<PrecedenceIndex>(trace.segment(e), shards));
-    }
-}
-
-bool MultiEpochPrecedenceIndex::precedes(GlobalMessageId m1,
-                                         GlobalMessageId m2) const {
-    const EpochId e1 = trace_->epoch_of(m1);
-    const EpochId e2 = trace_->epoch_of(m2);
-    if (e1 != e2) {
-        cross_epoch_.fetch_add(1, std::memory_order_relaxed);
-        if (metric_cross_epoch_ != nullptr) metric_cross_epoch_->inc();
-        return e1 < e2;
-    }
-    return indexes_[e1]->precedes(trace_->local_of(m1),
-                                 trace_->local_of(m2));
-}
-
-std::uint64_t MultiEpochPrecedenceIndex::memo_hits() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& index : indexes_) total += index->memo_hits();
-    return total;
-}
-
-std::uint64_t MultiEpochPrecedenceIndex::memo_misses() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& index : indexes_) total += index->memo_misses();
-    return total;
-}
-
-void MultiEpochPrecedenceIndex::attach_metrics(obs::MetricsRegistry& registry,
-                                               std::string_view prefix) {
-    for (const auto& index : indexes_) {
-        index->attach_metrics(registry, prefix);
-    }
-    metric_cross_epoch_ =
-        &registry.counter(std::string(prefix) + "_cross_epoch");
 }
 
 }  // namespace syncts

@@ -14,11 +14,11 @@
 /// Incremental precedence queries over a trace still being ingested
 /// (docs/STREAMING.md).
 ///
-/// `PrecedenceIndex` (precedence_index.hpp) answers a ≺ b against a
-/// fully materialized `TimestampedTrace` — every stamp resident forever.
-/// `IncrementalPrecedenceIndex` is its streaming refactor: events arrive
-/// one at a time (from a `StreamingTraceReader`, a live protocol, or a
-/// generator), each message is stamped on arrival by the online Fig. 5
+/// `TimestampedTrace` answers a ≺ b over a fully materialized trace —
+/// every stamp resident forever. `IncrementalPrecedenceIndex` is its
+/// streaming refactor: events arrive one at a time (from a
+/// `StreamingTraceReader`, a live protocol, or a generator), each
+/// message is stamped on arrival by the online Fig. 5
 /// engine (`OnlineTimestamper::stamp_into`, one fused pass over both
 /// endpoints' vectors) straight into the next slot of a
 /// `WindowedTimestampArena`, and queries are answered mid-ingestion:

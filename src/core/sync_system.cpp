@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/precedence_index.hpp"
 #include "core/timestamped_trace.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "decomp/greedy_decomposer.hpp"
@@ -69,13 +68,6 @@ TimestampedTrace SyncSystem::analyze(const SyncComputation& computation) const {
     TimestampArena arena(timestamper.width(), computation.num_messages());
     timestamper.stamp_messages(computation, arena);
     return TimestampedTrace(computation, std::move(arena));
-}
-
-PrecedenceIndex SyncSystem::make_precedence_index(
-    const TimestampedTrace& trace) const {
-    SYNCTS_REQUIRE(trace.width() == width(),
-                   "trace and system disagree on the timestamp width");
-    return PrecedenceIndex(trace);
 }
 
 }  // namespace syncts

@@ -26,7 +26,6 @@
 namespace syncts {
 
 class TimestampedTrace;
-class PrecedenceIndex;
 
 /// Strategy for picking the edge decomposition.
 enum class DecompositionStrategy {
@@ -78,11 +77,6 @@ public:
     /// Timestamps a recorded computation and packages it for queries.
     /// The computation's topology must equal this system's.
     TimestampedTrace analyze(const SyncComputation& computation) const;
-
-    /// Memoizing m1 ↦ m2 query front end over an analyzed trace (O(width)
-    /// first sight, O(1) repeats; thread-safe). The trace must outlive
-    /// the returned index.
-    PrecedenceIndex make_precedence_index(const TimestampedTrace& trace) const;
 
     /// Grown copy: a new process joins the listed star groups (e.g. a new
     /// client connecting to every server's star). The timestamp width is

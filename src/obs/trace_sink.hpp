@@ -45,7 +45,9 @@ enum class TraceEventKind : std::uint8_t {
     phase,           ///< a named phase span (duration in arg_a)
     internal,        ///< internal event ticked a clock
     epoch_reject,    ///< frame from another topology epoch rejected
-    nack,            ///< NACK sent/handled for an epoch-stale REQ
+    /// Nothing emits this kind. It keeps its place so that the SYEV and
+    /// SYFR kind bytes of every later kind keep their meaning.
+    nack,
     epoch,           ///< topology epoch barrier crossed (arg_a = epoch id)
     crash,           ///< process crashed, volatile state lost (arg_a = step)
     restart,         ///< process restarted from snapshot + WAL replay

@@ -25,7 +25,7 @@ namespace {
 
 constexpr std::uint32_t kReq = 0;
 constexpr std::uint32_t kAck = 1;
-constexpr std::uint32_t kNack = 2;      ///< epoch-stale REQ rejected
+// Kind 2 is unassigned: a receiver rejects it like any damaged kind.
 constexpr std::uint32_t kHello = 3;     ///< rejoin handshake (restarted peer)
 constexpr std::uint32_t kHelloAck = 4;  ///< rejoin handshake acknowledged
 constexpr std::uint32_t kBatch = 5;     ///< v4 container of REQ/ACK frames
@@ -78,9 +78,6 @@ struct Tally {
     std::uint64_t ack_replays = 0;     ///< cached ACK re-sent
     std::uint64_t corrupt_rejects = 0;    ///< at most one per packet
     std::uint64_t epoch_rejects = 0;      ///< frames from a stale epoch
-    std::uint64_t nacks_sent = 0;         ///< NACKs answering stale REQs
-    std::uint64_t nack_drops = 0;         ///< NACKs with no matching send
-    std::uint64_t nack_retransmits = 0;   ///< sends re-encoded after a NACK
     // Crash-recovery tallies (docs/RECOVERY.md), published as recover_*.
     std::uint64_t restarts = 0;
     std::uint64_t replayed_records = 0;   ///< WAL records re-applied
@@ -790,6 +787,13 @@ private:
     /// state, never of map iteration order.
     ProcessState capture_state(ProcessId p) const {
         const Engine& engine = engines_[p];
+        // Snapshots are taken at the start of the run, at barriers, after
+        // a commit (a receive step), after an accepted ACK (which clears
+        // the send first) and in fast_forward (which needs none pending),
+        // so the snapshot's outstanding section stays inactive; WAL
+        // replay is what restores an outstanding send.
+        SYNCTS_ENSURE(!engine.outstanding,
+                      "snapshot taken with a send outstanding");
         ProcessState state;
         state.self = p;
         state.epoch = engine.epoch;
@@ -814,13 +818,6 @@ private:
                   [](const InChannelState& a, const InChannelState& b) {
                       return a.peer < b.peer;
                   });
-        if (engine.outstanding) {
-            state.outstanding.active = true;
-            state.outstanding.receiver = engine.outstanding->receiver;
-            state.outstanding.sequence = engine.outstanding->sequence;
-            state.outstanding.message = engine.outstanding->mid;
-            state.outstanding.frame = engine.outstanding->frame;
-        }
         return state;
     }
 
@@ -1504,7 +1501,7 @@ private:
         }
     }
 
-    /// The one dispatcher of REQ/ACK/NACK frames — a bare packet or a
+    /// The one dispatcher of REQ/ACK frames — a bare packet or a
     /// batch entry, on every wire profile. peek_frame_info verifies the
     /// checksum and parses the header; the kind is then validated
     /// *semantically* (a batch entry's kind/tag varints sit outside the
@@ -1523,11 +1520,6 @@ private:
             return false;
         }
         const FrameHeader& header = info.header;
-        if (packet.kind == kNack) {
-            if (info.delta) return false;  // NACKs are header-only
-            handle_nack(now, p, packet, header);
-            return true;
-        }
         if (packet.kind != kReq && packet.kind != kAck) {
             return false;  // damaged batch-entry kind
         }
@@ -1548,7 +1540,7 @@ private:
         }
         if (header.epoch != engine.epoch) {
             // Stale frames never need their stamp decoded (window
-            // replay and NACK are header-driven).
+            // replay is header-driven).
             if (info.delta && header.epoch > engine.epoch) {
                 delta_resync(now, p, packet, header);
             } else {
@@ -1731,10 +1723,12 @@ private:
     /// Frames from *ahead* are legitimate only while this engine is
     /// itself behind the barrier epoch (catching up after a restart);
     /// they are dropped and re-delivered by the sender's timer. Stale
-    /// REQs are first checked against the ACK window — a restarted peer
+    /// REQs are checked against the ACK window — a restarted peer
     /// re-executing pre-barrier sends must receive the *original* ACK
-    /// bytes — and otherwise answered with a NACK naming this engine's
-    /// epoch. Stale ACKs and NACKs are dropped.
+    /// bytes — and otherwise dropped, like stale ACKs. No sender waits on
+    /// a stale REQ: an outstanding REQ is encoded in its sender's own
+    /// epoch, no barrier is crossed with a send outstanding, and a
+    /// restarted sender resumes in the epoch its frame was encoded in.
     void handle_epoch_mismatch(std::uint64_t now, ProcessId p,
                                const Packet& packet,
                                const FrameHeader& header) {
@@ -1774,49 +1768,8 @@ private:
                             header);
                 send_full_frame(now, p, packet.source, kAck, packet.tag,
                                 *cached);
-                return;
             }
         }
-        Packet nack = make_packet(p, packet.source, kNack, packet.tag);
-        // A NACK is a header-only frame: this engine's epoch plus the
-        // rejected (sequence, message), no timestamp payload.
-        encode_epoch_frame_into(engine.epoch, header.sequence,
-                                header.message, {}, nack.body);
-        ++tally_.nacks_sent;
-        trace(obs::TraceEventKind::nack, now, p, packet.source,
-              header.sequence, header.message, engine.epoch);
-        post(now, std::move(nack));
-    }
-
-    /// NACK at the sender: if the rejected (channel, sequence) is still
-    /// the in-flight send, re-encode it at the engine's epoch and resend
-    /// immediately (the retransmission timer stays armed for it).
-    /// Otherwise the rendezvous already completed — the NACK answered a
-    /// duplicate copy — and it is dropped.
-    void handle_nack(std::uint64_t now, ProcessId p, const Packet& packet,
-                     const FrameHeader& header) {
-        Engine& engine = engines_[p];
-        if (header.epoch != engine.epoch || !engine.outstanding ||
-            engine.outstanding->receiver != packet.source ||
-            engine.outstanding->sequence != header.sequence) {
-            ++tally_.nack_drops;
-            trace(obs::TraceEventKind::nack, now, p, packet.source,
-                  header.sequence, header.message, header.epoch);
-            return;
-        }
-        Outstanding& out = *engine.outstanding;
-        encode_epoch_frame_into(engine.epoch, out.sequence, out.mid,
-                                engine.clock->current_span(), out.frame);
-        if (proto_.delta) {
-            // Full-vector resync on NACK: the channel just crossed an
-            // epoch boundary under the sender's feet, so the old-epoch
-            // shadow (and any claim to sequence continuity) is void.
-            out_channel(engine, packet.source).req_shadow.valid = false;
-        }
-        ++tally_.nack_retransmits;
-        trace(obs::TraceEventKind::retransmit, now, p, packet.source,
-              out.sequence, out.mid, logical(p));
-        send_full_frame(now, p, out.receiver, kReq, out.mid, out.frame);
     }
 
     /// Decodes a HELLO or HELLO_ACK into its header and width-1 value;
@@ -2017,9 +1970,6 @@ void ProtocolRun::publish_metrics(obs::MetricsRegistry& m,
     m.counter("sync_runs").inc();
     m.counter("sync_epoch_transitions").inc(num_epochs_ - 1);
     m.counter("sync_epoch_rejects").inc(tally_.epoch_rejects);
-    m.counter("sync_nacks_sent").inc(tally_.nacks_sent);
-    m.counter("sync_nack_drops").inc(tally_.nack_drops);
-    m.counter("sync_nack_retransmits").inc(tally_.nack_retransmits);
     m.gauge("sync_virtual_ticks")
         .set(static_cast<std::int64_t>(result.virtual_duration));
     m.counter("sync_bytes_sent").inc(wire.bytes_sent);

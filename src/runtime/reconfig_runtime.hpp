@@ -18,30 +18,27 @@
 /// continuous packet network. Epoch transitions follow the barrier
 /// model: when every epoch-e message has committed and every sender is
 /// unblocked, the whole system crosses into epoch e+1 at the current
-/// virtual time — clocks are rebuilt for the new decomposition (the old
-/// epoch's high-water mark folds into each engine's floor), scratch
-/// buffers are resized to the new width d, and the per-epoch script
-/// resumes. Per-directed-channel sequence numbers continue across the
-/// barrier, so the duplicate-suppression state stays valid for late
-/// copies of old traffic.
+/// virtual time — clocks are rebound to the new decomposition and start
+/// from zero, scratch buffers are resized to the new width d, and the
+/// per-epoch script resumes. Per-directed-channel sequence numbers
+/// continue across the barrier, so the duplicate-suppression state stays
+/// valid for late copies of old traffic.
 ///
 /// Late traffic is the interesting part: the network is allowed to hold
 /// duplicated or delayed frames from epoch e while the system is in
 /// e+1. Every frame carries its epoch (wire format v2; epoch-0 frames
-/// are bit-identical to the pre-epoch v1 layout), and a receiver that
-/// sees an epoch-stale REQ rejects it and answers with a NACK naming
-/// the current epoch instead of replaying a cached ACK from a dead
-/// topology. Epoch-stale ACKs and NACKs are dropped and counted. A
-/// NACK that still matches an in-flight send re-encodes the REQ at the
-/// current epoch and resends immediately — under the barrier model this
-/// path is a safety net (a sender can never be blocked across a
-/// transition), but it keeps the protocol honest if the barrier is ever
-/// relaxed.
+/// are bit-identical to the pre-epoch v1 layout), and a receiver counts
+/// every epoch-stale frame as a reject. A stale REQ whose sequence the
+/// ACK window still holds gets its original ACK bytes back (a restarted
+/// sender re-executing a pre-barrier send needs them); any other stale
+/// REQ, and every stale ACK, is dropped. Nothing waits on such a frame:
+/// an outstanding REQ is always encoded in its sender's own epoch, no
+/// barrier is crossed with a send outstanding, and a restarted sender
+/// resumes in the epoch its frame was encoded in.
 ///
 /// Counters published to SynchronizerOptions::metrics, beyond the
-/// single-epoch `sync_*` set: `sync_epoch_transitions`,
-/// `sync_epoch_rejects`, `sync_nacks_sent`, `sync_nack_drops`,
-/// `sync_nack_retransmits` (docs/OBSERVABILITY.md).
+/// single-epoch `sync_*` set: `sync_epoch_transitions` and
+/// `sync_epoch_rejects` (docs/OBSERVABILITY.md).
 ///
 /// Crash recovery (docs/RECOVERY.md): when the fault plan carries crash
 /// rules (or RecoveryOptions::enabled is set), every process keeps a
@@ -94,7 +91,7 @@ struct ReconfigurableRunResult {
     std::uint64_t virtual_duration = 0;
 
     /// Packets delivered off the wire across all epochs (REQ + ACK +
-    /// NACK + faults-induced extras).
+    /// faults-induced extras).
     std::uint64_t packets = 0;
 
     /// What the network injected over the whole run.

@@ -135,7 +135,7 @@ struct ProtocolOptions {
 
     /// Delta-encode timestamp vectors against per-channel shadows of the
     /// last frame each peer saw; full-vector resync on every shadow
-    /// break (retransmit gap, NACK, epoch transition, crash rejoin).
+    /// break (retransmit gap, epoch transition, crash rejoin).
     bool delta = false;
 
     /// Optional fair bandwidth scheduler over the batched TX queues.

@@ -33,7 +33,7 @@ bool touches_any(const EdgeGroup& group, const std::vector<char>& affected) {
 }
 
 IncrementalResult full_rebuild(const Graph& next) {
-    return IncrementalResult{default_decomposition(next), 0, true};
+    return IncrementalResult{default_decomposition(next), true};
 }
 
 }  // namespace
@@ -62,12 +62,10 @@ IncrementalResult incremental_redecompose(const EdgeDecomposition& previous,
     // everything else (plus the added edges, which belong to no old group)
     // forms the residual subgraph handed back to default_decomposition.
     EdgeDecomposition candidate(next);
-    std::size_t preserved = 0;
     Graph residual(next.num_vertices());
     for (const EdgeGroup& group : previous.groups()) {
         if (!touches_any(group, affected)) {
             replay_group(candidate, group);
-            ++preserved;
             continue;
         }
         for (const Edge& e : group.edges) {
@@ -104,7 +102,15 @@ IncrementalResult incremental_redecompose(const EdgeDecomposition& previous,
         if (candidate.size() > bound) return full_rebuild(next);
     }
 
-    return IncrementalResult{std::move(candidate), preserved, false};
+    return IncrementalResult{std::move(candidate), false};
+}
+
+EdgeDecomposition carry_decomposition(const EdgeDecomposition& previous,
+                                      const Graph& next) {
+    EdgeDecomposition out(next);
+    for (const EdgeGroup& group : previous.groups()) replay_group(out, group);
+    SYNCTS_ENSURE(out.complete(), "carried decomposition must stay complete");
+    return out;
 }
 
 }  // namespace syncts

@@ -34,9 +34,6 @@ namespace syncts {
 
 struct IncrementalResult {
     EdgeDecomposition decomposition;
-    /// Groups re-added with their exact old edge set (in old order, ahead
-    /// of the residual patch).
-    std::size_t preserved_groups = 0;
     /// True when the acyclic fast path or the quality guard replaced the
     /// incremental candidate with a full default_decomposition run.
     bool full_rebuild = false;
@@ -50,5 +47,11 @@ struct IncrementalResult {
 IncrementalResult incremental_redecompose(const EdgeDecomposition& previous,
                                           const Graph& next,
                                           std::span<const Edge> changed);
+
+/// Rebuilds `previous`'s groups verbatim over `next` (same edge set,
+/// possibly more vertices) — the pure add_process path, where no
+/// component retires.
+EdgeDecomposition carry_decomposition(const EdgeDecomposition& previous,
+                                      const Graph& next);
 
 }  // namespace syncts

@@ -1,7 +1,7 @@
 #include "topo/topology_manager.hpp"
 
 #include <algorithm>
-#include <map>
+#include <set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -15,42 +15,22 @@ namespace {
 /// Structural component matching: two groups carry the same component iff
 /// they cover exactly the same edge set (the root of a two-edge star is a
 /// labeling artifact; the channels-to-component map is what the clocks
-/// consume). Returns, for each group of `to`, the matching group of `from`
-/// or kNoGroup.
-std::vector<GroupId> match_groups(const EdgeDecomposition& from,
-                                  const EdgeDecomposition& to) {
-    std::map<std::vector<Edge>, GroupId> by_edges;
-    for (GroupId g = 0; g < from.size(); ++g) {
-        std::vector<Edge> key = from.group(g).edges;
+/// consume). Returns how many groups of `to` match a group of `from`.
+std::size_t match_groups(const EdgeDecomposition& from,
+                         const EdgeDecomposition& to) {
+    std::set<std::vector<Edge>> old_sets;
+    for (const EdgeGroup& group : from.groups()) {
+        std::vector<Edge> key = group.edges;
         std::sort(key.begin(), key.end());
-        by_edges.emplace(std::move(key), g);
+        old_sets.insert(std::move(key));
     }
-    std::vector<GroupId> source(to.size(), kNoGroup);
-    for (GroupId g = 0; g < to.size(); ++g) {
-        std::vector<Edge> key = to.group(g).edges;
+    std::size_t matched = 0;
+    for (const EdgeGroup& group : to.groups()) {
+        std::vector<Edge> key = group.edges;
         std::sort(key.begin(), key.end());
-        if (auto it = by_edges.find(key); it != by_edges.end()) {
-            source[g] = it->second;
-        }
+        matched += old_sets.count(key);
     }
-    return source;
-}
-
-/// Rebuilds `previous`'s groups verbatim over `next` (same edge set,
-/// possibly more vertices) — the pure add_process path, where no component
-/// retires.
-EdgeDecomposition carry_decomposition(const EdgeDecomposition& previous,
-                                      const Graph& next) {
-    EdgeDecomposition out(next);
-    for (const EdgeGroup& group : previous.groups()) {
-        if (group.kind == GroupKind::star) {
-            out.add_star(group.root, group.edges);
-        } else {
-            out.add_triangle(group.triangle);
-        }
-    }
-    SYNCTS_ENSURE(out.complete(), "carried decomposition must stay complete");
-    return out;
+    return matched;
 }
 
 Graph copy_graph_with(const Graph& g, std::size_t extra_vertices,
@@ -158,21 +138,8 @@ const EpochTransition& TopologyManager::advance(Graph next,
         std::make_shared<const EdgeDecomposition>(std::move(decomposed));
 
     EpochTransition transition;
-    transition.from_epoch = previous.id;
-    transition.to_epoch = previous.id + 1;
-    transition.from = previous.decomposition;
-    transition.to = decomposition;
-    transition.old_num_processes = previous.num_processes();
-    transition.new_num_processes = next.num_vertices();
-    transition.group_source = match_groups(*previous.decomposition,
-                                           *decomposition);
-    transition.group_target.assign(previous.decomposition->size(), kNoGroup);
-    for (GroupId g = 0; g < transition.group_source.size(); ++g) {
-        if (transition.group_source[g] != kNoGroup) {
-            transition.group_target[transition.group_source[g]] = g;
-            ++transition.preserved_groups;
-        }
-    }
+    transition.preserved_groups =
+        match_groups(*previous.decomposition, *decomposition);
     transition.full_rebuild = rebuilt_from_scratch;
 
     if (epochs_counter_ != nullptr) epochs_counter_->inc();
@@ -184,7 +151,7 @@ const EpochTransition& TopologyManager::advance(Graph next,
                              transition.preserved_groups);
     }
 
-    epochs_.push_back(Epoch{transition.to_epoch, decomposition});
+    epochs_.push_back(Epoch{previous.id + 1, decomposition});
     transitions_.push_back(std::move(transition));
     publish_gauges();
     return transitions_.back();

@@ -17,8 +17,8 @@
 /// A TopologyManager starts at epoch 0 with an initial (Graph,
 /// EdgeDecomposition) pair and turns every reconfiguration —
 /// add_channel / remove_channel / add_process — into the next immutable
-/// epoch plus an EpochTransition describing exactly which vector
-/// components survive. Every decomposition it builds comes from the
+/// epoch plus an EpochTransition counting the vector components that
+/// survive. Every decomposition it builds comes from the
 /// library's one selection, default_decomposition: epoch 0, the
 /// incremental patch of topo/incremental.hpp and its full-rebuild fallback
 /// under the quality guard. So the Theorem 6 bound holds in every epoch,
@@ -79,7 +79,7 @@ public:
     /// Adds an isolated process (no channels yet); starts the next epoch.
     /// Every existing group survives — the decomposition is unchanged, only
     /// the process space grows. The new process id is
-    /// new_num_processes - 1 of the returned transition.
+    /// current().num_processes() - 1.
     const EpochTransition& add_process();
 
     /// Adds a process with one channel to `attach_to`; starts the next

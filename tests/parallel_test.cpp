@@ -2,9 +2,9 @@
 //   1. Pool runs every index exactly once, propagates exceptions, and
 //      hands map_chunks results back in chunk order.
 //   2. Every sharded analysis (Poset::close, offline_timestamps with
-//      dimension minimization, ground-truth verification, the
-//      PrecedenceIndex memo) is bit-identical to its serial path — over
-//      500 seeded workloads, at 1, 2 and 8 threads.
+//      dimension minimization, ground-truth verification) is
+//      bit-identical to its serial path — over 500 seeded workloads, at
+//      1, 2 and 8 threads.
 // The equivalence sweeps share two long-lived pools so 500 seeds don't
 // spawn 1000 thread teams.
 
@@ -22,8 +22,8 @@
 #include "common/pool.hpp"
 #include "common/rng.hpp"
 #include "core/causality.hpp"
-#include "core/precedence_index.hpp"
 #include "core/sync_system.hpp"
+#include "core/timestamped_trace.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "poset/poset.hpp"
@@ -292,102 +292,6 @@ TEST(ParallelEquivalence, ShardedBatchKernelsMatchSerial) {
             EXPECT_EQ(sharded, parallel_flags) << "probe " << probe;
         }
     }
-}
-
-// ------------------------------------------------------ PrecedenceIndex --
-
-TEST(PrecedenceIndexTest, AgreesWithDirectCompare) {
-    for (std::uint64_t seed = 3; seed < 250; seed += 5) {
-        const SyncComputation c = sweep_computation(seed);
-        const SyncSystem system{Graph(c.topology())};
-        const TimestampedTrace trace = system.analyze(c);
-        const PrecedenceIndex index = system.make_precedence_index(trace);
-        Rng rng(seed ^ 0xD1CEu);
-        const std::size_t n = trace.num_messages();
-        for (int q = 0; q < 60; ++q) {
-            const auto m1 = static_cast<MessageId>(rng.below(n));
-            const auto m2 = static_cast<MessageId>(rng.below(n));
-            ASSERT_EQ(index.precedes(m1, m2), trace.precedes(m1, m2))
-                << "seed " << seed << " pair (" << m1 << "," << m2 << ")";
-            ASSERT_EQ(index.concurrent(m1, m2), trace.concurrent(m1, m2))
-                << "seed " << seed << " pair (" << m1 << "," << m2 << ")";
-        }
-    }
-}
-
-TEST(PrecedenceIndexTest, MemoizesRepeatedPairs) {
-    const SyncComputation c = sweep_computation(11);
-    const SyncSystem system{Graph(c.topology())};
-    const TimestampedTrace trace = system.analyze(c);
-    PrecedenceIndex index(trace, 4);
-    EXPECT_EQ(index.num_shards(), 4u);
-    EXPECT_EQ(index.memo_entries(), 0u);
-    const bool first = index.precedes(0, 1);
-    EXPECT_EQ(index.memo_hits(), 0u);
-    EXPECT_EQ(index.memo_misses(), 1u);
-    EXPECT_EQ(index.memo_entries(), 1u);
-    for (int i = 0; i < 9; ++i) EXPECT_EQ(index.precedes(0, 1), first);
-    EXPECT_EQ(index.memo_hits(), 9u);
-    EXPECT_EQ(index.memo_misses(), 1u);
-    EXPECT_EQ(index.memo_entries(), 1u);
-    // The reverse direction is its own key.
-    (void)index.precedes(1, 0);
-    EXPECT_EQ(index.memo_misses(), 2u);
-    EXPECT_EQ(index.memo_entries(), 2u);
-}
-
-TEST(PrecedenceIndexTest, MetricsMirrorMemoCounts) {
-    const SyncComputation c = sweep_computation(12);
-    const SyncSystem system{Graph(c.topology())};
-    const TimestampedTrace trace = system.analyze(c);
-    PrecedenceIndex index(trace);
-    obs::MetricsRegistry registry;
-    index.attach_metrics(registry);
-    Rng rng(99);
-    const std::size_t n = trace.num_messages();
-    for (int q = 0; q < 200; ++q) {
-        (void)index.precedes(static_cast<MessageId>(rng.below(n)),
-                             static_cast<MessageId>(rng.below(n)));
-    }
-    EXPECT_EQ(registry.counter("query_memo_hits").value(),
-              index.memo_hits());
-    EXPECT_EQ(registry.counter("query_memo_misses").value(),
-              index.memo_misses());
-    EXPECT_EQ(index.memo_hits() + index.memo_misses(), 200u);
-    EXPECT_GT(index.memo_hits(), 0u);
-}
-
-TEST(PrecedenceIndexTest, AnswersAreStableUnderConcurrentQueries) {
-    // Hammer one index from the pool's workers: answers must stay equal
-    // to the oracle, and hits + misses must equal the lookup count.
-    const SyncComputation c = sweep_computation(21);
-    const SyncSystem system{Graph(c.topology())};
-    const TimestampedTrace trace = system.analyze(c);
-    const PrecedenceIndex index = system.make_precedence_index(trace);
-    const std::size_t n = trace.num_messages();
-    Pool pool(8);
-    std::atomic<std::size_t> disagreements{0};
-    pool.parallel_for(4000, 100, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t q = begin; q < end; ++q) {
-            const auto m1 = static_cast<MessageId>(q % n);
-            const auto m2 = static_cast<MessageId>((q * 7 + 3) % n);
-            if (index.precedes(m1, m2) != trace.precedes(m1, m2)) {
-                disagreements.fetch_add(1, std::memory_order_relaxed);
-            }
-        }
-    });
-    EXPECT_EQ(disagreements.load(), 0u);
-    EXPECT_EQ(index.memo_hits() + index.memo_misses(), 4000u);
-}
-
-TEST(PrecedenceIndexTest, SystemFactoryChecksWidth) {
-    const SyncComputation c = sweep_computation(2);
-    const SyncSystem system{Graph(c.topology())};
-    const TimestampedTrace trace = system.analyze(c);
-    EXPECT_NO_THROW((void)system.make_precedence_index(trace));
-    const SyncSystem other{topology::complete(12)};
-    EXPECT_THROW((void)other.make_precedence_index(trace),
-                 std::invalid_argument);
 }
 
 }  // namespace

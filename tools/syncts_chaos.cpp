@@ -366,16 +366,11 @@ int main(int argc, char** argv) {
             metrics.counter("sync_frames_corrupt_rejected").value()));
     if (manager.num_epochs() > 1) {
         std::printf(
-            "epochs:   transitions=%llu epoch_rejects=%llu nacks_sent=%llu "
-            "nack_drops=%llu\n",
+            "epochs:   transitions=%llu epoch_rejects=%llu\n",
             static_cast<unsigned long long>(
                 metrics.counter("sync_epoch_transitions").value()),
             static_cast<unsigned long long>(
-                metrics.counter("sync_epoch_rejects").value()),
-            static_cast<unsigned long long>(
-                metrics.counter("sync_nacks_sent").value()),
-            static_cast<unsigned long long>(
-                metrics.counter("sync_nack_drops").value()));
+                metrics.counter("sync_epoch_rejects").value()));
     }
     if (config.crash > 0) {
         const auto value = [&](const char* name) {

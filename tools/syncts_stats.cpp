@@ -43,22 +43,22 @@
 //
 // --threads/--queries turn on the offline analysis section: the
 // ground-truth closure and Theorem 4 verification run sharded across a
-// T-wide analysis pool, and K seeded precedence queries hammer the
-// PrecedenceIndex memo (every answer re-checked against the direct
-// vector compare). Query/verification disagreements fold into the exit
-// status like stamp mismatches do.
+// T-wide analysis pool, and K independent seeded pairs are answered
+// through the trace and checked against that closure. Query/verification
+// disagreements fold into the exit status like stamp mismatches do.
 //
 // The report is deterministic: same seed, same flags => byte-identical
 // counters (the registry snapshots in sorted name order; every random
 // choice is seeded). The analysis section adds one wall-clock field
-// (analysis.wall_ms) — everything else in it, memo hit counts included,
-// is byte-identical across same-seed runs at a fixed --threads value.
+// (analysis.wall_ms) — everything else in it is byte-identical across
+// same-seed runs at a fixed --threads value.
 // Exit status: 0 clean; 1 on any timestamp mismatch,
 // protocol stall, or undetected frame corruption; 2 on usage errors —
 // so the binary doubles as a CI smoke gate (see .github/workflows/ci.yml).
 // Counts take an optional k or m suffix ("2k" = 2000), --threads lies in
-// [1, 256], probabilities lie in [0, 1] and --latency needs
-// 1 <= LO <= HI; a malformed value prints "bad value ..." and exits 2.
+// [1, 256], --trace-capacity in [1, 4m], probabilities lie in [0, 1] and
+// --latency needs 1 <= LO <= HI; a malformed value prints "bad value ..."
+// and exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -85,7 +85,6 @@
 #include "obs/flight_recorder.hpp"
 #include "core/causality.hpp"
 #include "core/multi_epoch_trace.hpp"
-#include "core/precedence_index.hpp"
 #include "core/timestamped_trace.hpp"
 #include "decomp/cover_decomposer.hpp"
 #include "obs/metrics.hpp"
@@ -145,7 +144,8 @@ struct Config {
         "                    [--drop P] [--dup P] [--corrupt P] [--delay P] "
         "[--jitter J]\n"
         "                    [--latency LO:HI] [--trace FILE.json]\n"
-        "                    [--trace-binary FILE.bin] [--trace-capacity N]\n"
+        "                    [--trace-binary FILE.bin] "
+        "[--trace-capacity N (1..4m)]\n"
         "                    [--threads T (1..256)] [--queries K] "
         "[--reconfig SCHED] [--json]\n"
         "                    [--profile] [--crash P:STEP:DOWN] "
@@ -231,10 +231,12 @@ Config parse_args(int argc, char** argv) {
         } else if (flag == "--trace-binary") {
             config.trace_binary_path = next_value("--trace-binary");
         } else if (flag == "--trace-capacity") {
-            config.trace_capacity = next_positive("--trace-capacity");
+            config.trace_capacity = tools::parse_bounded(
+                "--trace-capacity", next_value("--trace-capacity"),
+                tools::kMaxTraceCapacity);
         } else if (flag == "--threads") {
-            config.threads = tools::parse_threads(
-                "--threads", next_value("--threads"));
+            config.threads = tools::parse_bounded(
+                "--threads", next_value("--threads"), tools::kMaxThreads);
             config.analysis = true;
         } else if (flag == "--queries") {
             config.queries = next_count("--queries");
@@ -373,36 +375,15 @@ struct AnalysisReport {
     std::size_t poset_relations = 0;
     std::uint64_t verify_mismatches = 0;
     std::uint64_t query_mismatches = 0;
-    std::uint64_t memo_hits = 0;
-    std::uint64_t memo_misses = 0;
     double wall_ms = 0.0;
 };
 
-/// Seeded (m1, m2) query pairs over a pool of ~K/4 distinct pairs:
-/// monitoring workloads revisit hot pairs, so repeats (memo hits)
-/// dominate.
-std::vector<std::pair<std::size_t, std::size_t>> query_pairs(
-    const Config& config, std::size_t messages) {
-    Rng query_rng(config.seed * 0x9E3779B97F4A7C15ull + 7);
-    const std::size_t distinct =
-        config.queries / 4 == 0 ? 1 : config.queries / 4;
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;
-    pairs.reserve(distinct);
-    for (std::size_t i = 0; i < distinct; ++i) {
-        pairs.emplace_back(query_rng.below(messages),
-                           query_rng.below(messages));
-    }
-    return pairs;
-}
-
-/// Sharded ground-truth verification plus the seeded query storm. The
-/// oracle arena holds the Fig. 5 stamps (slot m = message m), so the
-/// direct ts::less compare is the query oracle the memoized index must
-/// agree with.
+/// Runs `body(options, report)` on a T-wide analysis pool and times it.
+/// `body` closes the ground truth once, counts the Theorem 4 sweep's
+/// mismatches against it, and checks the --queries pairs against it.
 AnalysisReport run_analysis(const Config& config,
-                            const SyncComputation& script,
-                            const TimestampArena& oracle_arena,
-                            obs::MetricsRegistry& registry) {
+                            obs::MetricsRegistry& registry,
+                            const auto& body) {
     AnalysisReport report;
     report.threads = config.threads;
     report.queries = config.queries;
@@ -415,37 +396,7 @@ AnalysisReport run_analysis(const Config& config,
     options.metrics = &registry;
 
     const auto start = std::chrono::steady_clock::now();
-
-    // Ground truth (level-synchronous blocked closure) and the O(M²)
-    // Theorem 4 sweep, both sharded across the pool.
-    const Poset truth = message_poset(script, options);
-    report.poset_relations = truth.relation_count();
-    report.verify_mismatches =
-        encoding_mismatches(truth, oracle_arena, options);
-
-    if (config.queries > 0) {
-        // The trace copies the oracle stamps; detach the copy so kernel
-        // counters aren't double-counted against the oracle arena's.
-        TimestampArena stamps = oracle_arena;
-        stamps.detach_metrics();
-        const TimestampedTrace trace(script, std::move(stamps));
-        PrecedenceIndex index(trace);
-        index.attach_metrics(registry, "query");
-
-        const auto pairs = query_pairs(config, script.num_messages());
-        for (std::size_t q = 0; q < config.queries; ++q) {
-            const auto& [m1, m2] = pairs[q % pairs.size()];
-            if (index.precedes(static_cast<MessageId>(m1),
-                               static_cast<MessageId>(m2)) !=
-                trace.precedes(static_cast<MessageId>(m1),
-                               static_cast<MessageId>(m2))) {
-                ++report.query_mismatches;
-            }
-        }
-        report.memo_hits = index.memo_hits();
-        report.memo_misses = index.memo_misses();
-    }
-
+    body(options, report);
     const auto stop = std::chrono::steady_clock::now();
     report.wall_ms =
         static_cast<double>(
@@ -456,50 +407,19 @@ AnalysisReport run_analysis(const Config& config,
     return report;
 }
 
-/// Multi-epoch analysis: verify the barrier-stitched order against the
-/// cross-epoch ground-truth closure, then hammer the per-segment memo
-/// through MultiEpochPrecedenceIndex with global-id query pairs.
-AnalysisReport run_multi_analysis(const Config& config,
-                                  const MultiEpochTrace& trace,
-                                  obs::MetricsRegistry& registry) {
-    AnalysisReport report;
-    report.threads = config.threads;
-    report.queries = config.queries;
-
-    Pool pool(config.threads);
-    pool.attach_metrics(registry, "analysis");
-    AnalysisOptions options;
-    options.pool = &pool;
-    options.threads = pool.threads();
-    options.metrics = &registry;
-
-    const auto start = std::chrono::steady_clock::now();
-    report.poset_relations =
-        trace.ground_truth_poset(options).relation_count();
-    report.verify_mismatches = trace.verify_against_ground_truth(options);
-
-    if (config.queries > 0) {
-        MultiEpochPrecedenceIndex index(trace);
-        index.attach_metrics(registry, "query");
-        const auto pairs = query_pairs(config, trace.num_messages());
-        for (std::size_t q = 0; q < config.queries; ++q) {
-            const auto& [m1, m2] = pairs[q % pairs.size()];
-            if (index.precedes(m1, m2) != trace.precedes(m1, m2)) {
-                ++report.query_mismatches;
-            }
-        }
-        report.memo_hits = index.memo_hits();
-        report.memo_misses = index.memo_misses();
+/// K independent seeded (m1, m2) pairs, each answered by `precedes` (the
+/// trace's O(width) compare) and checked against the closed ground
+/// truth. Returns the number of disagreements.
+std::uint64_t check_queries(const Config& config, const Poset& truth,
+                            const auto& precedes) {
+    Rng rng(config.seed * 0x9E3779B97F4A7C15ull + 7);
+    std::uint64_t mismatches = 0;
+    for (std::size_t q = 0; q < config.queries; ++q) {
+        const std::size_t m1 = rng.below(truth.size());
+        const std::size_t m2 = rng.below(truth.size());
+        if (precedes(m1, m2) != truth.less(m1, m2)) ++mismatches;
     }
-
-    const auto stop = std::chrono::steady_clock::now();
-    report.wall_ms =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::microseconds>(stop - start)
-                .count()) /
-        1000.0;
-    pool.detach_metrics();
-    return report;
+    return mismatches;
 }
 
 // ---------------------------------------------------------------------------
@@ -834,19 +754,22 @@ int main(int argc, char** argv) {
     const Graph topology = tools::build_topology(config.spec);
 
     obs::MetricsRegistry registry;
-    obs::TraceSink sink(config.trace_capacity);
     const bool tracing =
         !config.trace_json_path.empty() || !config.trace_binary_path.empty();
-    // The profiler consumes the same sink the trace exports come from.
-    const bool capture = tracing || config.profile;
+    // Each ring sizes its events up front, so only the rings a flag asks
+    // for are built. The profiler consumes the same sink the trace
+    // exports come from.
+    std::optional<obs::TraceSink> sink;
+    if (tracing || config.profile) sink.emplace(config.trace_capacity);
     // The flight recorder is armed by an explicit dump path or by crash
     // rules (the dump is retained in memory either way; the file is only
     // written when --flight names one).
-    const bool flight =
-        !config.flight_path.empty() || !config.crashes.empty();
-    obs::FlightRecorder recorder(config.trace_capacity, 64);
-    if (!config.flight_path.empty()) {
-        recorder.set_dump_path(config.flight_path);
+    std::optional<obs::FlightRecorder> recorder;
+    if (!config.flight_path.empty() || !config.crashes.empty()) {
+        recorder.emplace(config.trace_capacity, 64);
+        if (!config.flight_path.empty()) {
+            recorder->set_dump_path(config.flight_path);
+        }
     }
 
     // Epoch sequence: epoch 0 is the instrumented default decomposition;
@@ -920,10 +843,10 @@ int main(int argc, char** argv) {
             options.protocol.bandwidth.bytes_per_tick = config.bandwidth;
         }
         options.metrics = &registry;
-        options.trace = capture ? &sink : nullptr;
-        options.recorder = flight ? &recorder : nullptr;
+        options.trace = sink ? &*sink : nullptr;
+        options.recorder = recorder ? &*recorder : nullptr;
         // Profiling attributes one run's timeline; keep only the last.
-        if (config.profile) sink.clear();
+        if (config.profile) sink->clear();
         // The registry accumulates across runs; the per-run reject count
         // is the counter's delta over this run.
         const std::uint64_t rejects_before =
@@ -993,7 +916,7 @@ int main(int argc, char** argv) {
     double profile_wall_ms = 0.0;
     if (config.profile) {
         const auto start = std::chrono::steady_clock::now();
-        const std::vector<obs::TraceEvent> events = sink.events();
+        const std::vector<obs::TraceEvent> events = sink->events();
         profile = obs::build_profile(events, manager.max_num_processes());
         profile_wall_ms =
             static_cast<double>(
@@ -1035,8 +958,27 @@ int main(int argc, char** argv) {
 
     AnalysisReport analysis;
     if (config.analysis && num_epochs == 1) {
-        analysis =
-            run_analysis(config, scripts[0], *oracle_arenas[0], registry);
+        // The oracle arena holds the Fig. 5 stamps (slot m = message m).
+        analysis = run_analysis(
+            config, registry,
+            [&](const AnalysisOptions& options, AnalysisReport& report) {
+                const Poset truth = message_poset(scripts[0], options);
+                report.poset_relations = truth.relation_count();
+                report.verify_mismatches =
+                    encoding_mismatches(truth, *oracle_arenas[0], options);
+                if (config.queries == 0) return;
+                // The trace copies the oracle stamps; detach the copy so
+                // kernel counters aren't double-counted against the oracle
+                // arena's.
+                TimestampArena stamps = *oracle_arenas[0];
+                stamps.detach_metrics();
+                const TimestampedTrace trace(scripts[0], std::move(stamps));
+                report.query_mismatches = check_queries(
+                    config, truth, [&](std::size_t m1, std::size_t m2) {
+                        return trace.precedes(static_cast<MessageId>(m1),
+                                              static_cast<MessageId>(m2));
+                    });
+            });
     } else if (config.analysis) {
         // Stitch the per-epoch oracle stamps into one trace and verify
         // the barrier rule end to end.
@@ -1050,7 +992,18 @@ int main(int argc, char** argv) {
             segments.emplace_back(scripts[e], std::move(stamps));
         }
         const MultiEpochTrace trace(std::move(segments));
-        analysis = run_multi_analysis(config, trace, registry);
+        analysis = run_analysis(
+            config, registry,
+            [&](const AnalysisOptions& options, AnalysisReport& report) {
+                const Poset truth = trace.ground_truth_poset(options);
+                report.poset_relations = truth.relation_count();
+                report.verify_mismatches =
+                    trace.verify_against_ground_truth(truth, options);
+                report.query_mismatches = check_queries(
+                    config, truth, [&](std::size_t m1, std::size_t m2) {
+                        return trace.precedes(m1, m2);
+                    });
+            });
     }
     if (config.analysis) {
         registry.counter("stats_analysis_mismatches")
@@ -1063,9 +1016,9 @@ int main(int argc, char** argv) {
         std::string chrome;
         if (config.profile) {
             // Same document plus the highlighted critical-path track.
-            obs::write_critical_path_trace(sink.events(), profile, chrome);
+            obs::write_critical_path_trace(sink->events(), profile, chrome);
         } else {
-            sink.write_chrome_trace(chrome);
+            sink->write_chrome_trace(chrome);
         }
         if (!write_file(config.trace_json_path, chrome.data(),
                         chrome.size())) {
@@ -1076,7 +1029,7 @@ int main(int argc, char** argv) {
     }
     if (!config.trace_binary_path.empty()) {
         std::vector<std::uint8_t> frame;
-        sink.write_binary(frame);
+        sink->write_binary(frame);
         if (!write_file(config.trace_binary_path,
                         reinterpret_cast<const char*>(frame.data()),
                         frame.size())) {
@@ -1145,9 +1098,11 @@ int main(int argc, char** argv) {
             out += ",\"bsched_deferrals\":" +
                    std::to_string(wire.bsched_deferrals) + "}";
         }
-        out += ",\"trace\":{\"recorded\":" + std::to_string(sink.recorded());
-        out += ",\"retained\":" + std::to_string(sink.size());
-        out += ",\"dropped\":" + std::to_string(sink.dropped()) + "}";
+        out += ",\"trace\":{\"recorded\":" +
+               std::to_string(sink ? sink->recorded() : 0);
+        out += ",\"retained\":" + std::to_string(sink ? sink->size() : 0);
+        out += ",\"dropped\":" +
+               std::to_string(sink ? sink->dropped() : 0) + "}";
         if (config.analysis) {
             char wall[32];
             std::snprintf(wall, sizeof(wall), "%.3f", analysis.wall_ms);
@@ -1160,8 +1115,6 @@ int main(int argc, char** argv) {
                    std::to_string(analysis.verify_mismatches);
             out += ",\"query_mismatches\":" +
                    std::to_string(analysis.query_mismatches);
-            out += ",\"memo_hits\":" + std::to_string(analysis.memo_hits);
-            out += ",\"memo_misses\":" + std::to_string(analysis.memo_misses);
             out += ",\"wall_ms\":";
             out += wall;
             out += "}";
@@ -1179,11 +1132,12 @@ int main(int argc, char** argv) {
             profile_json += "}";
             out += ",\"profile\":" + profile_json;
         }
-        if (flight) {
+        if (recorder) {
             out += ",\"flight\":{\"dumps\":" +
-                   std::to_string(recorder.dumps());
-            out += ",\"retained\":" + std::to_string(recorder.retained());
-            out += ",\"truncated\":" + std::to_string(recorder.truncated());
+                   std::to_string(recorder->dumps());
+            out += ",\"retained\":" + std::to_string(recorder->retained());
+            out += ",\"truncated\":" +
+                   std::to_string(recorder->truncated());
             out += "}";
         }
         out += ",\"metrics\":";
@@ -1225,9 +1179,9 @@ int main(int argc, char** argv) {
         }
         if (tracing) {
             std::printf("trace:   recorded=%llu retained=%zu dropped=%llu\n",
-                        static_cast<unsigned long long>(sink.recorded()),
-                        sink.size(),
-                        static_cast<unsigned long long>(sink.dropped()));
+                        static_cast<unsigned long long>(sink->recorded()),
+                        sink->size(),
+                        static_cast<unsigned long long>(sink->dropped()));
         }
         if (config.profile) {
             std::printf(
@@ -1253,16 +1207,14 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(b.barrier_stall));
             }
         }
-        if (flight && recorder.dumps() > 0) {
+        if (recorder && recorder->dumps() > 0) {
             std::printf("flight:  dumps=%llu retained=%zu truncated=%llu\n",
-                        static_cast<unsigned long long>(recorder.dumps()),
-                        recorder.retained(),
+                        static_cast<unsigned long long>(recorder->dumps()),
+                        recorder->retained(),
                         static_cast<unsigned long long>(
-                            recorder.truncated()));
+                            recorder->truncated()));
         }
         if (config.analysis) {
-            const std::uint64_t lookups =
-                analysis.memo_hits + analysis.memo_misses;
             std::printf(
                 "analysis: threads=%zu relations=%zu verify_mismatches=%llu "
                 "wall_ms=%.3f\n",
@@ -1270,18 +1222,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(analysis.verify_mismatches),
                 analysis.wall_ms);
             if (analysis.queries > 0) {
-                std::printf(
-                    "queries: %zu lookups  mismatches=%llu  memo hit-rate "
-                    "%.1f%% (%llu/%llu)\n",
-                    analysis.queries,
-                    static_cast<unsigned long long>(
-                        analysis.query_mismatches),
-                    lookups == 0
-                        ? 0.0
-                        : 100.0 * static_cast<double>(analysis.memo_hits) /
-                              static_cast<double>(lookups),
-                    static_cast<unsigned long long>(analysis.memo_hits),
-                    static_cast<unsigned long long>(lookups));
+                std::printf("queries: %zu checked against the closure  "
+                            "mismatches=%llu\n",
+                            analysis.queries,
+                            static_cast<unsigned long long>(
+                                analysis.query_mismatches));
             }
         }
         if (config.stream) print_streaming_text(streaming);

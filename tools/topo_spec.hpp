@@ -142,13 +142,16 @@ inline std::uint64_t parse_positive(std::string_view flag,
 /// "--threads 100k" is rejected instead of asking the host for that many.
 inline constexpr std::uint64_t kMaxThreads = 256;
 
-/// A thread count: a count in [1, kMaxThreads].
-inline std::uint64_t parse_threads(std::string_view flag,
-                                   std::string_view text) {
+/// Most events a trace ring may hold. Each ring sizes its 48-byte events
+/// up front, so this bounds one ring at 192 MB.
+inline constexpr std::uint64_t kMaxTraceCapacity = 4'000'000;
+
+/// A count in [1, max], such as a thread count up to kMaxThreads.
+inline std::uint64_t parse_bounded(std::string_view flag,
+                                   std::string_view text, std::uint64_t max) {
     const std::uint64_t value = parse_positive(flag, text);
-    if (value > kMaxThreads) {
-        reject_value(flag, text,
-                     "must be at most " + std::to_string(kMaxThreads));
+    if (value > max) {
+        reject_value(flag, text, "must be at most " + std::to_string(max));
     }
     return value;
 }
